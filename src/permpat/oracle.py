@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidBoundError, InvalidInputError
@@ -94,7 +94,10 @@ def _census_block(args) -> int:
 def _run_blocks(worker, argslist: list, jobs: int) -> list:
     if jobs <= 1 or len(argslist) <= 1:
         return [worker(a) for a in argslist]
-    with get_context("fork").Pool(min(jobs, len(argslist))) as pool:
+    # Fork starts workers fastest; spawn works everywhere, because the
+    # workers are module-level functions and their arguments pickle.
+    method = "fork" if "fork" in get_all_start_methods() else "spawn"
+    with get_context(method).Pool(min(jobs, len(argslist))) as pool:
         return pool.map(worker, argslist)
 
 
@@ -286,7 +289,8 @@ def reference_count(class_id: str, n: int) -> int:
         num = 2 * math.factorial(3 * n)
         den = math.factorial(n + 1) * math.factorial(2 * n + 1)
         quotient, remainder = divmod(num, den)
-        assert remainder == 0
+        if remainder:
+            raise ArithmeticError(f"west2 formula is not integral at n={n}")
         return quotient
     raise InvalidInputError(f"unknown counting formula {class_id!r}")
 

@@ -25,14 +25,21 @@ permutation.  Box (i, j) then instantiates to the rectangle
     [alpha(i)+1, alpha(i+1)-1] x [beta(j)+1, beta(j+1)-1]
 
 with alpha(0) = beta(0) = 0 and alpha(k+1) = beta(k+1) = n+1.
+
+The search (:class:`Matcher`) lowers every kind to letters, shaded boxes,
+marks and the decorations that are left: a barred pattern becomes its mesh
+pattern, and a decoration avoiding the pattern 1 becomes shaded boxes.  The
+letters, shading and marks are compiled once per pattern into a generator
+expression of nested ``for`` clauses, one per letter, that reads box
+contents from the host's prefix-count table.  The compiled source is made
+of integers only.
 """
 
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import InvalidInputError, UnsupportedPatternError
 from .permutation import Permutation, Values, _standardize
@@ -70,8 +77,8 @@ class Mark:
         object.__setattr__(self, "region", as_boxes(self.region))
         if not self.region:
             raise InvalidInputError("mark region is empty")
-        if self.min_count < 1:
-            raise InvalidInputError(f"mark min_count must be >= 1, got {self.min_count}")
+        if not isinstance(self.min_count, int) or self.min_count < 1:
+            raise InvalidInputError(f"mark min_count must be an integer >= 1, got {self.min_count!r}")
 
     def sort_key(self) -> tuple:
         return (self.region, self.min_count)
@@ -338,18 +345,6 @@ class Diagram:
             self._prefix = rows
         return self._prefix
 
-    def count(self, rect: Rect) -> int:
-        """Number of permutation points inside a rectangle."""
-        if rect.is_empty:
-            return 0
-        p = self.prefix()
-        return (
-            p[rect.col_hi][rect.row_hi]
-            - p[rect.col_lo - 1][rect.row_hi]
-            - p[rect.col_hi][rect.row_lo - 1]
-            + p[rect.col_lo - 1][rect.row_lo - 1]
-        )
-
     def points_in(self, rects: Iterable[Rect]) -> list[tuple[int, int]]:
         """Points inside the union of rectangles, ordered by position."""
         pts: dict[int, int] = {}
@@ -363,131 +358,127 @@ class Diagram:
         return sorted(pts.items())
 
 
+@functools.lru_cache(maxsize=4096)
+def _compile_search(
+    letters: Values, shade: Region, marks: tuple[tuple[Region, int], ...]
+) -> Callable[[Diagram], Iterator[tuple[int, ...]]]:
+    """Generate the search for one order pattern with its shading and marks.
+
+    The result maps a :class:`Diagram` to an iterator over the 0-based
+    columns of every occurrence of ``letters`` whose shaded boxes are empty
+    and whose marked regions hold enough points, in lexicographic order.
+    It is one generator expression with a ``for`` clause per letter: letter
+    t runs over the columns after letter t-1 that leave room for the
+    letters still to come, and is accepted by comparing its value with
+    those of at most two earlier letters, the one just below it and the one
+    just above it in the pattern.  Each box is then counted as a four-lookup
+    difference in the prefix table, which is fetched only once a whole
+    skeleton exists.  A generator expression has no limit on how deeply its
+    clauses nest, where a ``def`` of nested ``for`` statements stops
+    compiling at 20.
+
+    The source is built from loop indices, box coordinates and mark counts,
+    all integers, never from text a user typed.
+    """
+    k = len(letters)
+    at = {v: t for t, v in enumerate(letters)}
+    clauses = ["for values, n, prefix in ((diag.values, diag.n, diag.prefix),)"]
+    for t in range(k):
+        start = f"x{t - 1} + 1" if t else "0"
+        clauses.append(f"for x{t} in range({start}, n - {k - 1 - t}) for v{t} in (values[x{t}],)")
+        earlier = sorted(range(t), key=lambda s: letters[s])
+        rank = sum(1 for s in earlier if letters[s] < letters[t])
+        chain = earlier[rank - 1: rank] + [t] + earlier[rank: rank + 1]
+        if len(chain) > 1:
+            clauses.append("if " + " < ".join(f"v{s}" for s in chain))
+
+    def corners(box: Box) -> tuple[str, str, str, str]:
+        # Box (i, j) holds the host points strictly between the occurrence's
+        # columns i and i+1 and its values j and j+1 (1-based, with the
+        # grid's borders as columns and values 0 and n+1).  In prefix-table
+        # indices its columns run over (left, right] and its values over
+        # (low, high].
+        col, row = box
+        left = f"x{col - 1} + 1" if col else "0"
+        right = f"x{col}" if col < k else "n"
+        low = f"v{at[row]}" if row else "0"
+        high = f"v{at[row + 1]} - 1" if row < k else "n"
+        return left, right, low, high
+
+    tests = []
+    for box in shade:
+        left, right, low, high = corners(box)
+        tests.append(f"p[{right}][{high}] - p[{right}][{low}] == p[{left}][{high}] - p[{left}][{low}]")
+    for region, need in marks:
+        counts = []
+        for box in region:
+            left, right, low, high = corners(box)
+            counts.append(f"p[{right}][{high}] - p[{right}][{low}] - p[{left}][{high}] + p[{left}][{low}]")
+        tests.append(f"{' + '.join(counts)} >= {int(need)}")
+    if tests:
+        clauses.append("for p in (prefix(),) if " + " and ".join(tests))
+    skeleton = "".join(f"x{t}, " for t in range(k))
+    namespace: dict = {}
+    exec(f"def search(diag):\n    return (({skeleton}) {' '.join(clauses)})\n", namespace)
+    return namespace["search"]
+
+
+_POINT = Pattern("classical", Permutation((1,)))
+
+
 class Matcher:
     """Occurrence search for one fixed pattern, reusable across hosts.
 
     ``column_sets`` yields the 0-based chosen columns of each occurrence in
-    lexicographic order; ``contains`` short-circuits on the first hit.  For
-    barred patterns the skeleton is the unbarred part and extendability is
-    tested directly against the full pattern, point by point.
+    lexicographic order; ``contains`` stops at the first hit.
+
+    Construction lowers the pattern to letters, shaded boxes, marks and
+    the decorations that are left.  A barred pattern becomes its mesh
+    pattern (:func:`barred_to_mesh`): an occurrence of the unbarred part
+    extends exactly when the box the barred letter vacated holds a point.
+    A decoration whose region must avoid the classical pattern 1 becomes
+    shaded boxes.  Letters, shading and marks are compiled into one
+    generator expression by :func:`_compile_search`, memoised on them.
+    Its source is passed to ``exec`` but holds only integers (loop indices,
+    box coordinates and mark counts, all validated when the pattern was
+    built), so no text from outside the program is ever executed.  The
+    remaining decorations are checked by :meth:`constraints_ok` on each
+    skeleton the search yields.
     """
 
     def __init__(self, pat: Pattern):
         self.pattern = pat
         if pat.kind == "barred":
-            if len(pat.barred_positions) != 1:
-                raise UnsupportedPatternError(
-                    f"occurrence search supports exactly one bar, got {len(pat.barred_positions)}"
-                )
-            full = pat.perm.values
-            bar = pat.barred_positions[0]
-            self._full = full
-            self._bar0 = bar - 1
-            self._sub = Matcher(classical(_standardize([v for i, v in enumerate(full, 1) if i != bar])))
-            self._k = len(full) - 1
-            return
-        pv = pat.perm.values
-        k = len(pv)
-        self._k = k
-        # Insertion rank of each pattern letter among the letters before it;
-        # matching these ranks step by step is order-isomorphism.
-        self._ranks = tuple(sum(1 for s in range(t) if pv[s] < pv[t]) for t in range(k))
-        self._shade = pat.shade
-        self._marks = tuple((m.region, m.min_count) for m in pat.marks)
-        self._decors = tuple((d.region, Matcher(d.avoid)) for d in pat.decorations)
-        self._plain = not (self._shade or self._marks or self._decors)
+            pat = barred_to_mesh(pat)
+        shade = set(pat.shade)
+        decors = []
+        for d in pat.decorations:
+            if d.avoid == _POINT:
+                shade.update(d.region)
+            else:
+                decors.append((d.region, _matcher(d.avoid)))
+        marks = tuple((m.region, m.min_count) for m in pat.marks)
+        self._search = _compile_search(pat.perm.values, as_boxes(shade), marks)
+        self._decors = tuple(decors)
 
-    # -- skeleton search ---------------------------------------------------
-
-    def _skeletons(self, values: Values) -> Iterator[tuple[int, ...]]:
-        k = self._k
-        n = len(values)
-        if k == 0:
-            yield ()
-            return
-        if k > n:
-            return
-        ranks = self._ranks
-        cols: list[int] = []
-        chosen: list[int] = []
-
-        def extend(start: int) -> Iterator[tuple[int, ...]]:
-            t = len(cols)
-            for x in range(start, n - (k - t) + 1):
-                v = values[x]
-                idx = bisect_left(chosen, v)
-                if idx == ranks[t]:
-                    cols.append(x)
-                    chosen.insert(idx, v)
-                    if t + 1 == k:
-                        yield tuple(cols)
-                    else:
-                        yield from extend(x + 1)
-                    cols.pop()
-                    del chosen[idx]
-
-        yield from extend(0)
-
-    # -- constraints -------------------------------------------------------
-
-    def _grid(self, diag: Diagram, cols: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def constraints_ok(self, diag: Diagram, cols: Sequence[int]) -> bool:
+        """The decorations left after lowering, for one skeleton that the
+        compiled search yielded."""
         n = diag.n
         a = (0,) + tuple(c + 1 for c in cols) + (n + 1,)
         r = (0,) + tuple(sorted(diag.values[c] for c in cols)) + (n + 1,)
-        return a, r
-
-    def constraints_ok(self, diag: Diagram, cols: Sequence[int]) -> bool:
-        """Shading, marks and decorations for one skeleton, assumed valid."""
-        if self._plain:
-            return True
-        a, r = self._grid(diag, cols)
-        for box in self._shade:
-            if diag.count(Rect(a[box.col] + 1, a[box.col + 1] - 1, r[box.row] + 1, r[box.row + 1] - 1)):
-                return False
-        for region, need in self._marks:
-            total = 0
-            for box in region:
-                total += diag.count(
-                    Rect(a[box.col] + 1, a[box.col + 1] - 1, r[box.row] + 1, r[box.row + 1] - 1)
-                )
-                if total >= need:
-                    break
-            if total < need:
-                return False
         for region, sub in self._decors:
-            rects = [
-                Rect(a[box.col] + 1, a[box.col + 1] - 1, r[box.row] + 1, r[box.row + 1] - 1)
-                for box in region
-            ]
+            rects = [Rect(a[i] + 1, a[i + 1] - 1, r[j] + 1, r[j + 1] - 1) for i, j in region]
             inside = _standardize([v for _, v in diag.points_in(rects)])
             if sub.contains(Diagram(inside)):
                 return False
         return True
 
-    # -- barred extendability ---------------------------------------------
-
-    def _bar_extendable(self, values: Values, cols: tuple[int, ...]) -> bool:
-        b0 = self._bar0
-        lo = cols[b0 - 1] + 1 if b0 > 0 else 0
-        hi = cols[b0] if b0 < len(cols) else len(values)
-        picked = [values[c] for c in cols]
-        for x in range(lo, hi):
-            extended = picked[:b0] + [values[x]] + picked[b0:]
-            if _standardize(extended) == self._full:
-                return True
-        return False
-
-    # -- public search -----------------------------------------------------
-
     def column_sets(self, diag: Diagram) -> Iterator[tuple[int, ...]]:
-        if self.pattern.kind == "barred":
-            for cols in self._sub._skeletons(diag.values):
-                if not self._bar_extendable(diag.values, cols):
-                    yield cols
-            return
-        for cols in self._skeletons(diag.values):
-            if self.constraints_ok(diag, cols):
-                yield cols
+        found = self._search(diag)
+        if not self._decors:
+            return found
+        return (cols for cols in found if self.constraints_ok(diag, cols))
 
     def contains(self, diag: Diagram) -> bool:
         return next(self.column_sets(diag), None) is not None
@@ -531,7 +522,7 @@ def barred_to_mesh(pat: Pattern) -> Pattern:
         raise InvalidInputError(f"expected a barred pattern, got {pat.kind}")
     if len(pat.barred_positions) != 1:
         raise UnsupportedPatternError(
-            f"mesh conversion needs exactly one bar, got {len(pat.barred_positions)}"
+            f"barred patterns are supported with exactly one bar, got {len(pat.barred_positions)}"
         )
     bar = pat.barred_positions[0]
     value = pat.perm.values[bar - 1]

@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import permpat
 from permpat import classical, mesh, parse_pattern_list
 from permpat.cli import main
 
@@ -231,3 +236,13 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "census", "--op", "stack", "--upto", "3")[0] == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(permpat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "permpat", "sort", "--op", "stack", "231"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "213\n")

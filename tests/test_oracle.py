@@ -1,6 +1,8 @@
 """Exhaustive avoidance sets, censuses, verification reports, fixtures."""
 from __future__ import annotations
 
+from multiprocessing import get_context
+
 import pytest
 
 from permpat import (
@@ -18,6 +20,7 @@ from permpat import (
     reference_count,
     verify_preimage,
 )
+from permpat import oracle
 from permpat.fixtures import FIXTURE_NAMES
 from permpat.oracle import containing_tuples
 
@@ -192,3 +195,15 @@ class TestJobsDeterminism:
 
     def test_census_agrees_across_worker_counts(self):
         assert census("stack", 2, 6, jobs=4) == census("stack", 2, 6, jobs=1)
+
+    def test_spawn_where_fork_is_missing(self, monkeypatch):
+        methods = []
+
+        def recording_context(method):
+            methods.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(oracle, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(oracle, "get_context", recording_context)
+        assert census("stack", 2, 6, jobs=2) == census("stack", 2, 6, jobs=1)
+        assert methods == ["spawn"]

@@ -74,6 +74,11 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             Mark(region=(Box(0, 0),), min_count=0)
 
+    @pytest.mark.parametrize("count", [1.5, "2"])
+    def test_mark_min_count_must_be_an_integer(self, count):
+        with pytest.raises(InvalidInputError):
+            Mark(region=(Box(0, 0),), min_count=count)
+
     def test_barred_positions_validated(self):
         assert barred("35241", [2]).barred_positions == (2,)
         with pytest.raises(InvalidInputError):

@@ -1,0 +1,108 @@
+"""The occurrence engine against a matcher written from the definitions.
+
+The reference tries every set of host positions, standardizes it and counts
+box contents point by point, with no prefix table, no compiled search and no
+lowering of one pattern kind to another.
+"""
+from __future__ import annotations
+
+from itertools import combinations
+
+import pytest
+
+from permpat import (
+    Box,
+    Permutation,
+    barred,
+    builtin_basis,
+    classical,
+    decorated,
+    marked,
+    mesh,
+    occurrences,
+)
+
+from conftest import all_perms, perms_through
+
+
+def standardize(word):
+    ranked = sorted(word)
+    return tuple(ranked.index(v) + 1 for v in word)
+
+
+def reference_alphas(values, pat):
+    """1-based column tuples of every occurrence of ``pat`` in ``values``."""
+    n, full = len(values), pat.perm.values
+    bar = pat.barred_positions[0] if pat.kind == "barred" else None
+    letters = standardize(full[: bar - 1] + full[bar:]) if bar else full
+    found = []
+    for cols in combinations(range(1, n + 1), len(letters)):
+        picked = [values[c - 1] for c in cols]
+        if standardize(picked) != letters:
+            continue
+        a, r = (0, *cols, n + 1), (0, *sorted(picked), n + 1)
+
+        def inside(region):
+            return [v for x, v in enumerate(values, 1)
+                    if any(a[i] < x < a[i + 1] and r[j] < v < r[j + 1] for i, j in region)]
+
+        if any(inside([box]) for box in pat.shade):
+            continue
+        if any(len(inside(m.region)) < m.min_count for m in pat.marks):
+            continue
+        if any(reference_alphas(standardize(inside(d.region)), d.avoid) for d in pat.decorations):
+            continue
+        if bar and any(
+            standardize([values[c - 1] for c in sorted(cols + (x,))]) == full
+            and sorted(cols + (x,)).index(x) == bar - 1
+            for x in range(1, n + 1) if x not in cols
+        ):
+            continue
+        found.append(cols)
+    return found
+
+
+EVERY_BOX_OF_1 = [(c, r) for c in range(2) for r in range(2)]
+
+PATTERNS = [
+    classical(()),
+    mesh((), [(0, 0)]),
+    classical("1"),
+    mesh("1", EVERY_BOX_OF_1),
+    classical("132"),
+    mesh("132", [(0, 1), (3, 2)]),
+    mesh("21", [(1, 0), (1, 2), (0, 2)]),
+    mesh("231", [(0, 3), (3, 0)]),
+    marked("12", marks=[((Box(2, 0), Box(2, 1)), 2)]),
+    marked("132", shade=[(2, 2)], marks=[((Box(1, 0), Box(1, 1), Box(2, 0)), 1)]),
+    marked("21", shade=[(0, 0)], marks=[{(1, 2)}, ({(2, 0), (2, 1)}, 2)]),
+    barred("132", [1]),
+    barred("132", [3]),
+    barred("2413", [2]),
+    decorated("21", [(((1, 1),), "12")]),
+    decorated("21", [({(0, 0), (2, 2)}, "1"), ({(1, 1)}, "21")]),
+    decorated("12", [(((1, 0), (2, 0)), decorated("21", [(((1, 1),), "1")]))]),
+    decorated("21", [(((1, 1), (2, 1)), decorated("1", [({(0, 0), (1, 1)}, "1")]))]),
+]
+
+
+def engine_alphas(pi, pat):
+    return [o.alpha for o in occurrences(pi, pat)]
+
+
+def test_every_kind_is_covered():
+    assert {p.kind for p in PATTERNS} == {"classical", "mesh", "marked", "barred", "decorated"}
+
+
+@pytest.mark.parametrize("pat", PATTERNS, ids=str)
+def test_engine_matches_reference_through_length_6(pat):
+    for pi in [Permutation(())] + list(perms_through(6)):
+        assert engine_alphas(pi, pat) == reference_alphas(pi.values, pat), pi
+
+
+@pytest.mark.parametrize("name", ["west2", "west3", "bubble1243"])
+def test_builtin_bases_match_reference_at_length_7(name):
+    basis = builtin_basis(name)
+    for pi in all_perms(7):
+        for pat in basis:
+            assert engine_alphas(pi, pat) == reference_alphas(pi.values, pat), (pi, pat)
