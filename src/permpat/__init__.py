@@ -41,7 +41,6 @@ from .patterns import (
     barred,
     barred_to_mesh,
     box_rectangle,
-    canonicalize,
     classical,
     contains,
     decorated,
@@ -109,7 +108,6 @@ __all__ = [
     "bubble_sort",
     "builtin_basis",
     "candidate_outcomes",
-    "canonicalize",
     "census",
     "classical",
     "contains",

@@ -2,15 +2,19 @@
 
 Everything here enumerates symmetric groups exhaustively, which keeps the
 results independent of the pattern machinery's cleverer paths and makes the
-module the referee for the rest of the package.  Enumeration is in
-lexicographic order throughout, so results are deterministic; with
-``jobs > 1`` the work is split into one block per first letter and the
-blocks are merged in order, so worker count never changes a result.
+module the referee for the rest of the package.  One scan serves
+``av_set``, ``preimage_av_set`` and ``verify_preimage``: it walks S_n in
+lexicographic order and asks of each permutation whether it avoids the
+candidate basis and whether its image after the sorting passes avoids the
+image basis.  ``census`` counts identity images on the same blocks, and
+``containment_masks`` feeds implication pruning one pattern bitmask per
+permutation.  With ``jobs > 1`` a scan is split into one block per first
+letter and the blocks are merged in order, so worker count never changes a
+result.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,7 +35,7 @@ __all__ = [
     "av_set",
     "builtin_basis",
     "census",
-    "containing_tuples",
+    "containment_masks",
     "preimage_av_set",
     "reference_count",
     "verify_preimage",
@@ -39,16 +43,6 @@ __all__ = [
 
 REASON_BAD_IMAGE = "in-Av-but-bad-image"
 REASON_CONTAINS_BASIS = "image-good-but-contains-basis"
-
-
-def _check_n(n: int) -> None:
-    if n < 0:
-        raise InvalidInputError(f"length must be nonnegative, got {n}")
-
-
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise InvalidInputError(f"jobs must be positive, got {jobs}")
 
 
 def _perm_stream(n: int, first: int | None) -> Iterator[Values]:
@@ -69,20 +63,37 @@ def _avoids_all(matchers: Sequence[Matcher], values: Values) -> bool:
     return not any(m.contains(diag) for m in matchers)
 
 
-def _av_block(args) -> list[Values]:
-    n, first, patterns = args
-    matchers = [Matcher(p) for p in patterns]
-    return [vals for vals in _perm_stream(n, first) if _avoids_all(matchers, vals)]
+def _classify(
+    n: int, first: int | None, op_id: str, passes: int,
+    candidate: Sequence[Pattern], image: Sequence[Pattern],
+) -> Iterator[tuple[Values, bool, bool]]:
+    """The scan: each permutation of the block in lexicographic order, with
+    whether it avoids the candidate basis and whether its image after
+    ``passes`` passes avoids the image basis.  An empty basis is avoided
+    without a look at the permutation or its image."""
+    cand = [Matcher(p) for p in candidate]
+    img = [Matcher(p) for p in image]
+    for vals in _perm_stream(n, first):
+        in_av = not cand or _avoids_all(cand, vals)
+        good = not img or _avoids_all(img, _sort_power(op_id, passes, vals))
+        yield vals, in_av, good
 
 
-def _preimage_block(args) -> list[Values]:
-    n, first, op_id, passes, patterns = args
-    matchers = [Matcher(p) for p in patterns]
-    return [
-        vals
-        for vals in _perm_stream(n, first)
-        if _avoids_all(matchers, _sort_power(op_id, passes, vals))
-    ]
+def _kept_block(args) -> list[Values]:
+    return [vals for vals, in_av, good in _classify(*args) if in_av and good]
+
+
+def _verify_block(args) -> tuple[int, int, tuple[Values, str] | None]:
+    # The two counts, and the block's least permutation on which the two
+    # answers differ, with the side it falls on.
+    in_av_count = good_count = 0
+    first_diff = None
+    for vals, in_av, good in _classify(*args):
+        in_av_count += in_av
+        good_count += good
+        if in_av != good and first_diff is None:
+            first_diff = (vals, REASON_BAD_IMAGE if in_av else REASON_CONTAINS_BASIS)
+    return in_av_count, good_count, first_diff
 
 
 def _census_block(args) -> int:
@@ -101,26 +112,19 @@ def _run_blocks(worker, argslist: list, jobs: int) -> list:
         return pool.map(worker, argslist)
 
 
-def _blocks(n: int, jobs: int) -> list[int | None]:
-    if jobs <= 1 or n < 2:
-        return [None]
-    return list(range(1, n + 1))
-
-
-def _av_tuples(n: int, basis: Iterable[Pattern], jobs: int = 1) -> list[Values]:
-    patterns = _canonical_patterns(basis)
-    results = _run_blocks(_av_block, [(n, b, patterns) for b in _blocks(n, jobs)], jobs)
-    return [vals for block in results for vals in block]
-
-
-def _preimage_tuples(
-    n: int, op_id: str, passes: int, basis: Iterable[Pattern], jobs: int = 1
-) -> list[Values]:
-    patterns = _canonical_patterns(basis)
-    results = _run_blocks(
-        _preimage_block, [(n, b, op_id, passes, patterns) for b in _blocks(n, jobs)], jobs
-    )
-    return [vals for block in results for vals in block]
+def _scan(worker, n: int, op_id: str, passes: int, jobs: int, *bases) -> list:
+    """Validate the arguments every scan shares, then run ``worker`` on one
+    block of S_n per first letter (one block when ``jobs`` is 1) and return
+    the blocks' results in lexicographic order."""
+    if n < 0:
+        raise InvalidInputError(f"length must be nonnegative, got {n}")
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be positive, got {jobs}")
+    if passes < 0:
+        raise InvalidInputError(f"pass count must be nonnegative, got {passes}")
+    operator_fn(op_id)
+    firsts = [None] if jobs <= 1 or n < 2 else range(1, n + 1)
+    return _run_blocks(worker, [(n, first, op_id, passes, *bases) for first in firsts], jobs)
 
 
 def av_set(n: int, basis: Iterable[Pattern], *, jobs: int = 1) -> list[Permutation]:
@@ -131,9 +135,9 @@ def av_set(n: int, basis: Iterable[Pattern], *, jobs: int = 1) -> list[Permutati
     >>> len(av_set(4, [classical("231")]))
     14
     """
-    _check_n(n)
-    _check_jobs(jobs)
-    return [Permutation(v) for v in _av_tuples(n, basis, jobs)]
+    # The image basis is empty, so no sorting pass is ever applied.
+    blocks = _scan(_kept_block, n, "stack", 0, jobs, _canonical_patterns(basis), ())
+    return [Permutation(v) for block in blocks for v in block]
 
 
 def preimage_av_set(
@@ -141,24 +145,29 @@ def preimage_av_set(
 ) -> list[Permutation]:
     """Permutations whose image under ``passes`` applications of the
     operator avoids every basis pattern, in lexicographic order."""
-    _check_n(n)
-    _check_jobs(jobs)
-    if passes < 0:
-        raise InvalidInputError(f"pass count must be nonnegative, got {passes}")
-    operator_fn(op_id)
-    return [Permutation(v) for v in _preimage_tuples(n, op_id, passes, basis, jobs)]
+    blocks = _scan(_kept_block, n, op_id, passes, jobs, (), _canonical_patterns(basis))
+    return [Permutation(v) for block in blocks for v in block]
 
 
 def census(op_id: str, passes: int, n: int, *, jobs: int = 1) -> int:
     """Number of permutations of length ``n`` sorted by ``passes``
     applications of the operator."""
-    _check_n(n)
-    _check_jobs(jobs)
-    if passes < 0:
-        raise InvalidInputError(f"pass count must be nonnegative, got {passes}")
-    operator_fn(op_id)
-    blocks = [(n, b, op_id, passes) for b in _blocks(n, jobs)]
-    return sum(_run_blocks(_census_block, blocks, jobs))
+    return sum(_scan(_census_block, n, op_id, passes, jobs))
+
+
+def containment_masks(n: int, patterns: Sequence[Pattern]) -> Iterator[tuple[Values, int]]:
+    """Each permutation of length ``n`` in lexicographic order, with a mask
+    whose bit i is set when it contains ``patterns[i]``.  Used for
+    implication pruning.
+
+    >>> from .patterns import classical
+    >>> list(containment_masks(2, [classical("12"), classical("21")]))
+    [((1, 2), 1), ((2, 1), 2)]
+    """
+    matchers = [Matcher(p) for p in patterns]
+    for vals in _perm_stream(n, None):
+        diag = Diagram(vals)
+        yield vals, sum(1 << i for i, m in enumerate(matchers) if m.contains(diag))
 
 
 @dataclass(frozen=True)
@@ -208,21 +217,6 @@ class VerificationReport:
         return out
 
 
-def _first_difference(a: list[Values], b: list[Values]) -> tuple[Permutation, str]:
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            i += 1
-            j += 1
-        elif a[i] < b[j]:
-            return Permutation(a[i]), REASON_BAD_IMAGE
-        else:
-            return Permutation(b[j]), REASON_CONTAINS_BASIS
-    if i < len(a):
-        return Permutation(a[i]), REASON_BAD_IMAGE
-    return Permutation(b[j]), REASON_CONTAINS_BASIS
-
-
 def verify_preimage(
     image_basis: Iterable[Pattern],
     candidate_basis: Iterable[Pattern],
@@ -234,7 +228,15 @@ def verify_preimage(
 ) -> VerificationReport:
     """Check, for every length up to ``n_max``, that the avoidance set of
     the candidate basis equals the preimage of the avoidance set of the
-    image basis.  Stops at the first failing length.
+    image basis.
+
+    Each length is one scan of S_n that asks both questions of every
+    permutation, counts both sides and keeps the first permutation on which
+    they differ.  With ``jobs > 1`` the scan is split into one block per
+    first letter; the counts are summed and the first disagreement over the
+    blocks in order is the least counterexample, so the report does not
+    depend on the worker count.  The failing length is scanned to its end,
+    so its row carries full counts, and verification stops there.
 
     >>> from .patterns import classical
     >>> verify_preimage([classical("231")], [classical("2341")], "stack", 1, 4).status
@@ -242,21 +244,19 @@ def verify_preimage(
     """
     if n_max < 1:
         raise InvalidBoundError(f"verification bound must be >= 1, got {n_max}")
-    _check_jobs(jobs)
-    operator_fn(op_id)
     image = _canonical_patterns(image_basis)
     candidate = _canonical_patterns(candidate_basis)
     checked: list[int] = []
     rows: list[tuple[int, int, int, bool]] = []
     counterexample: tuple[Permutation, str] | None = None
     for n in range(1, n_max + 1):
-        a = _av_tuples(n, candidate, jobs)
-        b = _preimage_tuples(n, op_id, passes, image, jobs)
-        equal = a == b
+        blocks = _scan(_verify_block, n, op_id, passes, jobs, candidate, image)
+        diffs = [diff for _, _, diff in blocks if diff is not None]
         checked.append(n)
-        rows.append((n, len(a), len(b), equal))
-        if not equal:
-            counterexample = _first_difference(a, b)
+        rows.append((n, sum(b[0] for b in blocks), sum(b[1] for b in blocks), not diffs))
+        if diffs:
+            vals, reason = diffs[0]
+            counterexample = (Permutation(vals), reason)
             break
     return VerificationReport(
         op_id=op_id,
@@ -293,13 +293,3 @@ def reference_count(class_id: str, n: int) -> int:
             raise ArithmeticError(f"west2 formula is not integral at n={n}")
         return quotient
     raise InvalidInputError(f"unknown counting formula {class_id!r}")
-
-
-@functools.lru_cache(maxsize=256)
-def containing_tuples(n: int, pat: Pattern) -> frozenset[Values]:
-    """Value tuples of the permutations of length ``n`` containing ``pat``.
-    Cached; used for implication pruning."""
-    matcher = Matcher(pat)
-    return frozenset(
-        vals for vals in itertools.permutations(range(1, n + 1)) if matcher.contains(Diagram(vals))
-    )

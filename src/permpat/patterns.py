@@ -116,8 +116,7 @@ class Pattern:
     """A pattern of one of the five kinds.
 
     Construction normalizes every component (sorted, deduplicated tuples),
-    so two patterns are syntactically equal exactly when they compare equal;
-    :func:`canonicalize` is the identity on well-formed patterns.
+    so two patterns are syntactically equal exactly when they compare equal.
     """
 
     kind: str
@@ -243,12 +242,6 @@ def barred(perm: PermLike, positions: Iterable[int]) -> Pattern:
     return Pattern("barred", _as_perm(perm), barred_positions=tuple(positions))
 
 
-def canonicalize(pat: Pattern) -> Pattern:
-    """Rebuild a pattern in canonical component order.  Construction already
-    normalizes, so this is idempotent and mostly useful as documentation."""
-    return Pattern(pat.kind, pat.perm, pat.shade, pat.marks, pat.decorations, pat.barred_positions)
-
-
 def pattern_sort_key(pat: Pattern) -> tuple:
     """A total order on patterns: by length, underlying permutation, kind,
     then components.  Used wherever a deterministic pattern order is needed."""
@@ -344,18 +337,6 @@ class Diagram:
                 rows.append(prev[:v] + [c + 1 for c in prev[v:]])
             self._prefix = rows
         return self._prefix
-
-    def points_in(self, rects: Iterable[Rect]) -> list[tuple[int, int]]:
-        """Points inside the union of rectangles, ordered by position."""
-        pts: dict[int, int] = {}
-        for rect in rects:
-            if rect.is_empty:
-                continue
-            for c in range(rect.col_lo, rect.col_hi + 1):
-                v = self.values[c - 1]
-                if rect.row_lo <= v <= rect.row_hi:
-                    pts[c] = v
-        return sorted(pts.items())
 
 
 @functools.lru_cache(maxsize=4096)
@@ -464,13 +445,21 @@ class Matcher:
     def constraints_ok(self, diag: Diagram, cols: Sequence[int]) -> bool:
         """The decorations left after lowering, for one skeleton that the
         compiled search yielded."""
-        n = diag.n
-        a = (0,) + tuple(c + 1 for c in cols) + (n + 1,)
-        r = (0,) + tuple(sorted(diag.values[c] for c in cols)) + (n + 1,)
+        values = diag.values
+        # Box (i, j) spans the host columns strictly between the skeleton's
+        # i-th and (i+1)-th columns (0-based, the borders at -1 and n) and
+        # the values strictly between its j-th and (j+1)-th smallest values.
+        a = (-1, *cols, diag.n)
+        r = (0, *sorted(values[c] for c in cols), diag.n + 1)
         for region, sub in self._decors:
-            rects = [Rect(a[i] + 1, a[i + 1] - 1, r[j] + 1, r[j + 1] - 1) for i, j in region]
-            inside = _standardize([v for _, v in diag.points_in(rects)])
-            if sub.contains(Diagram(inside)):
+            # The boxes of a region are distinct, so no point is seen twice.
+            xs = sorted(
+                x
+                for i, j in region
+                for x in range(a[i] + 1, a[i + 1])
+                if r[j] < values[x] < r[j + 1]
+            )
+            if sub.contains(Diagram(_standardize([values[x] for x in xs]))):
                 return False
         return True
 

@@ -41,10 +41,13 @@ from .patterns import (
     mesh,
     pattern_sort_key,
 )
+from .oracle import containment_masks
 from .permutation import Permutation, Values, _standardize, _value_pairs, as_word
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded so that a long-lived process cannot grow it without limit; all 720
+# images of length 6 together fill 1,046 entries.
+@functools.lru_cache(maxsize=4096)
 def _un_s_raw(word: Values) -> frozenset[Values]:
     # p = alpha m beta with m maximal.  A preimage word of p splits as
     # gamma m delta where gamma maps to a prefix of alpha and delta to the
@@ -306,34 +309,30 @@ def prune_basis(basis: MarkedBasis, n_max: int) -> MarkedBasis:
     sets identical for every length up to ``n_max``.  The result is only
     verified up to that bound, which it records.
 
+    One scan per length records the distinct bitmasks of basis patterns
+    that some permutation contains.  In basis order, a pattern q is dropped
+    when every mask with q's bit also has the bit of another pattern still
+    kept: every permutation containing q then contains one of them, so the
+    avoidance sets do not change.
+
     >>> b = MarkedBasis.from_patterns([classical("2341"), classical("23451")])
     >>> [str(p.perm) for p in prune_basis(b, 5)]
     ['2341']
     """
-    from .oracle import containing_tuples
-
-    if basis.patterns:
-        longest = max(len(p.perm) for p in basis.patterns)
+    patterns = basis.patterns
+    if patterns:
+        longest = max(len(p.perm) for p in patterns)
         if n_max < longest:
             raise InvalidBoundError(
                 f"pruning bound {n_max} is below the longest basis pattern ({longest})"
             )
 
-    kept = list(basis.patterns)
-    table = {
-        (pat, n): containing_tuples(n, pat)
-        for pat in kept
-        for n in range(1, n_max + 1)
-    }
-
-    def union(pats: Sequence[Pattern], n: int) -> frozenset[Values]:
-        out: set[Values] = set()
-        for p in pats:
-            out |= table[(p, n)]
-        return frozenset(out)
-
-    for q in list(kept):
-        rest = [p for p in kept if p != q]
-        if all(union(rest, n) == union(kept, n) for n in range(1, n_max + 1)):
-            kept = rest
-    return MarkedBasis.from_patterns(kept, verified_upto=n_max)
+    masks = {mask for n in range(1, n_max + 1) for _, mask in containment_masks(n, patterns)}
+    kept = (1 << len(patterns)) - 1
+    for i in range(len(patterns)):
+        q = 1 << i
+        if all(mask & kept & ~q for mask in masks if mask & q):
+            kept &= ~q
+    return MarkedBasis.from_patterns(
+        (p for i, p in enumerate(patterns) if kept >> i & 1), verified_upto=n_max
+    )

@@ -148,6 +148,13 @@ class TestVerify:
                            "--basis", str(f), "--upto", "3")
         assert code == 2 and "--pattern" in err
 
+    def test_negative_pass_count_is_a_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "basis.txt"
+        f.write_text("231\n")
+        code, out, err = run(capsys, "verify", "--pattern", "21", "--basis", str(f),
+                             "--passes", "-1", "--upto", "4")
+        assert code == 2 and out == "" and "pass count" in err
+
     def test_pattern_requires_basis(self, capsys):
         code, _, err = run(capsys, "verify", "--pattern", "21", "--upto", "3")
         assert code == 2 and "--basis" in err

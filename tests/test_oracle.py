@@ -9,6 +9,7 @@ from permpat import (
     REASON_BAD_IMAGE,
     REASON_CONTAINS_BASIS,
     InvalidInputError,
+    MarkedBasis,
     Permutation,
     av_set,
     builtin_basis,
@@ -17,12 +18,13 @@ from permpat import (
     marked,
     mesh,
     preimage_av_set,
+    prune_basis,
     reference_count,
     verify_preimage,
 )
 from permpat import oracle
 from permpat.fixtures import FIXTURE_NAMES
-from permpat.oracle import containing_tuples
+from permpat.oracle import containment_masks
 
 P = Permutation
 
@@ -120,6 +122,11 @@ class TestVerifyPreimage:
         assert d["counterexample"] == {"perm": [3, 2, 4, 1], "reason": REASON_BAD_IMAGE}
         assert [row["n"] for row in d["counts"]] == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("op_id, passes", [("stack", -3), ("stack", -1), ("quick", 1)])
+    def test_bad_operator_or_pass_count_rejected(self, op_id, passes):
+        with pytest.raises(InvalidInputError):
+            verify_preimage((classical("21"),), (classical("231"),), op_id, passes, 4)
+
 
 class TestReferenceCounts:
     def test_catalan(self):
@@ -139,17 +146,23 @@ class TestReferenceCounts:
             reference_count("west2", 0)
 
 
-class TestContainingTuples:
-    def test_complement_of_avoidance(self):
-        got = containing_tuples(3, classical("21"))
-        assert sorted(got) == [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+class TestContainmentMasks:
+    def test_exact_containing_set(self):
+        got = [vals for vals, mask in containment_masks(3, [classical("21")]) if mask]
+        assert got == [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
 
-    def test_disjoint_union_with_av_set(self):
+    def test_complement_of_avoidance(self):
         basis_pat = mesh("3241", [(1, 4)])
-        av = {p.values for p in av_set(5, (basis_pat,))}
-        cont = containing_tuples(5, basis_pat)
-        assert not (av & cont)
-        assert len(av) + len(cont) == 120
+        masks = list(containment_masks(5, [basis_pat]))
+        av = [p.values for p in av_set(5, (basis_pat,))]
+        assert [vals for vals, mask in masks if not mask] == av
+        assert len(masks) == 120
+
+    def test_one_bit_per_pattern(self):
+        pats = [classical("12"), classical("21"), classical("231")]
+        avoiders = [{p.values for p in av_set(4, (pat,))} for pat in pats]
+        for vals, mask in containment_masks(4, pats):
+            assert [bool(mask >> i & 1) for i in range(3)] == [vals not in av for av in avoiders]
 
 
 class TestBuiltinBases:
@@ -207,3 +220,45 @@ class TestJobsDeterminism:
         monkeypatch.setattr(oracle, "get_context", recording_context)
         assert census("stack", 2, 6, jobs=2) == census("stack", 2, 6, jobs=1)
         assert methods == ["spawn"]
+
+    # Each case's least counterexample lies outside the block of first
+    # letter 1, so the merge over blocks must pick the right one.  In the
+    # last case both sides count 5 at n=3, but the sets differ.
+    @pytest.mark.parametrize("image, candidate, last_row, least", [
+        ("231", ("2341",), (4, 23, 22, False), (P((3, 2, 4, 1)), REASON_BAD_IMAGE)),
+        ("21", ("231", "312"), (3, 4, 5, False), (P((3, 1, 2)), REASON_CONTAINS_BASIS)),
+        ("21", ("312",), (3, 5, 5, False), (P((2, 3, 1)), REASON_BAD_IMAGE)),
+    ])
+    def test_verify_agrees_across_worker_counts(self, image, candidate, last_row, least):
+        args = ((classical(image),), tuple(classical(c) for c in candidate), "stack", 1, 5)
+        one = verify_preimage(*args, jobs=1)
+        two = verify_preimage(*args, jobs=2)
+        assert one == two
+        assert one.counts[-1] == last_row
+        assert one.counterexample == least
+
+
+class TestOneScanPerLength:
+    @pytest.fixture
+    def streams(self, monkeypatch):
+        opened = []
+        real = oracle._perm_stream
+
+        def counting(n, first):
+            opened.append((n, first))
+            return real(n, first)
+
+        monkeypatch.setattr(oracle, "_perm_stream", counting)
+        return opened
+
+    def test_verify_opens_one_stream_per_length(self, streams):
+        rep = verify_preimage((classical("21"),), (classical("231"),), "stack", 1, 5)
+        assert rep.passed
+        assert streams == [(n, None) for n in range(1, 6)]
+
+    def test_prune_opens_one_stream_per_length(self, streams):
+        basis = MarkedBasis.from_patterns(
+            [classical("2341"), classical("23451"), mesh("3241", [(1, 4)])])
+        pruned = prune_basis(basis, 6)
+        assert list(pruned) == [classical("2341"), mesh("3241", [(1, 4)])]
+        assert streams == [(n, None) for n in range(1, 7)]

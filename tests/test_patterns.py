@@ -17,7 +17,6 @@ from permpat import (
     barred,
     barred_to_mesh,
     box_rectangle,
-    canonicalize,
     classical,
     contains,
     decorated,
@@ -41,11 +40,6 @@ class TestConstruction:
         b = mesh("132", [Box(0, 2), Box(2, 2)])
         assert a == b
         assert a.shade == (Box(0, 2), Box(2, 2))
-
-    def test_canonicalize_is_idempotent(self):
-        pat = marked("321", shade=[(1, 3)], marks=[((Box(2, 3), Box(2, 2)), 1)])
-        assert canonicalize(pat) == pat
-        assert canonicalize(canonicalize(pat)) == canonicalize(pat)
 
     def test_sort_key_orders_by_length_then_values(self):
         pats = [classical("21"), classical("123"), mesh("21", [(0, 0)])]
