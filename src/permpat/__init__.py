@@ -17,14 +17,13 @@ from .errors import (
     UnsupportedFormatError,
     UnsupportedPatternError,
 )
+from .fixtures import FIXTURE_NAMES, builtin_basis
 from .formats import format_pattern, parse_pattern, parse_pattern_list, render_grid
 from .oracle import (
-    FIXTURE_NAMES,
     REASON_BAD_IMAGE,
     REASON_CONTAINS_BASIS,
     VerificationReport,
     av_set,
-    builtin_basis,
     census,
     preimage_av_set,
     reference_count,

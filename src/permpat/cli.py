@@ -12,8 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import InvalidInputError, UnsupportedFormatError
-from .fixtures import FIXTURE_NAMES, FIXTURE_TARGETS
+from .errors import InvalidBoundError, InvalidInputError, UnsupportedFormatError
+from .fixtures import FIXTURE_NAMES, FIXTURE_TARGETS, builtin_basis
 from .formats import (
     detect_format,
     format_pattern,
@@ -21,7 +21,7 @@ from .formats import (
     parse_pattern_list,
     render_grid,
 )
-from .oracle import builtin_basis, census, verify_preimage
+from .oracle import census, verify_preimage
 from .patterns import occurrences
 from .permutation import OPERATOR_IDS, Permutation, sort_power
 from .preimage import (
@@ -165,6 +165,8 @@ def _cmd_verify(args) -> tuple[list[str], int]:
 
 
 def _cmd_census(args) -> tuple[list[str], int]:
+    if args.upto < 1:
+        raise InvalidBoundError(f"census bound must be >= 1, got {args.upto}")
     lines = []
     for n in range(1, args.upto + 1):
         lines.append(f"{n} {census(args.op, args.passes, n, jobs=args.jobs)}")

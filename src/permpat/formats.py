@@ -121,19 +121,34 @@ def _pattern_to_obj(pat: Pattern) -> dict:
     }
 
 
+def _int(value, what: str) -> int:
+    # A bool is an int to Python, and the pattern constructors truncate
+    # floats with int(), so JSON true or 1.5 would otherwise pass as 1.
+    if type(value) is not int:
+        raise PatternSyntaxError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _boxes_from_obj(items) -> tuple[Box, ...]:
+    return tuple(Box(_int(c, "box coordinate"), _int(r, "box coordinate")) for c, r in items)
+
+
 def _pattern_from_obj(obj) -> Pattern:
     if not isinstance(obj, dict):
         raise PatternSyntaxError("pattern JSON must be an object")
     try:
         kind = obj["kind"]
-        perm = Permutation(tuple(obj["perm"]))
-        shade = tuple(Box(c, r) for c, r in obj.get("shade", ()))
-        marks = tuple(Mark(tuple(Box(c, r) for c, r in m["boxes"]), m.get("min", 1)) for m in obj.get("marks", ()))
+        perm = Permutation(tuple(_int(v, "perm entry") for v in obj["perm"]))
+        shade = _boxes_from_obj(obj.get("shade", ()))
+        marks = tuple(
+            Mark(_boxes_from_obj(m["boxes"]), _int(m.get("min", 1), "mark min"))
+            for m in obj.get("marks", ())
+        )
         decor = tuple(
-            Decoration(tuple(Box(c, r) for c, r in d["boxes"]), _pattern_from_obj(d["avoid"]))
+            Decoration(_boxes_from_obj(d["boxes"]), _pattern_from_obj(d["avoid"]))
             for d in obj.get("decor", ())
         )
-        bars = tuple(obj.get("bars", ()))
+        bars = tuple(_int(b, "barred position") for b in obj.get("bars", ()))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InvalidInputError):
             raise

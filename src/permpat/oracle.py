@@ -22,18 +22,14 @@ from multiprocessing import get_all_start_methods, get_context
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidBoundError, InvalidInputError
-from .fixtures import FIXTURE_NAMES, FIXTURE_TARGETS, builtin_basis
-from .patterns import Diagram, Matcher, Pattern, pattern_sort_key
+from .patterns import Diagram, Pattern, _search, pattern_sort_key
 from .permutation import Permutation, Values, _sort_power, operator_fn
 
 __all__ = [
-    "FIXTURE_NAMES",
-    "FIXTURE_TARGETS",
     "VerificationReport",
     "REASON_BAD_IMAGE",
     "REASON_CONTAINS_BASIS",
     "av_set",
-    "builtin_basis",
     "census",
     "containment_masks",
     "preimage_av_set",
@@ -58,9 +54,9 @@ def _canonical_patterns(basis: Iterable[Pattern]) -> tuple[Pattern, ...]:
     return tuple(sorted(set(basis), key=pattern_sort_key))
 
 
-def _avoids_all(matchers: Sequence[Matcher], values: Values) -> bool:
+def _avoids_all(searches: Sequence, values: Values) -> bool:
     diag = Diagram(values)
-    return not any(m.contains(diag) for m in matchers)
+    return not any(next(s(diag), None) is not None for s in searches)
 
 
 def _classify(
@@ -71,8 +67,8 @@ def _classify(
     whether it avoids the candidate basis and whether its image after
     ``passes`` passes avoids the image basis.  An empty basis is avoided
     without a look at the permutation or its image."""
-    cand = [Matcher(p) for p in candidate]
-    img = [Matcher(p) for p in image]
+    cand = [_search(p) for p in candidate]
+    img = [_search(p) for p in image]
     for vals in _perm_stream(n, first):
         in_av = not cand or _avoids_all(cand, vals)
         good = not img or _avoids_all(img, _sort_power(op_id, passes, vals))
@@ -164,10 +160,10 @@ def containment_masks(n: int, patterns: Sequence[Pattern]) -> Iterator[tuple[Val
     >>> list(containment_masks(2, [classical("12"), classical("21")]))
     [((1, 2), 1), ((2, 1), 2)]
     """
-    matchers = [Matcher(p) for p in patterns]
+    searches = [_search(p) for p in patterns]
     for vals in _perm_stream(n, None):
         diag = Diagram(vals)
-        yield vals, sum(1 << i for i, m in enumerate(matchers) if m.contains(diag))
+        yield vals, sum(1 << i for i, s in enumerate(searches) if next(s(diag), None) is not None)
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,10 @@ permutation.  Box (i, j) then instantiates to the rectangle
 
 with alpha(0) = beta(0) = 0 and alpha(k+1) = beta(k+1) = n+1.
 
-The search (:class:`Matcher`) lowers every kind to letters, shaded boxes,
-marks and the decorations that are left: a barred pattern becomes its mesh
-pattern, and a decoration avoiding the pattern 1 becomes shaded boxes.  The
-letters, shading and marks are compiled once per pattern into a generator
-expression of nested ``for`` clauses, one per letter, that reads box
-contents from the host's prefix-count table.  The compiled source is made
-of integers only.
+Each pattern's search is compiled once and cached on the pattern
+(``_search``): every kind is lowered to letters, shaded boxes and marks,
+which become one generator expression over the host's prefix-count table,
+plus any decorations that avoid a pattern longer than 1.
 """
 
 from __future__ import annotations
@@ -339,28 +336,50 @@ class Diagram:
         return self._prefix
 
 
+_POINT = Pattern("classical", Permutation((1,)))
+
+
 @functools.lru_cache(maxsize=4096)
-def _compile_search(
-    letters: Values, shade: Region, marks: tuple[tuple[Region, int], ...]
-) -> Callable[[Diagram], Iterator[tuple[int, ...]]]:
-    """Generate the search for one order pattern with its shading and marks.
+def _search(pat: Pattern) -> Callable[[Diagram], Iterator[tuple[int, ...]]]:
+    """The occurrence search for one pattern, reusable across hosts.
 
     The result maps a :class:`Diagram` to an iterator over the 0-based
-    columns of every occurrence of ``letters`` whose shaded boxes are empty
-    and whose marked regions hold enough points, in lexicographic order.
-    It is one generator expression with a ``for`` clause per letter: letter
-    t runs over the columns after letter t-1 that leave room for the
-    letters still to come, and is accepted by comparing its value with
-    those of at most two earlier letters, the one just below it and the one
-    just above it in the pattern.  Each box is then counted as a four-lookup
-    difference in the prefix table, which is fetched only once a whole
-    skeleton exists.  A generator expression has no limit on how deeply its
-    clauses nest, where a ``def`` of nested ``for`` statements stops
-    compiling at 20.
+    columns of every occurrence of ``pat``, in lexicographic order.  The
+    pattern is first lowered to letters, shaded boxes, marks and the
+    decorations that are left.  A barred pattern becomes its mesh pattern
+    (:func:`barred_to_mesh`): an occurrence of the unbarred part extends
+    exactly when the box the barred letter vacated holds a point.  A
+    decoration whose region must avoid the classical pattern 1 becomes
+    shaded boxes.
 
-    The source is built from loop indices, box coordinates and mark counts,
-    all integers, never from text a user typed.
+    Letters, shading and marks are compiled into one generator expression
+    with a ``for`` clause per letter: letter t runs over the columns after
+    letter t-1 that leave room for the letters still to come, and is
+    accepted by comparing its value with those of at most two earlier
+    letters, the one just below it and the one just above it in the
+    pattern.  Each box is then counted as a four-lookup difference in the
+    prefix table, which is fetched only once a whole skeleton exists.  A
+    generator expression has no limit on how deeply its clauses nest, where
+    a ``def`` of nested ``for`` statements stops compiling at 20.  The
+    source is passed to ``exec`` but is built from loop indices, box
+    coordinates and mark counts, all integers validated when the pattern
+    was built, never from text a user typed.
+
+    Each decoration left after lowering filters the skeletons the compiled
+    search yields: the avoided pattern's own search runs on the
+    standardized contents of the decoration's region.
     """
+    if pat.kind == "barred":
+        pat = barred_to_mesh(pat)
+    shade = set(pat.shade)
+    decors = []
+    for d in pat.decorations:
+        if d.avoid == _POINT:
+            shade.update(d.region)
+        else:
+            decors.append((d.region, _search(d.avoid)))
+
+    letters = pat.perm.values
     k = len(letters)
     at = {v: t for t, v in enumerate(letters)}
     clauses = ["for values, n, prefix in ((diag.values, diag.n, diag.prefix),)"]
@@ -387,95 +406,47 @@ def _compile_search(
         return left, right, low, high
 
     tests = []
-    for box in shade:
+    for box in as_boxes(shade):
         left, right, low, high = corners(box)
         tests.append(f"p[{right}][{high}] - p[{right}][{low}] == p[{left}][{high}] - p[{left}][{low}]")
-    for region, need in marks:
+    for m in pat.marks:
         counts = []
-        for box in region:
+        for box in m.region:
             left, right, low, high = corners(box)
             counts.append(f"p[{right}][{high}] - p[{right}][{low}] - p[{left}][{high}] + p[{left}][{low}]")
-        tests.append(f"{' + '.join(counts)} >= {int(need)}")
+        tests.append(f"{' + '.join(counts)} >= {int(m.min_count)}")
     if tests:
         clauses.append("for p in (prefix(),) if " + " and ".join(tests))
     skeleton = "".join(f"x{t}, " for t in range(k))
     namespace: dict = {}
     exec(f"def search(diag):\n    return (({skeleton}) {' '.join(clauses)})\n", namespace)
-    return namespace["search"]
+    compiled = namespace["search"]
+    if not decors:
+        return compiled
 
-
-_POINT = Pattern("classical", Permutation((1,)))
-
-
-class Matcher:
-    """Occurrence search for one fixed pattern, reusable across hosts.
-
-    ``column_sets`` yields the 0-based chosen columns of each occurrence in
-    lexicographic order; ``contains`` stops at the first hit.
-
-    Construction lowers the pattern to letters, shaded boxes, marks and
-    the decorations that are left.  A barred pattern becomes its mesh
-    pattern (:func:`barred_to_mesh`): an occurrence of the unbarred part
-    extends exactly when the box the barred letter vacated holds a point.
-    A decoration whose region must avoid the classical pattern 1 becomes
-    shaded boxes.  Letters, shading and marks are compiled into one
-    generator expression by :func:`_compile_search`, memoised on them.
-    Its source is passed to ``exec`` but holds only integers (loop indices,
-    box coordinates and mark counts, all validated when the pattern was
-    built), so no text from outside the program is ever executed.  The
-    remaining decorations are checked by :meth:`constraints_ok` on each
-    skeleton the search yields.
-    """
-
-    def __init__(self, pat: Pattern):
-        self.pattern = pat
-        if pat.kind == "barred":
-            pat = barred_to_mesh(pat)
-        shade = set(pat.shade)
-        decors = []
-        for d in pat.decorations:
-            if d.avoid == _POINT:
-                shade.update(d.region)
-            else:
-                decors.append((d.region, _matcher(d.avoid)))
-        marks = tuple((m.region, m.min_count) for m in pat.marks)
-        self._search = _compile_search(pat.perm.values, as_boxes(shade), marks)
-        self._decors = tuple(decors)
-
-    def constraints_ok(self, diag: Diagram, cols: Sequence[int]) -> bool:
-        """The decorations left after lowering, for one skeleton that the
-        compiled search yielded."""
+    def search(diag: Diagram) -> Iterator[tuple[int, ...]]:
         values = diag.values
-        # Box (i, j) spans the host columns strictly between the skeleton's
-        # i-th and (i+1)-th columns (0-based, the borders at -1 and n) and
-        # the values strictly between its j-th and (j+1)-th smallest values.
-        a = (-1, *cols, diag.n)
-        r = (0, *sorted(values[c] for c in cols), diag.n + 1)
-        for region, sub in self._decors:
-            # The boxes of a region are distinct, so no point is seen twice.
-            xs = sorted(
-                x
-                for i, j in region
-                for x in range(a[i] + 1, a[i + 1])
-                if r[j] < values[x] < r[j + 1]
-            )
-            if sub.contains(Diagram(_standardize([values[x] for x in xs]))):
-                return False
-        return True
+        for cols in compiled(diag):
+            # Box (i, j) spans the host columns strictly between the
+            # skeleton's i-th and (i+1)-th columns (0-based, the borders at
+            # -1 and n) and the values strictly between its j-th and
+            # (j+1)-th smallest values.
+            a = (-1, *cols, diag.n)
+            r = (0, *sorted(values[c] for c in cols), diag.n + 1)
+            for region, sub in decors:
+                # The boxes of a region are distinct, so no point is seen twice.
+                xs = sorted(
+                    x
+                    for i, j in region
+                    for x in range(a[i] + 1, a[i + 1])
+                    if r[j] < values[x] < r[j + 1]
+                )
+                if next(sub(Diagram(_standardize([values[x] for x in xs]))), None) is not None:
+                    break
+            else:
+                yield cols
 
-    def column_sets(self, diag: Diagram) -> Iterator[tuple[int, ...]]:
-        found = self._search(diag)
-        if not self._decors:
-            return found
-        return (cols for cols in found if self.constraints_ok(diag, cols))
-
-    def contains(self, diag: Diagram) -> bool:
-        return next(self.column_sets(diag), None) is not None
-
-
-@functools.lru_cache(maxsize=1024)
-def _matcher(pat: Pattern) -> Matcher:
-    return Matcher(pat)
+    return search
 
 
 def occurrences(pi: Permutation, pat: Pattern) -> list[Occurrence]:
@@ -487,12 +458,12 @@ def occurrences(pi: Permutation, pat: Pattern) -> list[Occurrence]:
     [(2, 3, 4), (2, 3, 6), (2, 4, 6)]
     """
     diag = Diagram(pi.values)
-    return [Occurrence.from_columns(diag.values, cols) for cols in _matcher(pat).column_sets(diag)]
+    return [Occurrence.from_columns(diag.values, cols) for cols in _search(pat)(diag)]
 
 
 def contains(pi: Permutation, pat: Pattern) -> bool:
     """Whether ``pi`` contains at least one occurrence of ``pat``."""
-    return _matcher(pat).contains(Diagram(pi.values))
+    return next(_search(pat)(Diagram(pi.values)), None) is not None
 
 
 def avoids(pi: Permutation, pat: Pattern) -> bool:

@@ -179,6 +179,12 @@ class TestCensus:
         assert code == 0
         assert out.splitlines()[-1] == "4 8"
 
+    @pytest.mark.parametrize("upto", ["-3", "0"])
+    def test_bound_below_one_is_a_usage_error(self, capsys, upto):
+        code, out, err = run(capsys, "census", "--op", "stack", "--passes", "1",
+                             "--upto", upto, "--jobs", "0")
+        assert code == 2 and out == "" and "census bound" in err
+
 
 class TestBuiltin:
     def test_line_output(self, capsys):
@@ -243,6 +249,11 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "census", "--op", "stack", "--upto", "3")[0] == 2
+
+    def test_json_pattern_with_a_non_integer_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "match", "21", "--inline",
+                             '{"kind": "classical", "perm": [2, true]}')
+        assert code == 2 and out == "" and "perm entry must be an integer, got true" in err
 
 
 def test_python_dash_m_runs_the_cli():

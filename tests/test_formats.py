@@ -158,6 +158,36 @@ class TestJson:
         with pytest.raises(PatternSyntaxError):
             parse_pattern('{"kind": "classical"}', "json")
 
+    # JSON true and 1.5 would pass through int() as 1; each field refuses them.
+    def test_perm_entries_must_be_integers(self):
+        with pytest.raises(PatternSyntaxError, match="perm entry"):
+            parse_pattern('{"kind": "classical", "perm": [2, true]}', "json")
+        with pytest.raises(PatternSyntaxError, match="perm entry"):
+            parse_pattern('{"kind": "classical", "perm": [2.0, 1]}', "json")
+
+    def test_box_coordinates_must_be_integers(self):
+        with pytest.raises(PatternSyntaxError, match="box coordinate"):
+            parse_pattern('{"kind": "mesh", "perm": [1, 2], "shade": [[1.5, 2]]}', "json")
+        with pytest.raises(PatternSyntaxError, match="box coordinate"):
+            parse_pattern('{"kind": "marked", "perm": [1, 2], '
+                          '"marks": [{"boxes": [[0, false]], "min": 1}]}', "json")
+        with pytest.raises(PatternSyntaxError, match="box coordinate"):
+            parse_pattern('{"kind": "decorated", "perm": [1], '
+                          '"decor": [{"boxes": [[0, 1.0]], "avoid": {"kind": "classical", "perm": [1]}}]}',
+                          "json")
+
+    def test_mark_min_must_be_an_integer(self):
+        for bad in ("true", "2.0"):
+            with pytest.raises(PatternSyntaxError, match="mark min"):
+                parse_pattern('{"kind": "marked", "perm": [1, 2], '
+                              f'"marks": [{{"boxes": [[0, 0]], "min": {bad}}}]}}', "json")
+
+    def test_bars_must_be_integers(self):
+        with pytest.raises(PatternSyntaxError, match="barred position"):
+            parse_pattern('{"kind": "barred", "perm": [1, 2], "bars": [1.9]}', "json")
+        with pytest.raises(PatternSyntaxError, match="barred position"):
+            parse_pattern('{"kind": "barred", "perm": [1, 2], "bars": [true]}', "json")
+
 
 class TestDetectFormat:
     def test_json_detection(self):

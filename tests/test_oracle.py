@@ -25,6 +25,7 @@ from permpat import (
 from permpat import oracle
 from permpat.fixtures import FIXTURE_NAMES
 from permpat.oracle import containment_masks
+from permpat.patterns import _search
 
 P = Permutation
 
@@ -262,3 +263,14 @@ class TestOneScanPerLength:
         pruned = prune_basis(basis, 6)
         assert list(pruned) == [classical("2341"), mesh("3241", [(1, 4)])]
         assert streams == [(n, None) for n in range(1, 7)]
+
+
+def test_one_search_is_built_per_pattern():
+    # West-3 has ten basis patterns, four of whose decorations avoid 12; the
+    # image is 21.  Each distinct pattern misses the search cache once.
+    _search.cache_clear()
+    args = ([classical("21")], builtin_basis("west3"), "stack", 3, 6)
+    assert verify_preimage(*args).passed
+    assert _search.cache_info().misses == 12
+    verify_preimage(*args)
+    assert _search.cache_info().misses == 12
