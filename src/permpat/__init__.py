@@ -35,11 +35,9 @@ from .patterns import (
     Mark,
     Occurrence,
     Pattern,
-    Rect,
     avoids,
     barred,
     barred_to_mesh,
-    box_rectangle,
     classical,
     contains,
     decorated,
@@ -55,7 +53,6 @@ from .permutation import (
     as_word,
     bubble_sort,
     inversion_tables,
-    is_identity_after,
     pattern_of_values,
     sort_power,
     stack_sort,
@@ -92,7 +89,6 @@ __all__ = [
     "Permutation",
     "REASON_BAD_IMAGE",
     "REASON_CONTAINS_BASIS",
-    "Rect",
     "ShadeMarkResult",
     "UnsupportedFormatError",
     "UnsupportedPatternError",
@@ -103,7 +99,6 @@ __all__ = [
     "avoids",
     "barred",
     "barred_to_mesh",
-    "box_rectangle",
     "bubble_sort",
     "builtin_basis",
     "candidate_outcomes",
@@ -116,7 +111,6 @@ __all__ = [
     "format_pattern",
     "insert_point",
     "inversion_tables",
-    "is_identity_after",
     "marked",
     "mesh",
     "occurrences",

@@ -122,8 +122,8 @@ def _pattern_to_obj(pat: Pattern) -> dict:
 
 
 def _int(value, what: str) -> int:
-    # A bool is an int to Python, and the pattern constructors truncate
-    # floats with int(), so JSON true or 1.5 would otherwise pass as 1.
+    # The pattern constructors refuse a non-int too (a bool included), but
+    # this message names the JSON field.
     if type(value) is not int:
         raise PatternSyntaxError(f"{what} must be an integer, got {json.dumps(value)}")
     return value

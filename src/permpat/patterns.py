@@ -53,7 +53,11 @@ Region = tuple[Box, ...]
 
 def as_boxes(boxes: Iterable[BoxLike]) -> Region:
     """Normalize a collection of (col, row) pairs to a sorted tuple of boxes."""
-    return tuple(sorted({Box(int(c), int(r)) for c, r in boxes}))
+    region = {Box(c, r) for c, r in boxes}
+    # A bool is an int to Python and would print as True or False.
+    if not {type(x) for box in region for x in box} <= {int}:
+        raise InvalidInputError(f"box coordinates must be integers, got {region}")
+    return tuple(sorted(region))
 
 
 def _check_boxes(boxes: Iterable[Box], k: int, what: str) -> None:
@@ -74,7 +78,7 @@ class Mark:
         object.__setattr__(self, "region", as_boxes(self.region))
         if not self.region:
             raise InvalidInputError("mark region is empty")
-        if not isinstance(self.min_count, int) or self.min_count < 1:
+        if type(self.min_count) is not int or self.min_count < 1:
             raise InvalidInputError(f"mark min_count must be an integer >= 1, got {self.min_count!r}")
 
     def sort_key(self) -> tuple:
@@ -131,7 +135,10 @@ class Pattern:
         _check_boxes(shade, k, "shaded")
         marks = tuple(sorted(set(self.marks), key=Mark.sort_key))
         decorations = tuple(sorted(set(self.decorations), key=Decoration.sort_key))
-        bars = tuple(sorted(set(int(b) for b in self.barred_positions)))
+        bars = set(self.barred_positions)
+        if not set(map(type, bars)) <= {int}:
+            raise InvalidInputError(f"barred positions must be integers, got {self.barred_positions!r}")
+        bars = tuple(sorted(bars))
         object.__setattr__(self, "shade", shade)
         object.__setattr__(self, "marks", marks)
         object.__setattr__(self, "decorations", decorations)
@@ -191,7 +198,7 @@ def classical(perm: PermLike) -> Pattern:
 
 def mesh(perm: PermLike, shade: Iterable[BoxLike] = ()) -> Pattern:
     """A mesh pattern with the given shaded boxes."""
-    return Pattern("mesh", _as_perm(perm), shade=as_boxes(shade))
+    return Pattern("mesh", _as_perm(perm), shade=shade)
 
 
 def _as_mark(item) -> Mark:
@@ -203,8 +210,8 @@ def _as_mark(item) -> Mark:
         and isinstance(item[1], int)
         and not isinstance(item[0], int)
     ):
-        return Mark(as_boxes(item[0]), item[1])
-    return Mark(as_boxes(item))
+        return Mark(item[0], item[1])
+    return Mark(item)
 
 
 def marked(perm: PermLike, shade: Iterable[BoxLike] = (), marks: Iterable = ()) -> Pattern:
@@ -215,7 +222,7 @@ def marked(perm: PermLike, shade: Iterable[BoxLike] = (), marks: Iterable = ()) 
     >>> p.marks[0].region
     (Box(col=1, row=2),)
     """
-    return Pattern("marked", _as_perm(perm), shade=as_boxes(shade), marks=tuple(_as_mark(m) for m in marks))
+    return Pattern("marked", _as_perm(perm), shade=shade, marks=tuple(_as_mark(m) for m in marks))
 
 
 def _as_decoration(item) -> Decoration:
@@ -224,7 +231,7 @@ def _as_decoration(item) -> Decoration:
     region, avoid = item
     if not isinstance(avoid, Pattern):
         avoid = classical(avoid)
-    return Decoration(as_boxes(region), avoid)
+    return Decoration(region, avoid)
 
 
 def decorated(perm: PermLike, decorations: Iterable) -> Pattern:
@@ -253,21 +260,7 @@ def pattern_sort_key(pat: Pattern) -> tuple:
     )
 
 
-class Rect(NamedTuple):
-    """A closed axis-aligned rectangle of grid cells, possibly empty."""
-
-    col_lo: int
-    col_hi: int
-    row_lo: int
-    row_hi: int
-
-    @property
-    def is_empty(self) -> bool:
-        return self.col_lo > self.col_hi or self.row_lo > self.row_hi
-
-
-@dataclass(frozen=True, order=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """An occurrence: ``alpha`` are the 1-based chosen positions, ``beta``
     the chosen values in increasing order, and ``omega`` the chosen points
     as (position, value) pairs ordered by position.  Occurrences compare by
@@ -277,40 +270,13 @@ class Occurrence:
     beta: tuple[int, ...]
     omega: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):
-            seq = getattr(self, name)
-            if any(a >= b for a, b in zip(seq, seq[1:])):
-                raise InvalidInputError(f"occurrence {name} must be strictly increasing")
-        if len(self.alpha) != len(self.beta) or len(self.alpha) != len(self.omega):
-            raise InvalidInputError("occurrence alpha, beta and omega must have equal length")
-        if tuple(p for p, _ in self.omega) != self.alpha or \
-                tuple(sorted(v for _, v in self.omega)) != self.beta:
-            raise InvalidInputError("occurrence omega inconsistent with alpha and beta")
-
     @classmethod
     def from_columns(cls, values: Sequence[int], cols: Sequence[int]) -> "Occurrence":
-        """Build from 0-based column indices into ``values``."""
-        alpha = tuple(c + 1 for c in cols)
-        picked = tuple(values[c] for c in cols)
+        """Build from strictly increasing 0-based column indices into
+        ``values``, as the engine yields them; nothing is rechecked."""
+        alpha = tuple([c + 1 for c in cols])
+        picked = tuple([values[c] for c in cols])
         return cls(alpha, tuple(sorted(picked)), tuple(zip(alpha, picked)))
-
-
-def box_rectangle(occ: Occurrence, box: BoxLike, n: int) -> Rect:
-    """Instantiate a box of the pattern grid as a rectangle in the host
-    permutation's grid, for a host of length ``n``.
-
-    >>> occ = Occurrence.from_columns((5, 2, 6, 4, 1, 3), (1, 2, 5))
-    >>> box_rectangle(occ, (2, 2), 6)
-    Rect(col_lo=4, col_hi=5, row_lo=4, row_hi=5)
-    """
-    b = Box(*box)
-    k = len(occ.alpha)
-    if not (0 <= b.col <= k and 0 <= b.row <= k):
-        raise InvalidInputError(f"box {tuple(b)} outside grid 0..{k}")
-    a = (0,) + occ.alpha + (n + 1,)
-    r = (0,) + occ.beta + (n + 1,)
-    return Rect(a[b.col] + 1, a[b.col + 1] - 1, r[b.row] + 1, r[b.row + 1] - 1)
 
 
 class Diagram:

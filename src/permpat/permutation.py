@@ -112,7 +112,8 @@ class Permutation:
     def __post_init__(self) -> None:
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
-        if set(vals) != set(range(1, len(vals) + 1)):
+        # A bool or a float equal to an int would pass the set comparison.
+        if not set(map(type, vals)) <= {int} or set(vals) != set(range(1, len(vals) + 1)):
             raise InvalidInputError(f"not a permutation of 1..{len(vals)}: {vals!r}")
 
     @property
@@ -218,13 +219,6 @@ def sort_power(op_id: str, k: int, pi: Permutation) -> Permutation:
     if k < 0:
         raise InvalidInputError(f"pass count must be nonnegative, got {k}")
     return Permutation(_sort_power(op_id, k, pi.values))
-
-
-def is_identity_after(op_id: str, k: int, pi: Permutation) -> bool:
-    """Whether ``k`` passes of the operator sort ``pi`` completely."""
-    if k < 1:
-        raise InvalidInputError(f"pass count must be positive, got {k}")
-    return sort_power(op_id, k, pi).is_identity()
 
 
 def inversion_tables(pi: Permutation) -> ValuePairSets:

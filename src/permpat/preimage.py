@@ -102,11 +102,17 @@ class ShadeMarkResult:
                     raise InvalidInputError(f"mark regions {a} and {b} are nested")
 
     def to_pattern(self) -> Pattern:
-        if self.marks:
-            return marked(self.candidate, self.shades, [Mark(region) for region in self.marks])
-        if self.shades:
-            return mesh(self.candidate, self.shades)
-        return classical(self.candidate)
+        return _plainest(self.candidate, self.shades, [Mark(region) for region in self.marks])
+
+
+def _plainest(perm: Permutation, shade: Iterable[Box], marks: Sequence[Mark] = ()) -> Pattern:
+    """The pattern of the plainest kind that carries ``shade`` and ``marks``:
+    marked if there are marks, else mesh if there is shading, else classical."""
+    if marks:
+        return marked(perm, shade, marks)
+    if shade:
+        return mesh(perm, shade)
+    return classical(perm)
 
 
 def _shade_and_mark_impl(
@@ -259,13 +265,9 @@ def insert_point(pat: Pattern, box: Box | tuple[int, int]) -> Pattern:
     for m in pat.marks:
         if box in m.region:
             continue
-        marks.append(Mark(as_boxes(_remap(m.region, box)), m.min_count))
+        marks.append(Mark(_remap(m.region, box), m.min_count))
 
-    if marks:
-        return marked(perm, shade, marks)
-    if shade:
-        return mesh(perm, shade)
-    return classical(perm)
+    return _plainest(perm, shade, marks)
 
 
 def expand_marks(pat: Pattern) -> tuple[Pattern, ...]:
@@ -288,7 +290,7 @@ def expand_marks(pat: Pattern) -> tuple[Pattern, ...]:
     while todo:
         cur = todo.pop()
         if not cur.marks:
-            done.add(mesh(cur.perm, cur.shade) if cur.shade else classical(cur.perm))
+            done.add(_plainest(cur.perm, cur.shade))
             continue
         region = min(cur.marks, key=Mark.sort_key).region
         for b in region:

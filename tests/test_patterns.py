@@ -4,6 +4,7 @@ from __future__ import annotations
 from math import comb
 
 import pytest
+from conftest import perms_through
 
 from permpat import (
     Box,
@@ -11,12 +12,11 @@ from permpat import (
     Mark,
     Occurrence,
     Permutation,
-    Rect,
     UnsupportedPatternError,
     avoids,
     barred,
     barred_to_mesh,
-    box_rectangle,
+    builtin_basis,
     classical,
     contains,
     decorated,
@@ -51,6 +51,12 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             mesh("21", [box])
 
+    # True == 1 to Python, so only the type tells a bool coordinate apart
+    @pytest.mark.parametrize("box", [(1.5, 2), (True, 0)])
+    def test_box_coordinates_must_be_integers(self, box):
+        with pytest.raises(InvalidInputError):
+            mesh("12", [box])
+
     def test_classical_refuses_decorations(self):
         with pytest.raises(InvalidInputError):
             from permpat import Pattern
@@ -68,7 +74,7 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             Mark(region=(Box(0, 0),), min_count=0)
 
-    @pytest.mark.parametrize("count", [1.5, "2"])
+    @pytest.mark.parametrize("count", [1.5, "2", True])
     def test_mark_min_count_must_be_an_integer(self, count):
         with pytest.raises(InvalidInputError):
             Mark(region=(Box(0, 0),), min_count=count)
@@ -79,6 +85,10 @@ class TestConstruction:
             barred("21", [])
         with pytest.raises(InvalidInputError):
             barred("21", [3])
+
+    def test_barred_positions_must_be_integers(self):
+        with pytest.raises(InvalidInputError):
+            barred("123", [1.7])
 
     def test_decoration_avoid_kind_restricted(self):
         inner = mesh("12", [(0, 0)])
@@ -225,28 +235,20 @@ class TestOccurrenceGeometry:
         occ = Occurrence.from_columns(PI.values, (1, 2, 4))
         assert occ.alpha == (2, 3, 5)
 
-    def test_alpha_strictly_increasing_required(self):
-        with pytest.raises(InvalidInputError):
-            Occurrence(alpha=(3, 2), beta=(1, 2), omega=(2, 1))
-
-    def test_box_rectangle_between_values(self):
-        occ = Occurrence.from_columns(PI.values, (1, 2, 5))
-        assert occ.alpha == (2, 3, 6)
-        assert box_rectangle(occ, Box(2, 2), PI.n) == Rect(4, 5, 4, 5)
-
-    def test_box_rectangle_of_21_occurrence(self):
-        occ = Occurrence.from_columns(PI.values, (2, 5))
-        assert occ.alpha == (3, 6)
-        assert box_rectangle(occ, Box(1, 1), PI.n) == Rect(4, 5, 4, 5)
-
-    def test_adjacent_columns_give_empty_rectangle(self):
-        occ = Occurrence.from_columns(PI.values, (0, 1))
-        assert box_rectangle(occ, Box(1, 1), PI.n).is_empty
-
-    def test_box_out_of_range(self):
-        occ = Occurrence.from_columns(PI.values, (0, 1))
-        with pytest.raises(InvalidInputError):
-            box_rectangle(occ, Box(5, 0), PI.n)
+    @pytest.mark.parametrize("pats", [
+        builtin_basis("west2"), builtin_basis("west3"), builtin_basis("bubble1243"),
+        [barred("35241", [2])],
+    ], ids=["west2", "west3", "bubble1243", "barred35241"])
+    def test_engine_records_match_their_columns(self, pats):
+        for pi in perms_through(6):
+            for pat in pats:
+                occs = occurrences(pi, pat)
+                assert sorted(occs) == occs
+                assert len(set(occs)) == len(occs)
+                for occ in occs:
+                    picked = tuple(pi.values[a - 1] for a in occ.alpha)
+                    assert occ.beta == tuple(sorted(picked))
+                    assert occ.omega == tuple(zip(occ.alpha, picked))
 
     def test_occurrences_sorted_by_alpha(self):
         occ = occurrences(P((3, 2, 1)), classical("21"))
