@@ -35,7 +35,6 @@ from .patterns import (
     Mark,
     Occurrence,
     Pattern,
-    avoids,
     barred,
     barred_to_mesh,
     classical,
@@ -49,11 +48,8 @@ from .patterns import (
 from .permutation import (
     OPERATOR_IDS,
     Permutation,
-    ValuePairSets,
     as_word,
     bubble_sort,
-    inversion_tables,
-    pattern_of_values,
     sort_power,
     stack_sort,
     standardize,
@@ -92,11 +88,9 @@ __all__ = [
     "ShadeMarkResult",
     "UnsupportedFormatError",
     "UnsupportedPatternError",
-    "ValuePairSets",
     "VerificationReport",
     "as_word",
     "av_set",
-    "avoids",
     "barred",
     "barred_to_mesh",
     "bubble_sort",
@@ -110,13 +104,11 @@ __all__ = [
     "expand_marks",
     "format_pattern",
     "insert_point",
-    "inversion_tables",
     "marked",
     "mesh",
     "occurrences",
     "parse_pattern",
     "parse_pattern_list",
-    "pattern_of_values",
     "pattern_sort_key",
     "preimage_av_set",
     "prune_basis",

@@ -92,7 +92,18 @@ def _parse_inline(spec: str):
 
 
 def _patterns_from_file(path: str):
-    return parse_pattern_list(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_pattern_list(text)
+
+
+def _one_pattern_from_file(path: str):
+    found = _patterns_from_file(path)
+    if len(found) != 1:
+        raise InvalidInputError(f"expected exactly one pattern in {path}, found {len(found)}")
+    return found[0]
 
 
 def _format_any(pat) -> str:
@@ -112,10 +123,7 @@ def _cmd_match(args) -> tuple[list[str], int]:
     if args.inline is not None:
         pat = _parse_inline(args.inline)
     else:
-        found = _patterns_from_file(args.pattern)
-        if len(found) != 1:
-            raise InvalidInputError(f"expected exactly one pattern in {args.pattern}, found {len(found)}")
-        pat = found[0]
+        pat = _one_pattern_from_file(args.pattern)
     occs = occurrences(pi, pat)
     if args.list:
         return ["(" + ",".join(str(a) for a in occ.alpha) + ")" for occ in occs], 0
@@ -186,10 +194,7 @@ def _cmd_render(args) -> tuple[list[str], int]:
     if args.pattern is not None:
         pat = _parse_inline(args.pattern)
     else:
-        found = _patterns_from_file(args.file)
-        if len(found) != 1:
-            raise InvalidInputError(f"expected exactly one pattern in {args.file}, found {len(found)}")
-        pat = found[0]
+        pat = _one_pattern_from_file(args.file)
     return render_grid(pat, unicode_glyphs=args.unicode).splitlines(), 0
 
 

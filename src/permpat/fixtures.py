@@ -20,7 +20,7 @@ equivalent to the sorted image avoiding the target patterns.
 from __future__ import annotations
 
 from .errors import InvalidInputError
-from .patterns import Pattern, classical, decorated, marked, mesh, pattern_sort_key
+from .patterns import Pattern, canonical, classical, decorated, marked, mesh
 
 WEST2: tuple[Pattern, ...] = (
     classical("2341"),
@@ -128,4 +128,4 @@ def builtin_basis(name: str) -> tuple[Pattern, ...]:
         raise InvalidInputError(
             f"unknown basis {name!r}; expected one of {', '.join(FIXTURE_NAMES)}"
         ) from None
-    return tuple(sorted(pats, key=pattern_sort_key))
+    return canonical(pats)

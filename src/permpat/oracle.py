@@ -22,7 +22,7 @@ from multiprocessing import get_all_start_methods, get_context
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidBoundError, InvalidInputError
-from .patterns import Diagram, Pattern, _search, pattern_sort_key
+from .patterns import Diagram, Pattern, _search, canonical
 from .permutation import Permutation, Values, _sort_power, operator_fn
 
 __all__ = [
@@ -48,10 +48,6 @@ def _perm_stream(n: int, first: int | None) -> Iterator[Values]:
     rest = [v for v in range(1, n + 1) if v != first]
     for tail in itertools.permutations(rest):
         yield (first,) + tail
-
-
-def _canonical_patterns(basis: Iterable[Pattern]) -> tuple[Pattern, ...]:
-    return tuple(sorted(set(basis), key=pattern_sort_key))
 
 
 def _avoids_all(searches: Sequence, values: Values) -> bool:
@@ -132,7 +128,7 @@ def av_set(n: int, basis: Iterable[Pattern], *, jobs: int = 1) -> list[Permutati
     14
     """
     # The image basis is empty, so no sorting pass is ever applied.
-    blocks = _scan(_kept_block, n, "stack", 0, jobs, _canonical_patterns(basis), ())
+    blocks = _scan(_kept_block, n, "stack", 0, jobs, canonical(basis), ())
     return [Permutation(v) for block in blocks for v in block]
 
 
@@ -141,7 +137,7 @@ def preimage_av_set(
 ) -> list[Permutation]:
     """Permutations whose image under ``passes`` applications of the
     operator avoids every basis pattern, in lexicographic order."""
-    blocks = _scan(_kept_block, n, op_id, passes, jobs, (), _canonical_patterns(basis))
+    blocks = _scan(_kept_block, n, op_id, passes, jobs, (), canonical(basis))
     return [Permutation(v) for block in blocks for v in block]
 
 
@@ -176,10 +172,16 @@ class VerificationReport:
 
     op_id: str
     passes: int
-    checked_n: tuple[int, ...]
     counts: tuple[tuple[int, int, int, bool], ...]
-    passed: bool
     counterexample: tuple[Permutation, str] | None = None
+
+    @property
+    def checked_n(self) -> tuple[int, ...]:
+        return tuple(row[0] for row in self.counts)
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     @property
     def status(self) -> str:
@@ -240,28 +242,19 @@ def verify_preimage(
     """
     if n_max < 1:
         raise InvalidBoundError(f"verification bound must be >= 1, got {n_max}")
-    image = _canonical_patterns(image_basis)
-    candidate = _canonical_patterns(candidate_basis)
-    checked: list[int] = []
+    image = canonical(image_basis)
+    candidate = canonical(candidate_basis)
     rows: list[tuple[int, int, int, bool]] = []
     counterexample: tuple[Permutation, str] | None = None
     for n in range(1, n_max + 1):
         blocks = _scan(_verify_block, n, op_id, passes, jobs, candidate, image)
         diffs = [diff for _, _, diff in blocks if diff is not None]
-        checked.append(n)
         rows.append((n, sum(b[0] for b in blocks), sum(b[1] for b in blocks), not diffs))
         if diffs:
             vals, reason = diffs[0]
             counterexample = (Permutation(vals), reason)
             break
-    return VerificationReport(
-        op_id=op_id,
-        passes=passes,
-        checked_n=tuple(checked),
-        counts=tuple(rows),
-        passed=counterexample is None,
-        counterexample=counterexample,
-    )
+    return VerificationReport(op_id, passes, tuple(rows), counterexample)
 
 
 def reference_count(class_id: str, n: int) -> int:

@@ -27,14 +27,15 @@ permutation.  Box (i, j) then instantiates to the rectangle
 with alpha(0) = beta(0) = 0 and alpha(k+1) = beta(k+1) = n+1.
 
 Each pattern's search is compiled once and cached on the pattern
-(``_search``): every kind is lowered to letters, shaded boxes and marks,
-which become one generator expression over the host's prefix-count table,
-plus any decorations that avoid a pattern longer than 1.
+(``_search``): every kind is lowered to letters, shaded boxes, marks and
+decorations that avoid a pattern longer than 1, which become one generator
+expression over the host's values and prefix-count table.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -260,6 +261,11 @@ def pattern_sort_key(pat: Pattern) -> tuple:
     )
 
 
+def canonical(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
+    """The distinct patterns of ``patterns`` in :func:`pattern_sort_key` order."""
+    return tuple(sorted(set(patterns), key=pattern_sort_key))
+
+
 class Occurrence(NamedTuple):
     """An occurrence: ``alpha`` are the 1-based chosen positions, ``beta``
     the chosen values in increasing order, and ``omega`` the chosen points
@@ -318,22 +324,21 @@ def _search(pat: Pattern) -> Callable[[Diagram], Iterator[tuple[int, ...]]]:
     decoration whose region must avoid the classical pattern 1 becomes
     shaded boxes.
 
-    Letters, shading and marks are compiled into one generator expression
-    with a ``for`` clause per letter: letter t runs over the columns after
+    Everything left is compiled into one generator expression with a
+    ``for`` clause per letter: letter t runs over the columns after
     letter t-1 that leave room for the letters still to come, and is
     accepted by comparing its value with those of at most two earlier
     letters, the one just below it and the one just above it in the
     pattern.  Each box is then counted as a four-lookup difference in the
     prefix table, which is fetched only once a whole skeleton exists.  A
     generator expression has no limit on how deeply its clauses nest, where
-    a ``def`` of nested ``for`` statements stops compiling at 20.  The
+    a ``def`` of nested ``for`` statements stops compiling at 20.  Each
+    decoration is one more ``if`` clause: the avoided pattern's own search,
+    named ``sub{i}`` in the namespace, runs on the standardized values of
+    the decoration's region, read off the host by column slices.  The
     source is passed to ``exec`` but is built from loop indices, box
     coordinates and mark counts, all integers validated when the pattern
-    was built, never from text a user typed.
-
-    Each decoration left after lowering filters the skeletons the compiled
-    search yields: the avoided pattern's own search runs on the
-    standardized contents of the decoration's region.
+    was built, and fixed names, never from text a user typed.
     """
     if pat.kind == "barred":
         pat = barred_to_mesh(pat)
@@ -383,36 +388,21 @@ def _search(pat: Pattern) -> Callable[[Diagram], Iterator[tuple[int, ...]]]:
         tests.append(f"{' + '.join(counts)} >= {int(m.min_count)}")
     if tests:
         clauses.append("for p in (prefix(),) if " + " and ".join(tests))
+    namespace: dict = {"Diagram": Diagram, "_standardize": _standardize}
+    for i, (region, sub) in enumerate(decors):
+        namespace[f"sub{i}"] = sub
+        # A box's columns (left, right] are the slice values[left:right].  A
+        # region's boxes are sorted by column, so one slice per column,
+        # joined left to right, lists the region's points in host order.
+        slices = []
+        for _, boxes in itertools.groupby(region, key=lambda box: box.col):
+            bounds = [corners(box) for box in boxes]
+            inside = " or ".join(f"{low} < w <= {high}" for _, _, low, high in bounds)
+            slices.append(f"[w for w in values[{bounds[0][0]}:{bounds[0][1]}] if {inside}]")
+        clauses.append(f"if next(sub{i}(Diagram(_standardize({' + '.join(slices)}))), None) is None")
     skeleton = "".join(f"x{t}, " for t in range(k))
-    namespace: dict = {}
     exec(f"def search(diag):\n    return (({skeleton}) {' '.join(clauses)})\n", namespace)
-    compiled = namespace["search"]
-    if not decors:
-        return compiled
-
-    def search(diag: Diagram) -> Iterator[tuple[int, ...]]:
-        values = diag.values
-        for cols in compiled(diag):
-            # Box (i, j) spans the host columns strictly between the
-            # skeleton's i-th and (i+1)-th columns (0-based, the borders at
-            # -1 and n) and the values strictly between its j-th and
-            # (j+1)-th smallest values.
-            a = (-1, *cols, diag.n)
-            r = (0, *sorted(values[c] for c in cols), diag.n + 1)
-            for region, sub in decors:
-                # The boxes of a region are distinct, so no point is seen twice.
-                xs = sorted(
-                    x
-                    for i, j in region
-                    for x in range(a[i] + 1, a[i + 1])
-                    if r[j] < values[x] < r[j + 1]
-                )
-                if next(sub(Diagram(_standardize([values[x] for x in xs]))), None) is not None:
-                    break
-            else:
-                yield cols
-
-    return search
+    return namespace["search"]
 
 
 def occurrences(pi: Permutation, pat: Pattern) -> list[Occurrence]:
@@ -430,10 +420,6 @@ def occurrences(pi: Permutation, pat: Pattern) -> list[Occurrence]:
 def contains(pi: Permutation, pat: Pattern) -> bool:
     """Whether ``pi`` contains at least one occurrence of ``pat``."""
     return next(_search(pat)(Diagram(pi.values)), None) is not None
-
-
-def avoids(pi: Permutation, pat: Pattern) -> bool:
-    return not contains(pi, pat)
 
 
 def barred_to_mesh(pat: Pattern) -> Pattern:

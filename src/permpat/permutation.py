@@ -103,8 +103,6 @@ class Permutation:
 
     >>> Permutation((3, 2, 4, 1)).n
     4
-    >>> Permutation.from_text("3241").value_at(3)
-    4
     """
 
     values: Values
@@ -128,18 +126,6 @@ class Permutation:
 
     def __str__(self) -> str:
         return self.to_text()
-
-    def value_at(self, position: int) -> int:
-        """The value at a 1-based position."""
-        if not 1 <= position <= len(self.values):
-            raise InvalidInputError(f"position {position} outside 1..{len(self.values)}")
-        return self.values[position - 1]
-
-    def position_of(self, value: int) -> int:
-        """The 1-based position of a value."""
-        if not 1 <= value <= len(self.values):
-            raise InvalidInputError(f"value {value} outside 1..{len(self.values)}")
-        return self.values.index(value) + 1
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.values, 1))
@@ -177,15 +163,6 @@ class Permutation:
         return ",".join(str(v) for v in self.values)
 
 
-@dataclass(frozen=True)
-class ValuePairSets:
-    """The inversion and non-inversion tables of a permutation, both stored
-    as ordered value pairs (u, v) with u appearing before v."""
-
-    inversions: frozenset[tuple[int, int]]
-    noninversions: frozenset[tuple[int, int]]
-
-
 def standardize(word: Iterable[int]) -> Permutation:
     """Relabel a word of distinct integers to a permutation, preserving
     relative order.
@@ -219,27 +196,3 @@ def sort_power(op_id: str, k: int, pi: Permutation) -> Permutation:
     if k < 0:
         raise InvalidInputError(f"pass count must be nonnegative, got {k}")
     return Permutation(_sort_power(op_id, k, pi.values))
-
-
-def inversion_tables(pi: Permutation) -> ValuePairSets:
-    """Inversions and non-inversions of ``pi`` as ordered value pairs.
-
-    >>> t = inversion_tables(Permutation.from_text("3241"))
-    >>> sorted(t.noninversions)
-    [(2, 4), (3, 4)]
-    """
-    inv, ninv = _value_pairs(pi.values)
-    return ValuePairSets(inversions=inv, noninversions=ninv)
-
-
-def pattern_of_values(pi: Permutation, values: Iterable[int]) -> Permutation:
-    """Standardization of the subsequence of ``pi`` formed by ``values``.
-
-    >>> pattern_of_values(Permutation.from_text("526413"), {2, 6, 4}).to_text()
-    '132'
-    """
-    chosen = set(values)
-    for v in chosen:
-        if not 1 <= v <= pi.n:
-            raise InvalidInputError(f"value {v} outside 1..{pi.n}")
-    return Permutation(_standardize([v for v in pi.values if v in chosen]))

@@ -36,6 +36,7 @@ from .patterns import (
     Mark,
     Pattern,
     as_boxes,
+    canonical,
     classical,
     marked,
     mesh,
@@ -203,8 +204,7 @@ class MarkedBasis:
 
     @classmethod
     def from_patterns(cls, patterns: Iterable[Pattern], verified_upto: int | None = None) -> "MarkedBasis":
-        unique = sorted(set(patterns), key=pattern_sort_key)
-        return cls(tuple(unique), verified_upto)
+        return cls(canonical(patterns), verified_upto)
 
     def __iter__(self) -> Iterator[Pattern]:
         return iter(self.patterns)
@@ -295,15 +295,12 @@ def expand_marks(pat: Pattern) -> tuple[Pattern, ...]:
         region = min(cur.marks, key=Mark.sort_key).region
         for b in region:
             todo.append(insert_point(cur, b))
-    return tuple(sorted(done, key=pattern_sort_key))
+    return canonical(done)
 
 
 def expand_basis(basis: MarkedBasis | Iterable[Pattern]) -> tuple[Pattern, ...]:
     """Expand every pattern of a basis and return the deduplicated union."""
-    out: set[Pattern] = set()
-    for pat in basis:
-        out.update(expand_marks(pat))
-    return tuple(sorted(out, key=pattern_sort_key))
+    return canonical(p for pat in basis for p in expand_marks(pat))
 
 
 def prune_basis(basis: MarkedBasis, n_max: int) -> MarkedBasis:

@@ -19,6 +19,12 @@ def perms_through(n):
         yield from all_perms(k)
 
 
+def inversions(values):
+    """The inversions of a value sequence, as ordered value pairs (u, v)
+    with u before v and u > v."""
+    return {(u, v) for i, u in enumerate(values) for v in values[i + 1:] if u > v}
+
+
 def random_values(rng: random.Random, k: int) -> tuple[int, ...]:
     vals = list(range(1, k + 1))
     rng.shuffle(vals)

@@ -6,7 +6,7 @@ import math
 import random
 from itertools import permutations
 
-from conftest import perms_through, random_boxes, random_pattern, random_values
+from conftest import inversions, perms_through, random_boxes, random_pattern, random_values
 
 from permpat import (
     Permutation,
@@ -22,13 +22,11 @@ from permpat import (
     expand_basis,
     expand_marks,
     format_pattern,
-    inversion_tables,
     marked,
     mesh,
     occurrences,
     parse_pattern,
     parse_pattern_list,
-    pattern_of_values,
     preimage_av_set,
     reference_count,
     render_grid,
@@ -162,8 +160,7 @@ def test_property_suites(tmp_path, capsys):
         if sorted(b.values) != list(range(1, pi.n + 1)):
             failures.append(f"bubble pass changes the values of {pi}")
             break
-        if pi != ident and len(inversion_tables(b).inversions) >= \
-                len(inversion_tables(pi).inversions):
+        if pi != ident and len(inversions(b.values)) >= len(inversions(pi.values)):
             failures.append(f"bubble pass fails to reduce inversions of {pi}")
             break
         if standardize(pi.values) != pi:
@@ -259,7 +256,8 @@ def test_property_suites(tmp_path, capsys):
             if p.n > pi.n:
                 continue
             for occ in occurrences(s, classical(p)):
-                if pattern_of_values(pi, set(occ.beta)) not in candidates[p]:
+                chosen = set(occ.beta)
+                if standardize(v for v in pi.values if v in chosen) not in candidates[p]:
                     failures.append(f"occurrence {occ.beta} of {p} in {s} has no candidate in {pi}")
                     done = True
                     break
@@ -270,7 +268,7 @@ def test_property_suites(tmp_path, capsys):
 
     # --- shading and marking: order independence, disjoint minimal marks ---
     for image in image_patterns:
-        inv = sorted(inversion_tables(image).inversions)
+        inv = sorted(inversions(image.values))
         for lam, outcome in candidate_outcomes(image):
             for _ in range(3):
                 shuffled = list(inv)

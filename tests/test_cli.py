@@ -255,6 +255,18 @@ class TestUsageErrors:
                              '{"kind": "classical", "perm": [2, true]}')
         assert code == 2 and out == "" and "perm entry must be an integer, got true" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--pattern", "21", "--upto", "3", "--basis"),
+        ("match", "123", "--pattern"),
+        ("render", "--file"),
+    ], ids=lambda argv: argv[0])
+    def test_pattern_file_that_is_not_utf8_is_a_usage_error(self, capsys, tmp_path, argv):
+        f = tmp_path / "binary.txt"
+        f.write_bytes(b"\xff\xfe12\n")
+        code, out, err = run(capsys, *argv, str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(f) in err and "UTF-8" in err
+
 
 def test_python_dash_m_runs_the_cli():
     src = str(Path(permpat.__file__).resolve().parents[1])

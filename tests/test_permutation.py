@@ -6,11 +6,8 @@ import pytest
 from permpat import (
     InvalidInputError,
     Permutation,
-    ValuePairSets,
     as_word,
     bubble_sort,
-    inversion_tables,
-    pattern_of_values,
     sort_power,
     stack_sort,
     standardize,
@@ -73,17 +70,6 @@ class TestTextForms:
     def test_bad_text_rejected(self, text):
         with pytest.raises(InvalidInputError):
             P.from_text(text)
-
-
-class TestPositionsAndValues:
-    def test_value_at_and_position_of(self):
-        pi = P((5, 2, 6, 4, 1, 3))
-        assert pi.value_at(3) == 6
-        assert pi.position_of(6) == 3
-        with pytest.raises(InvalidInputError):
-            pi.value_at(0)
-        with pytest.raises(InvalidInputError):
-            pi.position_of(7)
 
 
 class TestStandardize:
@@ -159,33 +145,3 @@ class TestSortPower:
         assert OPERATOR_IDS == ("bubble", "stack")
         assert operator_fn("stack")((2, 3, 1)) == stack_sort(P((2, 3, 1))).values
         assert operator_fn("bubble")((3, 2, 1)) == bubble_sort(P((3, 2, 1))).values
-
-
-class TestValuePairs:
-    def test_inversion_tables_of_3241(self):
-        t = inversion_tables(P((3, 2, 4, 1)))
-        assert isinstance(t, ValuePairSets)
-        assert t.noninversions == frozenset({(3, 4), (2, 4)})
-        assert t.inversions == frozenset({(3, 2), (3, 1), (2, 1), (4, 1)})
-
-    def test_identity_has_no_inversions(self):
-        t = inversion_tables(P.identity(4))
-        assert t.inversions == frozenset()
-        assert len(t.noninversions) == 6
-
-
-class TestPatternOfValues:
-    def test_subsequence_standardization(self):
-        pi = P((5, 2, 6, 4, 1, 3))
-        assert pattern_of_values(pi, {2, 6, 4}) == P((1, 3, 2))
-        assert pattern_of_values(pi, {5}) == P((1,))
-
-    def test_full_value_set_returns_the_permutation(self):
-        assert pattern_of_values(P((2, 3, 1)), {1, 2, 3}) == P((2, 3, 1))
-
-    def test_value_outside_range_rejected(self):
-        with pytest.raises(InvalidInputError):
-            pattern_of_values(P((2, 1)), {1, 3})
-
-    def test_empty_value_set_gives_empty_pattern(self):
-        assert pattern_of_values(P((2, 1)), set()).n == 0

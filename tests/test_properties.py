@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+from conftest import inversions
 from hypothesis import given, settings, strategies as st
 
 from permpat import (
@@ -12,12 +13,10 @@ from permpat import (
     classical,
     contains,
     format_pattern,
-    inversion_tables,
     marked,
     mesh,
     occurrences,
     parse_pattern,
-    pattern_of_values,
     sort_power,
     stack_sort,
     standardize,
@@ -80,8 +79,8 @@ class TestPermutationProperties:
 
     @given(small_perms)
     def test_bubble_sort_reduces_inversions(self, pi):
-        before = len(inversion_tables(pi).inversions)
-        after = len(inversion_tables(bubble_sort(pi)).inversions)
+        before = len(inversions(pi.values))
+        after = len(inversions(bubble_sort(pi).values))
         assert after < before or before == 0
 
 
@@ -114,7 +113,8 @@ class TestPatternProperties:
             assert occ.omega == tuple(
                 (a, pi.values[a - 1]) for a in occ.alpha)
             assert tuple(sorted(v for _, v in occ.omega)) == occ.beta
-            assert pattern_of_values(pi, {v for _, v in occ.omega}) == pat.perm
+            chosen = {v for _, v in occ.omega}
+            assert standardize(v for v in pi.values if v in chosen) == pat.perm
 
 
 class TestPreimageProperties:
@@ -126,15 +126,15 @@ class TestPreimageProperties:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 4).flatmap(perm_of))
     def test_candidates_keep_every_inversion(self, p):
-        inv = inversion_tables(p).inversions
+        inv = inversions(p.values)
         for lam in un_s(p.values):
-            assert inv <= inversion_tables(lam).inversions
+            assert inv <= inversions(lam.values)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 4).flatmap(perm_of), st.randoms(use_true_random=False))
     def test_shade_and_mark_order_independence(self, image, rng):
         pos = {v: i for i, v in enumerate(image.values, 1)}
-        inv = sorted(inversion_tables(image).inversions,
+        inv = sorted(inversions(image.values),
                      key=lambda p: (pos[p[0]], pos[p[1]]))
         for lam in sorted(un_s(image.values)):
             shuffled = list(inv)
@@ -164,5 +164,6 @@ class TestPreimageProperties:
                 continue
             cands = un_s(p.values)
             for occ in occurrences(sigma, classical(p)):
-                traced = pattern_of_values(pi, set(occ.beta))
+                chosen = set(occ.beta)
+                traced = standardize(v for v in pi.values if v in chosen)
                 assert traced in cands

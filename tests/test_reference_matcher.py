@@ -83,6 +83,10 @@ PATTERNS = [
     decorated("21", [({(0, 0), (2, 2)}, "1"), ({(1, 1)}, "21")]),
     decorated("12", [(((1, 0), (2, 0)), decorated("21", [(((1, 1),), "1")]))]),
     decorated("21", [(((1, 1), (2, 1)), decorated("1", [({(0, 0), (1, 1)}, "1")]))]),
+    decorated("21", [({(1, 0), (1, 2)}, "12")]),
+    decorated("132", [({(1, 0), (1, 3), (2, 1)}, "21")]),
+    decorated("12", [({(0, 2), (1, 1), (2, 0)}, "123")]),
+    decorated("12", [({(1, 0), (1, 2)}, decorated("12", [({(1, 1)}, "1")]))]),
 ]
 
 
