@@ -262,7 +262,11 @@ def pattern_sort_key(pat: Pattern) -> tuple:
 
 
 def canonical(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
-    """The distinct patterns of ``patterns`` in :func:`pattern_sort_key` order."""
+    """The distinct patterns of ``patterns`` in :func:`pattern_sort_key` order.
+
+    >>> [p.perm.to_text() for p in canonical(classical(w) for w in ["231", "12", "231", "1"])]
+    ['1', '12', '231']
+    """
     return tuple(sorted(set(patterns), key=pattern_sort_key))
 
 

@@ -11,6 +11,7 @@ from permpat import (
     InvalidInputError,
     MarkedBasis,
     Permutation,
+    VerificationReport,
     av_set,
     builtin_basis,
     census,
@@ -109,6 +110,15 @@ class TestVerifyPreimage:
         assert perm == P((3, 1, 2))
         assert reason == REASON_CONTAINS_BASIS
         assert rep.checked_n[-1] == 3
+
+    def test_passed_and_checked_n_follow_the_stored_fields(self):
+        counts = ((1, 1, 1, True), (2, 2, 1, False))
+        failed = VerificationReport("stack", 1, counts, (P((2, 1)), REASON_BAD_IMAGE))
+        assert not failed.passed and failed.checked_n == (1, 2)
+        passed = VerificationReport("stack", 1, counts[:1])
+        assert passed.passed and passed.checked_n == (1,)
+        with pytest.raises(AttributeError):
+            passed.passed = False
 
     def test_text_report_shape(self):
         rep = verify_preimage((classical("21"),), (classical("231"),), "stack", 1, 3)

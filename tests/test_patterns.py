@@ -24,6 +24,7 @@ from permpat import (
     occurrences,
     pattern_sort_key,
 )
+from permpat.patterns import canonical
 
 P = Permutation
 PI = P((5, 2, 6, 4, 1, 3))
@@ -96,6 +97,18 @@ class TestConstruction:
         # classical and decorated are the two allowed inner kinds
         nested = decorated("12", [(((0, 0),), "1")])
         assert decorated("21", [(((1, 1),), nested)]).kind == "decorated"
+
+
+class TestCanonical:
+    def test_distinct_patterns_in_sort_key_order(self):
+        pats = [mesh("12", [(1, 1)]), classical("21"), classical("12"),
+                classical("21"), marked("12", marks=[{(0, 0)}]), classical("1")]
+        out = canonical(pats)
+        assert len(out) == len(set(pats)) == 5
+        assert list(out) == sorted(set(pats), key=pattern_sort_key)
+        # input order does not matter, and the result is a fixed point
+        assert canonical(reversed(pats)) == out
+        assert canonical(out) == out
 
 
 class TestClassicalMatching:
