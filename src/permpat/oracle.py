@@ -6,11 +6,12 @@ module the referee for the rest of the package.  One scan serves
 ``av_set``, ``preimage_av_set`` and ``verify_preimage``: it walks S_n in
 lexicographic order and asks of each permutation whether it avoids the
 candidate basis and whether its image after the sorting passes avoids the
-image basis.  ``census`` counts identity images on the same blocks, and
+image basis; each basis is one compiled search that stops at its first
+hit.  ``census`` counts identity images on the same blocks, and
 ``containment_masks`` feeds implication pruning one pattern bitmask per
-permutation.  With ``jobs > 1`` a scan is split into one block per first
-letter and the blocks are merged in order, so worker count never changes a
-result.
+permutation, from one compiled search of all the patterns.  With
+``jobs > 1`` a scan is split into one block per first letter and the
+blocks are merged in order, so worker count never changes a result.
 """
 
 from __future__ import annotations
@@ -50,24 +51,19 @@ def _perm_stream(n: int, first: int | None) -> Iterator[Values]:
         yield (first,) + tail
 
 
-def _avoids_all(searches: Sequence, values: Values) -> bool:
-    diag = Diagram(values)
-    return not any(next(s(diag), None) is not None for s in searches)
-
-
 def _classify(
     n: int, first: int | None, op_id: str, passes: int,
-    candidate: Sequence[Pattern], image: Sequence[Pattern],
+    candidate: tuple[Pattern, ...], image: tuple[Pattern, ...],
 ) -> Iterator[tuple[Values, bool, bool]]:
     """The scan: each permutation of the block in lexicographic order, with
     whether it avoids the candidate basis and whether its image after
     ``passes`` passes avoids the image basis.  An empty basis is avoided
     without a look at the permutation or its image."""
-    cand = [_search(p) for p in candidate]
-    img = [_search(p) for p in image]
+    cand = _search(candidate, "first")
+    img = _search(image, "first")
     for vals in _perm_stream(n, first):
-        in_av = not cand or _avoids_all(cand, vals)
-        good = not img or _avoids_all(img, _sort_power(op_id, passes, vals))
+        in_av = not candidate or not cand(Diagram(vals))
+        good = not image or not img(Diagram(_sort_power(op_id, passes, vals)))
         yield vals, in_av, good
 
 
@@ -156,10 +152,9 @@ def containment_masks(n: int, patterns: Sequence[Pattern]) -> Iterator[tuple[Val
     >>> list(containment_masks(2, [classical("12"), classical("21")]))
     [((1, 2), 1), ((2, 1), 2)]
     """
-    searches = [_search(p) for p in patterns]
+    search = _search(tuple(patterns), "mask")
     for vals in _perm_stream(n, None):
-        diag = Diagram(vals)
-        yield vals, sum(1 << i for i, s in enumerate(searches) if next(s(diag), None) is not None)
+        yield vals, search(Diagram(vals))
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,12 @@ permutation.  Box (i, j) then instantiates to the rectangle
 
 with alpha(0) = beta(0) = 0 and alpha(k+1) = beta(k+1) = n+1.
 
-Each pattern's search is compiled once and cached on the pattern
+One search is compiled and cached per tuple of patterns and per action
 (``_search``): every kind is lowered to letters, shaded boxes, marks and
-decorations that avoid a pattern longer than 1, which become one generator
-expression over the host's values and prefix-count table.
+decorations that avoid a pattern longer than 1, and the tuple's letters
+become one function of nested loops over the host's values, shared among
+the patterns like a trie, with box counts read off a prefix-count table.
+A single pattern is the tuple of one.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import InvalidInputError, UnsupportedPatternError
 from .permutation import Permutation, Values, _standardize
@@ -314,36 +316,27 @@ class Diagram:
 
 _POINT = Pattern("classical", Permutation((1,)))
 
+# CPython compiles at most 20 statically nested blocks in one function; a
+# search nested deeper continues in a helper function.
+_MAX_LOOPS = 20
 
-@functools.lru_cache(maxsize=4096)
-def _search(pat: Pattern) -> Callable[[Diagram], Iterator[tuple[int, ...]]]:
-    """The occurrence search for one pattern, reusable across hosts.
+class _Node:
+    """A trie node of a compiled search: the patterns whose letters are all
+    placed here, the loops that place the next letter, keyed on
+    (depth, column range) and then on the value test, and the bits of
+    every pattern below."""
 
-    The result maps a :class:`Diagram` to an iterator over the 0-based
-    columns of every occurrence of ``pat``, in lexicographic order.  The
-    pattern is first lowered to letters, shaded boxes, marks and the
-    decorations that are left.  A barred pattern becomes its mesh pattern
-    (:func:`barred_to_mesh`): an occurrence of the unbarred part extends
-    exactly when the box the barred letter vacated holds a point.  A
-    decoration whose region must avoid the classical pattern 1 becomes
-    shaded boxes.
+    __slots__ = ("leaves", "loops", "bits")
 
-    Everything left is compiled into one generator expression with a
-    ``for`` clause per letter: letter t runs over the columns after
-    letter t-1 that leave room for the letters still to come, and is
-    accepted by comparing its value with those of at most two earlier
-    letters, the one just below it and the one just above it in the
-    pattern.  Each box is then counted as a four-lookup difference in the
-    prefix table, which is fetched only once a whole skeleton exists.  A
-    generator expression has no limit on how deeply its clauses nest, where
-    a ``def`` of nested ``for`` statements stops compiling at 20.  Each
-    decoration is one more ``if`` clause: the avoided pattern's own search,
-    named ``sub{i}`` in the namespace, runs on the standardized values of
-    the decoration's region, read off the host by column slices.  The
-    source is passed to ``exec`` but is built from loop indices, box
-    coordinates and mark counts, all integers validated when the pattern
-    was built, and fixed names, never from text a user typed.
-    """
+    def __init__(self) -> None:
+        self.leaves: list[int] = []
+        self.loops: dict[tuple[int, str], dict[str, _Node]] = {}
+        self.bits = 0
+
+
+def _lower(pat: Pattern) -> tuple[Values, Region, tuple[Mark, ...], list[Decoration]]:
+    # A barred pattern becomes its mesh pattern, and a decoration whose
+    # region must avoid the pattern 1 becomes shaded boxes.
     if pat.kind == "barred":
         pat = barred_to_mesh(pat)
     shade = set(pat.shade)
@@ -352,61 +345,211 @@ def _search(pat: Pattern) -> Callable[[Diagram], Iterator[tuple[int, ...]]]:
         if d.avoid == _POINT:
             shade.update(d.region)
         else:
-            decors.append((d.region, _search(d.avoid)))
+            decors.append(d)
+    return pat.perm.values, as_boxes(shade), pat.marks, decors
 
-    letters = pat.perm.values
+
+def _placements(letters: Values) -> list[tuple[int, str, str]]:
+    """(position, column range, value test) of each letter in the order it
+    is placed: the maximum, the minimum, then the rest right to left."""
     k = len(letters)
-    at = {v: t for t, v in enumerate(letters)}
-    clauses = ["for values, n, prefix in ((diag.values, diag.n, diag.prefix),)"]
-    for t in range(k):
-        start = f"x{t - 1} + 1" if t else "0"
-        clauses.append(f"for x{t} in range({start}, n - {k - 1 - t}) for v{t} in (values[x{t}],)")
-        earlier = sorted(range(t), key=lambda s: letters[s])
-        rank = sum(1 for s in earlier if letters[s] < letters[t])
-        chain = earlier[rank - 1: rank] + [t] + earlier[rank: rank + 1]
-        if len(chain) > 1:
-            clauses.append("if " + " < ".join(f"v{s}" for s in chain))
+    ends = [letters.index(k), letters.index(1)] if k else []
+    # dict.fromkeys keeps each position's first place in the list.
+    order = dict.fromkeys([*ends, *range(k - 1, -1, -1)])
+    depth: dict[int, int] = {}
+    out = []
+    for d, t in enumerate(order):
+        # Nearest placed letters in position leave room for the letters
+        # still to be placed between them; the grid's borders sit at
+        # positions -1 and k, columns -1 and n.
+        lefts = [s for s in depth if s < t]
+        rights = [s for s in depth if s > t]
+        if lefts:
+            tl = max(lefts)
+            start = f"x{depth[tl]} + {t - tl}"
+        else:
+            start = f"{t}"
+        if rights:
+            tr = min(rights)
+            stop = f"x{depth[tr]} - {tr - t - 1}" if tr - t > 1 else f"x{depth[tr]}"
+        else:
+            stop = f"n - {k - 1 - t}" if k - 1 - t else "n"
+        below = [s for s in depth if letters[s] < letters[t]]
+        above = [s for s in depth if letters[s] > letters[t]]
+        chain = [max(below, key=letters.__getitem__)] if below else []
+        chain.append(t)
+        if above:
+            chain.append(min(above, key=letters.__getitem__))
+        depth[t] = d
+        test = " < ".join(f"v{depth[s]}" for s in chain) if len(chain) > 1 else ""
+        out.append((t, f"range({start}, {stop})", test))
+    return out
 
-    def corners(box: Box) -> tuple[str, str, str, str]:
-        # Box (i, j) holds the host points strictly between the occurrence's
-        # columns i and i+1 and its values j and j+1 (1-based, with the
-        # grid's borders as columns and values 0 and n+1).  In prefix-table
-        # indices its columns run over (left, right] and its values over
-        # (low, high].
-        col, row = box
-        left = f"x{col - 1} + 1" if col else "0"
-        right = f"x{col}" if col < k else "n"
-        low = f"v{at[row]}" if row else "0"
-        high = f"v{at[row + 1]} - 1" if row < k else "n"
-        return left, right, low, high
 
-    tests = []
-    for box in as_boxes(shade):
-        left, right, low, high = corners(box)
-        tests.append(f"p[{right}][{high}] - p[{right}][{low}] == p[{left}][{high}] - p[{left}][{low}]")
-    for m in pat.marks:
-        counts = []
-        for box in m.region:
-            left, right, low, high = corners(box)
-            counts.append(f"p[{right}][{high}] - p[{right}][{low}] - p[{left}][{high}] + p[{left}][{low}]")
-        tests.append(f"{' + '.join(counts)} >= {int(m.min_count)}")
-    if tests:
-        clauses.append("for p in (prefix(),) if " + " and ".join(tests))
+@functools.lru_cache(maxsize=4096)
+def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
+    """The search for a tuple of patterns, reusable across hosts.
+
+    The result takes a :class:`Diagram`.  With ``action`` ``"first"`` it
+    returns whether the host contains some pattern of the tuple; with
+    ``"mask"`` it returns the bitmask whose bit i is set when the host
+    contains ``patterns[i]``; with ``"yield"`` it is a generator over the
+    0-based columns of every occurrence of the tuple's one pattern, in no
+    particular order.  Callers pass canonical tuples, so one basis is
+    compiled once per action; the generated source is kept on the function
+    as ``source``.
+
+    Each pattern is lowered to letters, shaded boxes, marks and the
+    decorations that are left (:func:`_lower`).  A barred pattern becomes
+    its mesh pattern (:func:`barred_to_mesh`): an occurrence of the unbarred
+    part extends exactly when the box the barred letter vacated holds a
+    point.
+
+    The letters are placed by nested ``for`` loops, one per letter: the
+    maximum first, then the minimum, then the rest right to left.  A
+    letter's columns run between those of its nearest placed neighbours in
+    position, leaving room for the letters still to come, and its value is
+    compared with those of its nearest placed neighbours in value.  Across
+    the patterns the placements merge like a trie: one loop per distinct
+    column range, one ``if`` per distinct value test inside it.  Where a
+    pattern's letters are all placed, its boxes are counted as four-lookup
+    differences in the host's prefix table, fetched only there.  Each
+    decoration is one more condition: the avoided pattern's own search,
+    named ``sub{i}_{j}`` in the namespace, runs on the standardized values
+    of the decoration's region, read off the host by column slices.  The
+    mask search skips a loop once every pattern below it is found.
+    CPython stops compiling a function at 20 nested ``for`` loops, so the
+    loops below that depth continue in a helper function, ``h{i}``, that
+    takes the placed letters as arguments.
+
+    The source is passed to ``exec`` but is built from loop indices, box
+    coordinates and mark counts, all integers validated when the patterns
+    were built, and fixed names, never from text a user typed.
+    """
     namespace: dict = {"Diagram": Diagram, "_standardize": _standardize}
-    for i, (region, sub) in enumerate(decors):
-        namespace[f"sub{i}"] = sub
-        # A box's columns (left, right] are the slice values[left:right].  A
-        # region's boxes are sorted by column, so one slice per column,
-        # joined left to right, lists the region's points in host order.
-        slices = []
-        for _, boxes in itertools.groupby(region, key=lambda box: box.col):
-            bounds = [corners(box) for box in boxes]
-            inside = " or ".join(f"{low} < w <= {high}" for _, _, low, high in bounds)
-            slices.append(f"[w for w in values[{bounds[0][0]}:{bounds[0][1]}] if {inside}]")
-        clauses.append(f"if next(sub{i}(Diagram(_standardize({' + '.join(slices)}))), None) is None")
-    skeleton = "".join(f"x{t}, " for t in range(k))
-    exec(f"def search(diag):\n    return (({skeleton}) {' '.join(clauses)})\n", namespace)
-    return namespace["search"]
+    full = (1 << len(patterns)) - 1
+    root = _Node()
+    leaf_tests: list[tuple[str, bool, list[str]]] = []
+    for i, pat in enumerate(patterns):
+        letters, shade, marks, decors = _lower(pat)
+        k = len(letters)
+        node = root
+        col: dict[int, str] = {}
+        val: dict[int, str] = {}
+        for d, (t, cols, test) in enumerate(_placements(letters)):
+            node = node.loops.setdefault((d, cols), {}).setdefault(test, _Node())
+            node.bits |= 1 << i
+            col[t], val[letters[t]] = f"x{d}", f"v{d}"
+        node.leaves.append(i)
+
+        def corners(box: Box) -> tuple[str, str, str, str]:
+            # Box (i, j) holds the host points strictly between the
+            # occurrence's columns i and i+1 and its values j and j+1 (1-based,
+            # with the grid's borders as columns and values 0 and n+1).  In
+            # prefix-table indices its columns run over (left, right] and its
+            # values over (low, high].
+            c, r = box
+            left = f"{col[c - 1]} + 1" if c else "0"
+            right = col[c] if c < k else "n"
+            low = val[r] if r else "0"
+            high = f"{val[r + 1]} - 1" if r < k else "n"
+            return left, right, low, high
+
+        tests = []
+        for box in shade:
+            left, right, low, high = corners(box)
+            tests.append(f"p[{right}][{high}] - p[{right}][{low}] == p[{left}][{high}] - p[{left}][{low}]")
+        for m in marks:
+            counts = []
+            for box in m.region:
+                left, right, low, high = corners(box)
+                counts.append(f"p[{right}][{high}] - p[{right}][{low}] - p[{left}][{high}] + p[{left}][{low}]")
+            tests.append(f"{' + '.join(counts)} >= {int(m.min_count)}")
+        needs_prefix = bool(tests)
+        for j, dec in enumerate(decors):
+            namespace[f"sub{i}_{j}"] = _search((dec.avoid,), "first")
+            # A box's columns (left, right] are the slice values[left:right].
+            # A region's boxes are sorted by column, so one slice per column,
+            # joined left to right, lists the region's points in host order.
+            slices = []
+            for _, boxes in itertools.groupby(dec.region, key=lambda box: box.col):
+                bounds = [corners(box) for box in boxes]
+                inside = " or ".join(f"{low} < w <= {high}" for _, _, low, high in bounds)
+                slices.append(f"[w for w in values[{bounds[0][0]}:{bounds[0][1]}] if {inside}]")
+            tests.append(f"not sub{i}_{j}(Diagram(_standardize({' + '.join(slices)})))")
+        if action == "mask":
+            tests.insert(0, f"not mask & {1 << i}")
+        cols = "".join(f"{col[t]}, " for t in range(k))
+        hit = {
+            "first": ["return True"],
+            "mask": [f"mask |= {1 << i}", f"if mask == {full}: return mask"],
+            "yield": [f"yield ({cols})"],
+        }[action]
+        leaf_tests.append((" and ".join(tests), needs_prefix, hit))
+
+    state = "values, n, prefix" + (", mask" if action == "mask" else "")
+    finish = {"first": "return False", "mask": "return mask", "yield": "return"}[action]
+    helpers: list[list[str]] = []
+
+    def node_lines(node: _Node, ind: str, bits: int, loops: int, out: list[str]) -> None:
+        if any(leaf_tests[i][1] for i in node.leaves):
+            out.append(f"{ind}p = prefix()")
+        for i in node.leaves:
+            cond, _, hit = leaf_tests[i]
+            if cond:
+                out.append(f"{ind}if {cond}:")
+                out.extend(f"{ind}    {line}" for line in hit)
+            else:
+                out.extend(f"{ind}{line}" for line in hit)
+        for (d, cols), branches in node.loops.items():
+            # Each pattern lies below one branch, so the branches' bits are disjoint.
+            inner = sum(child.bits for child in branches.values())
+            if action == "mask" and inner != bits:
+                out.append(f"{ind}if mask & {inner} != {inner}:")
+                loop_ind = ind + "    "
+            else:
+                loop_ind = ind
+            if loops < _MAX_LOOPS:
+                loop_lines(d, cols, branches, inner, loop_ind, loops, out)
+                continue
+            name = f"h{len(helpers)}"
+            args = state + "".join(f", x{e}, v{e}" for e in range(d))
+            body = [f"def {name}({args}):"]
+            helpers.append(body)
+            loop_lines(d, cols, branches, inner, "    ", 0, body)
+            body.append(f"    {finish}")
+            if action == "first":
+                out.append(f"{loop_ind}if {name}({args}): return True")
+            elif action == "mask":
+                out.append(f"{loop_ind}mask = {name}({args})")
+                out.append(f"{loop_ind}if mask == {full}: return mask")
+            else:
+                out.append(f"{loop_ind}yield from {name}({args})")
+
+    def loop_lines(
+        d: int, cols: str, branches: dict, bits: int, ind: str, loops: int, out: list[str]
+    ) -> None:
+        out.append(f"{ind}for x{d} in {cols}:")
+        out.append(f"{ind}    v{d} = values[x{d}]")
+        for test, child in branches.items():
+            body_ind = ind + "    "
+            if test:
+                out.append(f"{body_ind}if {test}:")
+                body_ind += "    "
+            node_lines(child, body_ind, child.bits, loops + 1, out)
+            if action == "mask":
+                out.append(f"{body_ind}if mask & {bits} == {bits}: break")
+
+    body = ["def search(diag):", "    values, n, prefix = diag.values, diag.n, diag.prefix"]
+    if action == "mask":
+        body.append("    mask = 0")
+    node_lines(root, "    ", full, 0, body)
+    body.append(f"    {finish}")
+    source = "\n".join(line for lines in helpers + [body] for line in lines) + "\n"
+    exec(source, namespace)
+    search = namespace["search"]
+    search.source = source
+    return search
 
 
 def occurrences(pi: Permutation, pat: Pattern) -> list[Occurrence]:
@@ -418,12 +561,12 @@ def occurrences(pi: Permutation, pat: Pattern) -> list[Occurrence]:
     [(2, 3, 4), (2, 3, 6), (2, 4, 6)]
     """
     diag = Diagram(pi.values)
-    return [Occurrence.from_columns(diag.values, cols) for cols in _search(pat)(diag)]
+    return [Occurrence.from_columns(diag.values, cols) for cols in sorted(_search((pat,), "yield")(diag))]
 
 
 def contains(pi: Permutation, pat: Pattern) -> bool:
     """Whether ``pi`` contains at least one occurrence of ``pat``."""
-    return next(_search(pat)(Diagram(pi.values)), None) is not None
+    return _search((pat,), "first")(Diagram(pi.values))
 
 
 def barred_to_mesh(pat: Pattern) -> Pattern:

@@ -275,12 +275,13 @@ class TestOneScanPerLength:
         assert streams == [(n, None) for n in range(1, 7)]
 
 
-def test_one_search_is_built_per_pattern():
-    # West-3 has ten basis patterns, four of whose decorations avoid 12; the
-    # image is 21.  Each distinct pattern misses the search cache once.
+def test_one_search_is_built_per_basis():
+    # West-3 is the candidate basis and 21 the image basis; four West-3
+    # patterns carry a decoration that avoids 12.  Each of these three
+    # first-hit searches is compiled once, and a repeat compiles nothing.
     _search.cache_clear()
     args = ([classical("21")], builtin_basis("west3"), "stack", 3, 6)
     assert verify_preimage(*args).passed
-    assert _search.cache_info().misses == 12
+    assert _search.cache_info().misses == 3
     verify_preimage(*args)
-    assert _search.cache_info().misses == 12
+    assert _search.cache_info().misses == 3

@@ -6,6 +6,8 @@ from math import comb
 import pytest
 from conftest import perms_through
 
+from test_reference_matcher import reference_alphas
+
 from permpat import (
     Box,
     InvalidInputError,
@@ -19,12 +21,14 @@ from permpat import (
     classical,
     contains,
     decorated,
+    expand_basis,
     marked,
     mesh,
     occurrences,
     pattern_sort_key,
+    stack_preimage_basis,
 )
-from permpat.patterns import canonical
+from permpat.patterns import Diagram, _search, canonical
 
 P = Permutation
 PI = P((5, 2, 6, 4, 1, 3))
@@ -265,3 +269,47 @@ class TestOccurrenceGeometry:
         occ = occurrences(P((3, 2, 1)), classical("21"))
         assert [o.alpha for o in occ] == sorted(o.alpha for o in occ)
         assert len(occ) == 3
+
+
+def loop_count(search):
+    return sum(line.lstrip().startswith("for ") for line in search.source.splitlines())
+
+
+class TestCompiledSearch:
+    # The next two tests need more than 20 nested for loops, CPython's limit
+    # in one function, so their searches continue in a helper function.
+    def test_21_letters_occur_22_times_in_the_identity_of_length_22(self):
+        pat = classical(range(1, 22))
+        assert "def h0(" in _search((pat,), "yield").source
+        assert len(occurrences(P.identity(22), pat)) == 22
+        assert contains(P.identity(22), pat)
+        assert not contains(P.identity(20), pat)
+
+    def test_21_letter_mesh_pattern_matches_reference(self):
+        letters = (*range(1, 10), 11, 10, *range(12, 22))
+        pat = mesh(letters, [(9, 9), (15, 15)])
+        swapped = (*range(1, 10), 11, 10, *range(12, 23))
+        hosts = [P.identity(22), P(swapped), P((*swapped[:4], 23, *swapped[4:])),
+                 P((*swapped[:15], 23, *swapped[15:])), P((2, 1, *range(3, 10), 23, *swapped[9:]))]
+        basis = (pat, classical("321"))
+        kept = found = 0
+        for host in hosts:
+            want = reference_alphas(host.values, pat)
+            assert [o.alpha for o in occurrences(host, pat)] == want, host
+            assert contains(host, pat) == bool(want), host
+            mask = sum(1 << i for i, q in enumerate(basis) if reference_alphas(host.values, q))
+            assert _search(basis, "mask")(Diagram(host.values)) == mask, host
+            kept += len(want)
+            found += len(reference_alphas(host.values, classical(letters)))
+        # Some occurrences exist, and the shading rejects some others.
+        assert 0 < kept < found
+
+    def test_shared_loops_of_the_headline_bases(self):
+        # An exact work counter: the loops each basis's search emits, fewer
+        # than its letters because patterns share placements.
+        west3 = builtin_basis("west3")
+        expanded = expand_basis(stack_preimage_basis(P.from_text("23451")))
+        assert sum(len(p.perm) for p in west3) == 56
+        assert sum(len(p.perm) for p in expanded) == 84
+        assert loop_count(_search(west3, "first")) == 22 < 56
+        assert loop_count(_search(expanded, "first")) == 11 < 84

@@ -6,7 +6,7 @@ lowering of one pattern kind to another.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -17,10 +17,14 @@ from permpat import (
     builtin_basis,
     classical,
     decorated,
+    expand_basis,
     marked,
     mesh,
     occurrences,
+    stack_preimage_basis,
 )
+from permpat.fixtures import FIXTURE_NAMES
+from permpat.patterns import Diagram, _search, canonical
 
 from conftest import all_perms, perms_through
 
@@ -110,3 +114,38 @@ def test_builtin_bases_match_reference_at_length_7(name):
     for pi in all_perms(7):
         for pat in basis:
             assert engine_alphas(pi, pat) == reference_alphas(pi.values, pat), (pi, pat)
+
+
+def hosts_through(n):
+    return [Permutation(())] + list(perms_through(n))
+
+
+def assert_basis_search_matches_reference(basis, hosts):
+    """The compiled basis search against per-pattern reference containment:
+    the mask has bit i exactly when the host contains ``basis[i]``, and the
+    first-hit search answers whether the mask is nonzero."""
+    mask_search, first_search = _search(basis, "mask"), _search(basis, "first")
+    for pi in hosts:
+        want = sum(1 << i for i, pat in enumerate(basis) if reference_alphas(pi.values, pat))
+        assert mask_search(Diagram(pi.values)) == want, pi
+        assert first_search(Diagram(pi.values)) == bool(want), pi
+
+
+def test_every_pattern_as_one_basis_matches_reference_through_length_6():
+    basis = canonical(PATTERNS)
+    assert len(basis) == len(PATTERNS)
+    assert_basis_search_matches_reference(basis, hosts_through(6))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_basis_search_matches_reference(name):
+    # Hosts run at least to the basis's longest pattern, so every bit can be set.
+    basis = builtin_basis(name)
+    assert_basis_search_matches_reference(basis, hosts_through(max(6, *(len(p.perm) for p in basis))))
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_expanded_preimage_bases_match_reference_through_length_6(k):
+    hosts = hosts_through(6)
+    for image in permutations(range(1, k + 1)):
+        assert_basis_search_matches_reference(expand_basis(stack_preimage_basis(Permutation(image))), hosts)
