@@ -4,11 +4,17 @@ Verbs: sort, match, preimage, verify, census, builtin, render.  Exit codes:
 0 for success (including a passing verification), 1 for a failing
 verification, 2 for usage and parse errors.  Output is buffered and written
 once, so worker count never interleaves it.
+
+``verify``, ``census`` and ``preimage --prune`` scan every permutation up to
+their bound, so they first estimate their work and refuse, with exit code
+2, a bound above :data:`WORK_LIMIT` unless ``--force`` is given.  The
+library functions themselves take any bound.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -58,6 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expand", action="store_true", help="expand marks into mesh patterns")
     p.add_argument("--prune", type=int, metavar="N", help="drop implied patterns, checked up to length N")
     p.add_argument("--show-rejected", action="store_true", help="also list rejected candidates")
+    p.add_argument("--force", action="store_true", help="prune even above the work limit")
 
     p = sub.add_parser("verify", help="compare a candidate basis against a sorting preimage")
     src = p.add_mutually_exclusive_group(required=True)
@@ -68,12 +75,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--passes", type=int, metavar="K")
     p.add_argument("--upto", type=int, required=True, metavar="N")
     p.add_argument("--jobs", type=int, default=1, metavar="J")
+    p.add_argument("--force", action="store_true", help="run even above the work limit")
 
     p = sub.add_parser("census", help="count sorted permutations per length")
     p.add_argument("--op", choices=OPERATOR_IDS, required=True)
     p.add_argument("--passes", type=int, required=True, metavar="K")
     p.add_argument("--upto", type=int, required=True, metavar="N")
     p.add_argument("--jobs", type=int, default=1, metavar="J")
+    p.add_argument("--force", action="store_true", help="run even above the work limit")
 
     p = sub.add_parser("builtin", help="print a built-in basis")
     p.add_argument("name", choices=FIXTURE_NAMES)
@@ -85,6 +94,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unicode", action="store_true", help="use filled glyphs")
 
     return parser
+
+
+# The most pattern searches (one per permutation of each length up to the
+# bound, per pattern searched) a scan runs without --force.  The documented
+# headline checks stay well below it: the largest, ``verify --builtin west2
+# --upto 9``, is 1.2 million and takes about 6 s on one core.  ``--upto 10``
+# there is 12.1 million and is refused; ``--upto 12`` would run for hours.
+WORK_LIMIT = 10_000_000
+
+
+def _check_work(args, flag: str, bound: int, patterns: int) -> None:
+    """Refuse a scan of every permutation of length up to ``bound`` against
+    ``patterns`` patterns (a census tests each for the identity, so counts
+    one) whose estimated work exceeds :data:`WORK_LIMIT`, unless ``--force``
+    was passed."""
+    patterns = max(patterns, 1)
+    work = sum(math.factorial(n) for n in range(1, bound + 1)) * patterns
+    if work > WORK_LIMIT and not args.force:
+        raise InvalidBoundError(
+            f"{flag} {bound} needs about {work:,} searches (n! for each n <= {bound}, "
+            f"times {patterns}), above the limit of {WORK_LIMIT:,}; pass --force to run it anyway"
+        )
 
 
 def _parse_inline(spec: str):
@@ -146,6 +177,7 @@ def _cmd_preimage(args) -> tuple[list[str], int]:
     if args.expand:
         basis = MarkedBasis.from_patterns(expand_basis(basis))
     if args.prune is not None:
+        _check_work(args, "--prune", args.prune, len(basis))
         basis = prune_basis(basis, args.prune)
     lines.extend(_format_any(p) for p in basis)
     if args.prune is not None:
@@ -168,6 +200,7 @@ def _cmd_verify(args) -> tuple[list[str], int]:
         candidate = _patterns_from_file(args.basis)
         op = args.op or "stack"
         passes = args.passes if args.passes is not None else 1
+    _check_work(args, "--upto", args.upto, len(candidate) + len(image))
     report = verify_preimage(image, candidate, op, passes, args.upto, jobs=args.jobs)
     return report.to_text().splitlines(), 0 if report.passed else 1
 
@@ -175,6 +208,7 @@ def _cmd_verify(args) -> tuple[list[str], int]:
 def _cmd_census(args) -> tuple[list[str], int]:
     if args.upto < 1:
         raise InvalidBoundError(f"census bound must be >= 1, got {args.upto}")
+    _check_work(args, "--upto", args.upto, 0)
     lines = []
     for n in range(1, args.upto + 1):
         lines.append(f"{n} {census(args.op, args.passes, n, jobs=args.jobs)}")

@@ -12,6 +12,15 @@ hit.  ``census`` counts identity images on the same blocks, and
 permutation, from one compiled search of all the patterns.  With
 ``jobs > 1`` a scan is split into one block per first letter and the
 blocks are merged in order, so worker count never changes a result.
+
+The image side of a scan depends on a permutation only through its image
+after the first pass, and that pass is many-to-one (1,780 stack-sort
+images among the 40,320 permutations of length 8).  So each block keeps
+one dict from first-pass image to verdict, filled on a miss by the
+remaining passes and the image-basis search, or for ``census`` with two
+passes or more the identity test, and dropped with the block.  A verdict
+is a function of the image alone, so neither the dict nor ``--jobs`` can
+change a result.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidBoundError, InvalidInputError
 from .patterns import Diagram, Pattern, _search, canonical
@@ -51,6 +60,27 @@ def _perm_stream(n: int, first: int | None) -> Iterator[Values]:
         yield (first,) + tail
 
 
+def _image_test(op_id: str, passes: int, test: Callable[[Values], bool]) -> Callable[[Values], bool]:
+    """``test`` of a permutation's image after ``passes`` passes.  With one
+    pass or more, that image is a function of the image after the first
+    pass, so ``test`` runs once per distinct first-pass image and its
+    verdict is kept in a dict that lives as long as the returned function.
+    With no pass, ``test`` itself is returned."""
+    if passes == 0:
+        return test
+    step = operator_fn(op_id)
+    verdicts: dict[Values, bool] = {}
+
+    def image_test(vals: Values) -> bool:
+        once = step(vals)
+        verdict = verdicts.get(once)
+        if verdict is None:
+            verdict = verdicts[once] = test(_sort_power(op_id, passes - 1, once))
+        return verdict
+
+    return image_test
+
+
 def _classify(
     n: int, first: int | None, op_id: str, passes: int,
     candidate: tuple[Pattern, ...], image: tuple[Pattern, ...],
@@ -58,13 +88,15 @@ def _classify(
     """The scan: each permutation of the block in lexicographic order, with
     whether it avoids the candidate basis and whether its image after
     ``passes`` passes avoids the image basis.  An empty basis is avoided
-    without a look at the permutation or its image."""
+    without a look at the permutation or its image.  The image verdict is
+    looked up per first-pass image (:func:`_image_test`), in one dict per
+    block, so it is the same for any ``jobs``."""
     cand = _search(candidate, "first")
     img = _search(image, "first")
+    good = _image_test(op_id, passes, lambda w: not img(Diagram(w)))
     for vals in _perm_stream(n, first):
         in_av = not candidate or not cand(Diagram(vals))
-        good = not image or not img(Diagram(_sort_power(op_id, passes, vals)))
-        yield vals, in_av, good
+        yield vals, in_av, not image or good(vals)
 
 
 def _kept_block(args) -> list[Values]:
@@ -87,6 +119,10 @@ def _verify_block(args) -> tuple[int, int, tuple[Values, str] | None]:
 def _census_block(args) -> int:
     n, first, op_id, passes = args
     ident = tuple(range(1, n + 1))
+    if passes > 1:
+        return sum(map(_image_test(op_id, passes, ident.__eq__), _perm_stream(n, first)))
+    # With one pass the dict would save only the identity test, which costs
+    # no more than a lookup, and would hold up to (n-1)! bubble-sort images.
     return sum(1 for vals in _perm_stream(n, first) if _sort_power(op_id, passes, vals) == ident)
 
 

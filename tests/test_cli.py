@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import permpat
-from permpat import classical, mesh, parse_pattern_list
+from permpat import MarkedBasis, VerificationReport, classical, mesh, parse_pattern_list
+from permpat import cli
 from permpat.cli import main
 
 
@@ -184,6 +185,69 @@ class TestCensus:
         code, out, err = run(capsys, "census", "--op", "stack", "--passes", "1",
                              "--upto", upto, "--jobs", "0")
         assert code == 2 and out == "" and "census bound" in err
+
+
+class TestWorkLimit:
+    """verify, census and preimage --prune refuse a bound whose estimate,
+    n! summed over the lengths up to it times the patterns searched,
+    exceeds the limit.  No test runs a refused bound: --force and the
+    headline bounds are checked with the scan replaced."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        ran = []
+
+        def stub(name, result):
+            def scan(*args, **kwargs):
+                ran.append(name)
+                return result
+            monkeypatch.setattr(cli, name, scan)
+
+        stub("verify_preimage", VerificationReport("stack", 1, ((1, 1, 1, True),)))
+        stub("census", 1)
+        stub("prune_basis", MarkedBasis.from_patterns([classical("21")], verified_upto=2))
+        return ran
+
+    # west2 searches its two patterns and the image basis 21; the expanded
+    # basis of 23451 has 14 patterns
+    @pytest.mark.parametrize("argv, estimate", [
+        (("verify", "--builtin", "west2", "--upto", "12"), "1,568,868,939"),
+        (("verify", "--builtin", "west2", "--upto", "10"), "12,113,739"),
+        (("census", "--op", "stack", "--passes", "2", "--upto", "11"), "43,954,713"),
+        (("preimage", "23451", "--expand", "--prune", "10"), "56,530,782"),
+    ], ids=["verify-12", "verify-10", "census-11", "prune-10"])
+    def test_runaway_bound_is_refused(self, capsys, scans, argv, estimate):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and scans == []
+        assert err.startswith("error:") and estimate in err and "--force" in err
+
+    @pytest.mark.parametrize("argv, scan", [
+        (("verify", "--builtin", "west2", "--upto", "9"), "verify_preimage"),
+        (("verify", "--builtin", "west3", "--upto", "9"), "verify_preimage"),
+        (("census", "--op", "stack", "--passes", "2", "--upto", "10"), "census"),
+        (("preimage", "23451", "--expand", "--prune", "9"), "prune_basis"),
+    ], ids=["verify-west2-9", "verify-west3-9", "census-10", "prune-9"])
+    def test_bounds_under_the_limit_run(self, capsys, scans, argv, scan):
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == "" and scan in scans
+
+    @pytest.mark.parametrize("argv, scan", [
+        (("verify", "--builtin", "west2", "--upto", "12"), "verify_preimage"),
+        (("census", "--op", "stack", "--passes", "2", "--upto", "11"), "census"),
+        (("preimage", "23451", "--expand", "--prune", "10"), "prune_basis"),
+    ], ids=["verify", "census", "prune"])
+    def test_force_lifts_the_refusal(self, capsys, scans, argv, scan):
+        code, _, err = run(capsys, *argv, "--force")
+        assert code == 0 and err == "" and scan in scans
+
+    def test_limit_is_inclusive(self, capsys, monkeypatch):
+        # census to 5 tests 1 + 2 + 6 + 24 + 120 = 153 permutations
+        argv = ("census", "--op", "stack", "--passes", "1", "--upto", "5")
+        monkeypatch.setattr(cli, "WORK_LIMIT", 153)
+        assert run(capsys, *argv)[:2] == (0, "1 1\n2 2\n3 5\n4 14\n5 42\n")
+        monkeypatch.setattr(cli, "WORK_LIMIT", 152)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "153" in err
 
 
 class TestBuiltin:

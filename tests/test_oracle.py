@@ -1,6 +1,8 @@
 """Exhaustive avoidance sets, censuses, verification reports, fixtures."""
 from __future__ import annotations
 
+from collections import Counter
+from itertools import permutations
 from multiprocessing import get_context
 
 import pytest
@@ -16,19 +18,27 @@ from permpat import (
     builtin_basis,
     census,
     classical,
+    contains,
     marked,
     mesh,
     preimage_av_set,
     prune_basis,
     reference_count,
+    sort_power,
     verify_preimage,
 )
 from permpat import oracle
-from permpat.fixtures import FIXTURE_NAMES
+from permpat.fixtures import FIXTURE_NAMES, FIXTURE_TARGETS
 from permpat.oracle import containment_masks
-from permpat.patterns import _search
+from permpat.patterns import _search, canonical
+from permpat.permutation import operator_fn
 
 P = Permutation
+
+# Two bubble passes sort exactly the permutations in which no entry has
+# three larger entries to its left: those avoiding the six patterns of
+# length 4 that end in 1.
+BUBBLE2 = ("2341", "2431", "3241", "3421", "4231", "4321")
 
 
 class TestAvSet:
@@ -247,6 +257,102 @@ class TestJobsDeterminism:
         assert one == two
         assert one.counts[-1] == last_row
         assert one.counterexample == least
+
+    # Several passes, where each block looks image verdicts up per
+    # first-pass image.  Every FAIL case's least counterexample has a first
+    # letter other than 1.
+    @pytest.mark.parametrize("op_id, passes, image, candidate, last_row, least", [
+        ("stack", 2, "21", builtin_basis("west2"), (6, 408, 408, True), None),
+        ("stack", 2, "21", (classical("2341"),), (4, 23, 22, False),
+         (P((3, 2, 4, 1)), REASON_BAD_IMAGE)),
+        ("stack", 2, "231", (classical("2341"),), (4, 23, 24, False),
+         (P((2, 3, 4, 1)), REASON_CONTAINS_BASIS)),
+        ("stack", 3, "21", builtin_basis("west3"), (6, 606, 606, True), None),
+        ("stack", 3, "21", (classical("23451"),), (5, 119, 114, False),
+         (P((2, 4, 3, 5, 1)), REASON_BAD_IMAGE)),
+        ("bubble", 1, "21", (classical("231"), classical("321")), (5, 16, 16, True), None),
+        ("bubble", 1, "21", (classical("231"),), (3, 5, 4, False),
+         (P((3, 2, 1)), REASON_BAD_IMAGE)),
+        ("bubble", 2, "21", tuple(classical(p) for p in BUBBLE2), (6, 162, 162, True), None),
+        ("bubble", 2, "21", tuple(classical(p) for p in BUBBLE2[1:]), (4, 19, 18, False),
+         (P((2, 3, 4, 1)), REASON_BAD_IMAGE)),
+    ], ids=["stack2-west2", "stack2-2341", "stack2-231-2341", "stack3-west3", "stack3-23451",
+            "bubble1-pass", "bubble1-231", "bubble2-pass", "bubble2-no-2341"])
+    def test_verify_with_several_passes_agrees_across_worker_counts(
+            self, op_id, passes, image, candidate, last_row, least):
+        args = ((classical(image),), candidate, op_id, passes, last_row[0])
+        one = verify_preimage(*args, jobs=1)
+        two = verify_preimage(*args, jobs=2)
+        assert one == two
+        assert one.counts[-1] == last_row
+        assert one.counterexample == least
+
+
+def _distinct_first_images(op_id, n):
+    step = operator_fn(op_id)
+    return len({step(vals) for vals in permutations(range(1, n + 1))})
+
+
+class TestImageVerdictPerFirstImage:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Counts every host a scan's compiled searches are run on, by the
+        searched basis and the host's length."""
+        counts = Counter()
+        real = oracle._search
+
+        def counting(patterns, action):
+            search = real(patterns, action)
+
+            def counted(diag):
+                counts[patterns, diag.n] += 1
+                return search(diag)
+            return counted
+
+        monkeypatch.setattr(oracle, "_search", counting)
+        return counts
+
+    @pytest.mark.parametrize("name, at_8", [("west3", 1780), ("bubble1243", 5040)])
+    def test_one_image_search_per_distinct_first_pass_image(self, searches, name, at_8):
+        op_id, passes, image = FIXTURE_TARGETS[name]
+        assert verify_preimage(image, builtin_basis(name), op_id, passes, 8).passed
+        image = canonical(image)
+        assert [searches[image, n] for n in range(1, 9)] == \
+               [_distinct_first_images(op_id, n) for n in range(1, 9)]
+        assert searches[image, 8] == at_8
+        # the candidate side still searches every permutation
+        assert searches[builtin_basis(name), 8] == 40320
+
+    def test_no_pass_searches_every_permutation(self, searches):
+        image = (classical("21"),)
+        assert len(preimage_av_set(6, "stack", 0, image)) == 1
+        assert searches[image, 6] == 720
+
+
+class TestAgainstTheDefinition:
+    """The scans against a filter of ``sort_power`` and ``contains`` over
+    S_n, for every pass count the per-image dict does and does not serve."""
+
+    @pytest.mark.parametrize("op_id", ["stack", "bubble"])
+    @pytest.mark.parametrize("passes", [0, 1, 2, 3])
+    @pytest.mark.parametrize("image", [
+        (classical("21"),),
+        (classical("231"),),
+        (classical("132"), mesh("3241", [(1, 4)])),
+    ], ids=["21", "231", "132+mesh3241"])
+    def test_preimage_av_set(self, op_id, passes, image):
+        for n in range(1, 7):
+            naive = [pi for pi in map(P, permutations(range(1, n + 1)))
+                     if not any(contains(sort_power(op_id, passes, pi), q) for q in image)]
+            assert preimage_av_set(n, op_id, passes, image) == naive
+
+    @pytest.mark.parametrize("op_id", ["stack", "bubble"])
+    @pytest.mark.parametrize("passes", [0, 1, 2, 3])
+    def test_census(self, op_id, passes):
+        for n in range(1, 7):
+            naive = sum(sort_power(op_id, passes, pi).is_identity()
+                        for pi in map(P, permutations(range(1, n + 1))))
+            assert census(op_id, passes, n) == naive
 
 
 class TestOneScanPerLength:
