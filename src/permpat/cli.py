@@ -14,6 +14,7 @@ library functions themselves take any bound.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -38,6 +39,9 @@ from .preimage import (
 )
 
 
+# Built once per process: parse_args keeps no state between calls, and
+# building the parser costs more than many commands do.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permpat",

@@ -32,7 +32,7 @@ from multiprocessing import get_all_start_methods, get_context
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidBoundError, InvalidInputError
-from .patterns import Diagram, Pattern, _search, canonical
+from .patterns import Pattern, _search, canonical
 from .permutation import Permutation, Values, _sort_power, operator_fn
 
 __all__ = [
@@ -93,9 +93,9 @@ def _classify(
     block, so it is the same for any ``jobs``."""
     cand = _search(candidate, "first")
     img = _search(image, "first")
-    good = _image_test(op_id, passes, lambda w: not img(Diagram(w)))
+    good = _image_test(op_id, passes, lambda w: not img(w))
     for vals in _perm_stream(n, first):
-        in_av = not candidate or not cand(Diagram(vals))
+        in_av = not candidate or not cand(vals)
         yield vals, in_av, not image or good(vals)
 
 
@@ -190,7 +190,7 @@ def containment_masks(n: int, patterns: Sequence[Pattern]) -> Iterator[tuple[Val
     """
     search = _search(tuple(patterns), "mask")
     for vals in _perm_stream(n, None):
-        yield vals, search(Diagram(vals))
+        yield vals, search(vals)
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,9 @@ One search is compiled and cached per tuple of patterns and per action
 (``_search``): every kind is lowered to letters, shaded boxes, marks and
 decorations that avoid a pattern longer than 1, and the tuple's letters
 become one function of nested loops over the host's values, shared among
-the patterns like a trie, with box counts read off a prefix-count table.
-A single pattern is the tuple of one.
+the patterns like a trie.  Shaded boxes and marks are merged into
+rectangles, and each rectangle's points are one filtered slice of the
+host's values.  A single pattern is the tuple of one.
 """
 
 from __future__ import annotations
@@ -293,7 +294,12 @@ class Occurrence(NamedTuple):
 
 class Diagram:
     """A host permutation's point set, with a lazily built two-dimensional
-    prefix-count table giving rectangle point counts in constant time."""
+    prefix-count table giving rectangle point counts in constant time.
+
+    No search reads it: box and mark tests read column slices of the host's
+    values.  It stays because the benchmark's layer probe
+    ``patterns.prefix_us`` times ``Diagram(values).prefix()``, and goes with
+    the benchmark change that retires that probe."""
 
     __slots__ = ("values", "n", "_prefix")
 
@@ -386,18 +392,44 @@ def _placements(letters: Values) -> list[tuple[int, str, str]]:
     return out
 
 
+def _rectangles(region: Region, letters: Values) -> list[list[Box]]:
+    """The boxes of ``region`` merged into rectangles, each given by its
+    lower-left and upper-right box.  Each column's boxes are first merged
+    into runs of consecutive rows.  Then runs over the same rows in
+    adjacent columns merge, unless the value of the letter between the two
+    columns lies inside those rows, which would put that letter's point in
+    the rectangle."""
+    runs: list[list[Box]] = []
+    for box in region:  # sorted by column, then by row
+        if runs and runs[-1][1] == (box.col, box.row - 1):
+            runs[-1][1] = box
+        else:
+            runs.append([box, box])
+    rects: list[list[Box]] = []
+    by_rows: dict[tuple[int, int], list[Box]] = {}
+    for first, last in runs:
+        rows = (first.row, last.row)
+        rect = by_rows.get(rows)
+        if rect and rect[1].col == first.col - 1 and not rows[0] < letters[first.col - 1] <= rows[1]:
+            rect[1] = last
+        else:
+            rect = by_rows[rows] = [first, last]
+            rects.append(rect)
+    return rects
+
+
 @functools.lru_cache(maxsize=4096)
 def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     """The search for a tuple of patterns, reusable across hosts.
 
-    The result takes a :class:`Diagram`.  With ``action`` ``"first"`` it
-    returns whether the host contains some pattern of the tuple; with
-    ``"mask"`` it returns the bitmask whose bit i is set when the host
-    contains ``patterns[i]``; with ``"yield"`` it is a generator over the
-    0-based columns of every occurrence of the tuple's one pattern, in no
-    particular order.  Callers pass canonical tuples, so one basis is
-    compiled once per action; the generated source is kept on the function
-    as ``source``.
+    The result takes the host's tuple of values.  With ``action``
+    ``"first"`` it returns whether the host contains some pattern of the
+    tuple; with ``"mask"`` it returns the bitmask whose bit i is set when
+    the host contains ``patterns[i]``; with ``"yield"`` it is a generator
+    over the 0-based columns of every occurrence of the tuple's one
+    pattern, in no particular order.  Callers pass canonical tuples, so one
+    basis is compiled once per action; the generated source is kept on the
+    function as ``source``.
 
     Each pattern is lowered to letters, shaded boxes, marks and the
     decorations that are left (:func:`_lower`).  A barred pattern becomes
@@ -412,12 +444,19 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     compared with those of its nearest placed neighbours in value.  Across
     the patterns the placements merge like a trie: one loop per distinct
     column range, one ``if`` per distinct value test inside it.  Where a
-    pattern's letters are all placed, its boxes are counted as four-lookup
-    differences in the host's prefix table, fetched only there.  Each
-    decoration is one more condition: the avoided pattern's own search,
-    named ``sub{i}_{j}`` in the namespace, runs on the standardized values
-    of the decoration's region, read off the host by column slices.  The
-    mask search skips a loop once every pattern below it is found.
+    pattern's letters are all placed, its shaded boxes and each mark's
+    boxes are merged into rectangles (:func:`_rectangles`), and each
+    rectangle's points are listed by one comprehension over a column slice
+    of the host, ``values[left:right]``, filtered to the rectangle's values:
+    ``w > low`` when it reaches the top of the grid, ``w <= high`` when it
+    reaches the bottom, ``low < w <= high`` otherwise, and no filter for a
+    whole column.  A shaded rectangle must list no point; a mark with
+    ``min_count`` 1 needs one of its lists nonempty, and a larger
+    ``min_count`` bounds the sum of their lengths.  Each decoration is one
+    more condition: the avoided pattern's own search, named ``sub{i}_{j}``
+    in the namespace, runs on the standardized values of the decoration's
+    region, read off the host by column slices.  The mask search skips a
+    loop once every pattern below it is found.
     CPython stops compiling a function at 20 nested ``for`` loops, so the
     loops below that depth continue in a helper function, ``h{i}``, that
     takes the placed letters as arguments.
@@ -426,10 +465,10 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     coordinates and mark counts, all integers validated when the patterns
     were built, and fixed names, never from text a user typed.
     """
-    namespace: dict = {"Diagram": Diagram, "_standardize": _standardize}
+    namespace: dict = {"_standardize": _standardize}
     full = (1 << len(patterns)) - 1
     root = _Node()
-    leaf_tests: list[tuple[str, bool, list[str]]] = []
+    leaf_tests: list[tuple[str, list[str]]] = []
     for i, pat in enumerate(patterns):
         letters, shade, marks, decors = _lower(pat)
         k = len(letters)
@@ -445,9 +484,9 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
         def corners(box: Box) -> tuple[str, str, str, str]:
             # Box (i, j) holds the host points strictly between the
             # occurrence's columns i and i+1 and its values j and j+1 (1-based,
-            # with the grid's borders as columns and values 0 and n+1).  In
-            # prefix-table indices its columns run over (left, right] and its
-            # values over (low, high].
+            # with the grid's borders as columns and values 0 and n+1).  As
+            # 0-based indices into the host its columns are the slice
+            # values[left:right], and its values run over (low, high].
             c, r = box
             left = f"{col[c - 1]} + 1" if c else "0"
             right = col[c] if c < k else "n"
@@ -455,20 +494,30 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
             high = f"{val[r + 1]} - 1" if r < k else "n"
             return left, right, low, high
 
-        tests = []
-        for box in shade:
-            left, right, low, high = corners(box)
-            tests.append(f"p[{right}][{high}] - p[{right}][{low}] == p[{left}][{high}] - p[{left}][{low}]")
+        def points(first: Box, last: Box) -> str:
+            # The host points of the rectangle from box ``first`` to box
+            # ``last``, as a list.
+            left, _, low, _ = corners(first)
+            _, right, _, high = corners(last)
+            if low == "0" and high == "n":
+                return f"values[{left}:{right}]"
+            if high == "n":
+                inside = f"w > {low}"
+            elif low == "0":
+                inside = f"w <= {high}"
+            else:
+                inside = f"{low} < w <= {high}"
+            return f"[w for w in values[{left}:{right}] if {inside}]"
+
+        tests = [f"not {points(*rect)}" for rect in _rectangles(shade, letters)]
         for m in marks:
-            counts = []
-            for box in m.region:
-                left, right, low, high = corners(box)
-                counts.append(f"p[{right}][{high}] - p[{right}][{low}] - p[{left}][{high}] + p[{left}][{low}]")
-            tests.append(f"{' + '.join(counts)} >= {int(m.min_count)}")
-        needs_prefix = bool(tests)
+            found = [points(*rect) for rect in _rectangles(m.region, letters)]
+            if m.min_count == 1:
+                tests.append(f"({' or '.join(found)})")
+            else:
+                tests.append(f"{' + '.join(f'len({f})' for f in found)} >= {int(m.min_count)}")
         for j, dec in enumerate(decors):
             namespace[f"sub{i}_{j}"] = _search((dec.avoid,), "first")
-            # A box's columns (left, right] are the slice values[left:right].
             # A region's boxes are sorted by column, so one slice per column,
             # joined left to right, lists the region's points in host order.
             slices = []
@@ -476,7 +525,7 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
                 bounds = [corners(box) for box in boxes]
                 inside = " or ".join(f"{low} < w <= {high}" for _, _, low, high in bounds)
                 slices.append(f"[w for w in values[{bounds[0][0]}:{bounds[0][1]}] if {inside}]")
-            tests.append(f"not sub{i}_{j}(Diagram(_standardize({' + '.join(slices)})))")
+            tests.append(f"not sub{i}_{j}(_standardize({' + '.join(slices)}))")
         if action == "mask":
             tests.insert(0, f"not mask & {1 << i}")
         cols = "".join(f"{col[t]}, " for t in range(k))
@@ -485,17 +534,15 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
             "mask": [f"mask |= {1 << i}", f"if mask == {full}: return mask"],
             "yield": [f"yield ({cols})"],
         }[action]
-        leaf_tests.append((" and ".join(tests), needs_prefix, hit))
+        leaf_tests.append((" and ".join(tests), hit))
 
-    state = "values, n, prefix" + (", mask" if action == "mask" else "")
+    state = "values, n" + (", mask" if action == "mask" else "")
     finish = {"first": "return False", "mask": "return mask", "yield": "return"}[action]
     helpers: list[list[str]] = []
 
     def node_lines(node: _Node, ind: str, bits: int, loops: int, out: list[str]) -> None:
-        if any(leaf_tests[i][1] for i in node.leaves):
-            out.append(f"{ind}p = prefix()")
         for i in node.leaves:
-            cond, _, hit = leaf_tests[i]
+            cond, hit = leaf_tests[i]
             if cond:
                 out.append(f"{ind}if {cond}:")
                 out.extend(f"{ind}    {line}" for line in hit)
@@ -540,7 +587,7 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
             if action == "mask":
                 out.append(f"{body_ind}if mask & {bits} == {bits}: break")
 
-    body = ["def search(diag):", "    values, n, prefix = diag.values, diag.n, diag.prefix"]
+    body = ["def search(values):", "    n = len(values)"]
     if action == "mask":
         body.append("    mask = 0")
     node_lines(root, "    ", full, 0, body)
@@ -560,13 +607,13 @@ def occurrences(pi: Permutation, pat: Pattern) -> list[Occurrence]:
     >>> [o.alpha for o in occurrences(Permutation.from_text("526413"), classical("132"))]
     [(2, 3, 4), (2, 3, 6), (2, 4, 6)]
     """
-    diag = Diagram(pi.values)
-    return [Occurrence.from_columns(diag.values, cols) for cols in sorted(_search((pat,), "yield")(diag))]
+    found = _search((pat,), "yield")(pi.values)
+    return [Occurrence.from_columns(pi.values, cols) for cols in sorted(found)]
 
 
 def contains(pi: Permutation, pat: Pattern) -> bool:
     """Whether ``pi`` contains at least one occurrence of ``pat``."""
-    return _search((pat,), "first")(Diagram(pi.values))
+    return _search((pat,), "first")(pi.values)
 
 
 def barred_to_mesh(pat: Pattern) -> Pattern:

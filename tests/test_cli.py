@@ -340,3 +340,24 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (done.returncode, done.stdout) == (0, "213\n")
+
+
+def fresh(*argv):
+    """Exit code, output and error output of the CLI in a new interpreter."""
+    src = str(Path(permpat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "permpat", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_calls_in_one_process_answer_as_fresh_calls(capsys):
+    # main reuses one parser per process, so a usage error must leave
+    # nothing behind for the next call.
+    calls = [
+        ("census", "--op", "stack", "--upto", "3"),
+        ("sort", "--op", "stack", "231"),
+        ("match", "35241", "--inline", "132", "--pattern", "p.txt"),
+        ("match", "35241", "--inline", "132", "--list"),
+    ]
+    assert [run(capsys, *argv) for argv in calls] == [fresh(*argv) for argv in calls]

@@ -304,9 +304,9 @@ class TestImageVerdictPerFirstImage:
         def counting(patterns, action):
             search = real(patterns, action)
 
-            def counted(diag):
-                counts[patterns, diag.n] += 1
-                return search(diag)
+            def counted(values):
+                counts[patterns, len(values)] += 1
+                return search(values)
             return counted
 
         monkeypatch.setattr(oracle, "_search", counting)

@@ -1,6 +1,7 @@
 """Pattern construction rules and the occurrence matcher, all five kinds."""
 from __future__ import annotations
 
+import re
 from math import comb
 
 import pytest
@@ -28,7 +29,8 @@ from permpat import (
     pattern_sort_key,
     stack_preimage_basis,
 )
-from permpat.patterns import Diagram, _search, canonical
+from permpat.fixtures import FIXTURE_NAMES
+from permpat.patterns import _search, canonical
 
 P = Permutation
 PI = P((5, 2, 6, 4, 1, 3))
@@ -275,6 +277,14 @@ def loop_count(search):
     return sum(line.lstrip().startswith("for ") for line in search.source.splitlines())
 
 
+def slice_count(search):
+    return len(re.findall(r"values\[[^]]*:", search.source))
+
+
+HEADLINE_BASES = {name: builtin_basis(name) for name in FIXTURE_NAMES}
+HEADLINE_BASES["23451"] = expand_basis(stack_preimage_basis(P.from_text("23451")))
+
+
 class TestCompiledSearch:
     # The next two tests need more than 20 nested for loops, CPython's limit
     # in one function, so their searches continue in a helper function.
@@ -298,7 +308,7 @@ class TestCompiledSearch:
             assert [o.alpha for o in occurrences(host, pat)] == want, host
             assert contains(host, pat) == bool(want), host
             mask = sum(1 << i for i, q in enumerate(basis) if reference_alphas(host.values, q))
-            assert _search(basis, "mask")(Diagram(host.values)) == mask, host
+            assert _search(basis, "mask")(host.values) == mask, host
             kept += len(want)
             found += len(reference_alphas(host.values, classical(letters)))
         # Some occurrences exist, and the shading rejects some others.
@@ -313,3 +323,18 @@ class TestCompiledSearch:
         assert sum(len(p.perm) for p in expanded) == 84
         assert loop_count(_search(west3, "first")) == 22 < 56
         assert loop_count(_search(expanded, "first")) == 11 < 84
+
+    @pytest.mark.parametrize("name", HEADLINE_BASES)
+    def test_no_search_reads_a_prefix_table(self, name):
+        for action in ("first", "mask"):
+            assert "prefix" not in _search(HEADLINE_BASES[name], action).source
+
+    @pytest.mark.parametrize("name, slices", [
+        ("bubble1243", 7), ("west2", 1), ("stack_len3_321", 2), ("west3", 29), ("23451", 22),
+    ])
+    def test_column_slices_of_the_headline_bases(self, name, slices):
+        # An exact work counter: one slice per rectangle of merged boxes,
+        # and per column of a decoration's region.  bubble1243's 20 shaded
+        # and marked boxes take 7.
+        for action in ("first", "mask"):
+            assert slice_count(_search(HEADLINE_BASES[name], action)) == slices

@@ -24,7 +24,7 @@ from permpat import (
     stack_preimage_basis,
 )
 from permpat.fixtures import FIXTURE_NAMES
-from permpat.patterns import Diagram, _search, canonical
+from permpat.patterns import _search, canonical
 
 from conftest import all_perms, perms_through
 
@@ -91,6 +91,25 @@ PATTERNS = [
     decorated("132", [({(1, 0), (1, 3), (2, 1)}, "21")]),
     decorated("12", [({(0, 2), (1, 1), (2, 0)}, "123")]),
     decorated("12", [({(1, 0), (1, 2)}, decorated("12", [({(1, 1)}, "1")]))]),
+    # Box and mark tests read one column slice per rectangle of merged boxes.
+    # Same rows in adjacent columns, the letter between them inside the band:
+    # two rectangles, or its own point would count.
+    mesh("12", [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    # The letter between them outside the band: one rectangle.
+    mesh("12", [(0, 2), (1, 2), (2, 2)]),
+    # A band reaching the bottom but not the top.
+    mesh("231", [(1, 0), (1, 1), (2, 0), (2, 1)]),
+    # Bands in the middle of the grid; in the second, the letters of values
+    # 1 and 2 lie in the slice, on the band's two edges.
+    mesh("132", [(0, 2), (1, 2), (2, 2)]),
+    mesh("132", [(0, 1), (1, 1), (2, 1), (3, 1)]),
+    mesh("1432", [(1, 1), (1, 2), (2, 1), (2, 2)]),
+    # A whole column.
+    mesh("21", [(1, 0), (1, 1), (1, 2)]),
+    # A mark needing two points from two columns' rectangles.
+    marked("21", marks=[({(0, 0), (0, 1), (1, 2)}, 2)]),
+    # A mark and shading in one column.
+    marked("132", shade=[(1, 3)], marks=[{(1, 0), (1, 1)}]),
 ]
 
 
@@ -127,8 +146,8 @@ def assert_basis_search_matches_reference(basis, hosts):
     mask_search, first_search = _search(basis, "mask"), _search(basis, "first")
     for pi in hosts:
         want = sum(1 << i for i, pat in enumerate(basis) if reference_alphas(pi.values, pat))
-        assert mask_search(Diagram(pi.values)) == want, pi
-        assert first_search(Diagram(pi.values)) == bool(want), pi
+        assert mask_search(pi.values) == want, pi
+        assert first_search(pi.values) == bool(want), pi
 
 
 def test_every_pattern_as_one_basis_matches_reference_through_length_6():
