@@ -207,7 +207,7 @@ def parse_pattern_list(text: str) -> list[Pattern]:
 
 def format_pattern(pat: Pattern, fmt: str = "line") -> str:
     """Canonical text for a pattern; parsing it back yields an equal
-    pattern.  Decorated and barred patterns require the JSON format.
+    pattern.  Decorated, barred and mark-free marked patterns require JSON.
 
     >>> format_pattern(mesh("3241", {(1, 4)}))
     '3241 | shade: (1,4)'
@@ -216,10 +216,10 @@ def format_pattern(pat: Pattern, fmt: str = "line") -> str:
         raise UnsupportedFormatError(f"unknown format {fmt!r}; expected one of {', '.join(FORMATS)}")
     if fmt == "json":
         return json.dumps(_pattern_to_obj(pat), separators=(",", ":"))
-    if pat.kind not in ("classical", "mesh", "marked"):
-        raise UnsupportedFormatError(
-            f"{pat.kind} patterns have no line form; use the json format"
-        )
+    # The line form of a marked pattern without marks would parse back as
+    # a mesh or classical one.
+    if pat.kind not in ("classical", "mesh") and not pat.marks:
+        raise UnsupportedFormatError(f"this {pat.kind} pattern has no line form; use the json format")
     parts = [pat.perm.to_text()]
     if pat.kind != "classical" and (pat.shade or pat.kind == "mesh"):
         parts.append("shade: " + ",".join(f"({b.col},{b.row})" for b in pat.shade))

@@ -454,9 +454,9 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     ``min_count`` 1 needs one of its lists nonempty, and a larger
     ``min_count`` bounds the sum of their lengths.  Each decoration is one
     more condition: the avoided pattern's own search, named ``sub{i}_{j}``
-    in the namespace, runs on the standardized values of the decoration's
-    region, read off the host by column slices.  The mask search skips a
-    loop once every pattern below it is found.
+    in the namespace, runs on the values of the decoration's region as they
+    are, unstandardized, read off the host by column slices.  The mask
+    search skips a loop once every pattern below it is found.
     CPython stops compiling a function at 20 nested ``for`` loops, so the
     loops below that depth continue in a helper function, ``h{i}``, that
     takes the placed letters as arguments.
@@ -465,7 +465,7 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     coordinates and mark counts, all integers validated when the patterns
     were built, and fixed names, never from text a user typed.
     """
-    namespace: dict = {"_standardize": _standardize}
+    namespace: dict = {}
     full = (1 << len(patterns)) - 1
     root = _Node()
     leaf_tests: list[tuple[str, list[str]]] = []
@@ -523,9 +523,11 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
             slices = []
             for _, boxes in itertools.groupby(dec.region, key=lambda box: box.col):
                 bounds = [corners(box) for box in boxes]
-                inside = " or ".join(f"{low} < w <= {high}" for _, _, low, high in bounds)
+                inside = " or ".join(
+                    f"{low} < w" if high == "n" else f"{low} < w <= {high}" for _, _, low, high in bounds
+                )
                 slices.append(f"[w for w in values[{bounds[0][0]}:{bounds[0][1]}] if {inside}]")
-            tests.append(f"not sub{i}_{j}(_standardize({' + '.join(slices)}))")
+            tests.append(f"not sub{i}_{j}({' + '.join(slices)})")
         if action == "mask":
             tests.insert(0, f"not mask & {1 << i}")
         cols = "".join(f"{col[t]}, " for t in range(k))

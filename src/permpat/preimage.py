@@ -239,9 +239,10 @@ def _remap(boxes: Iterable[Box], box: Box) -> set[Box]:
 def insert_point(pat: Pattern, box: Box | tuple[int, int]) -> Pattern:
     """Insert an explicit point into a box: the new pattern has one more
     letter, at column ``box.col + 1`` and value ``box.row + 1``.  Shaded
-    boxes split with the grid; a mark whose region contains the target box
-    is witnessed by the new point and disappears, any other mark keeps its
-    (remapped) region.
+    boxes and marked regions split with the grid.  The new point counts
+    once towards every mark whose region contains the target box: such a
+    mark keeps its region with ``min_count`` one lower, and disappears when
+    that count reaches 0.  Any other mark keeps its count.
 
     >>> p = insert_point(marked("2341", marks=[{(3, 4)}]), (3, 4))
     >>> p.kind, str(p.perm)
@@ -263,16 +264,18 @@ def insert_point(pat: Pattern, box: Box | tuple[int, int]) -> Pattern:
     shade = _remap(pat.shade, box)
     marks = []
     for m in pat.marks:
-        if box in m.region:
-            continue
-        marks.append(Mark(_remap(m.region, box), m.min_count))
+        count = m.min_count - (box in m.region)
+        if count:
+            marks.append(Mark(_remap(m.region, box), count))
 
     return _plainest(perm, shade, marks)
 
 
 def expand_marks(pat: Pattern) -> tuple[Pattern, ...]:
     """Replace a marked pattern by the equivalent set of mesh patterns:
-    one branch per box of each marked region, inserting a witness point.
+    while marks are left, branch on each box of the first mark's region,
+    inserting a witness point there (:func:`insert_point`) that counts
+    towards every mark holding the box, so any ``min_count`` is accepted.
     Containment in the marked pattern equals containment in some expansion.
 
     >>> [str(p.perm) for p in expand_marks(marked("21", marks=[{(1, 2)}]))]
@@ -280,17 +283,12 @@ def expand_marks(pat: Pattern) -> tuple[Pattern, ...]:
     """
     if pat.kind not in ("classical", "mesh", "marked"):
         raise UnsupportedPatternError(f"cannot expand a {pat.kind} pattern")
-    for m in pat.marks:
-        if m.min_count != 1:
-            raise UnsupportedPatternError(
-                f"expansion requires min_count 1 regions, got {m.min_count}"
-            )
     done: set[Pattern] = set()
-    todo = [pat]
+    todo = [pat if pat.marks else _plainest(pat.perm, pat.shade)]
     while todo:
         cur = todo.pop()
         if not cur.marks:
-            done.add(_plainest(cur.perm, cur.shade))
+            done.add(cur)
             continue
         region = min(cur.marks, key=Mark.sort_key).region
         for b in region:

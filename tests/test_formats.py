@@ -121,6 +121,13 @@ class TestFormatLine:
         with pytest.raises(UnsupportedFormatError):
             format_pattern(barred("35241", [2]))
 
+    @pytest.mark.parametrize("pat", [marked("12"), marked("12", [(0, 0)])], ids=["bare", "shaded"])
+    def test_marked_without_marks_has_no_line_form(self, pat):
+        # "12" and "12 | shade: (0,0)" would parse back as classical and mesh.
+        with pytest.raises(UnsupportedFormatError):
+            format_pattern(pat)
+        assert parse_pattern(format_pattern(pat, "json"), "json") == pat
+
     def test_unknown_format(self):
         with pytest.raises(UnsupportedFormatError):
             format_pattern(classical("21"), "yaml")

@@ -1,17 +1,21 @@
 """Candidate generation, shading and marking, basis assembly and expansion."""
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
-from conftest import inversions
+from conftest import inversions, perms_through
+from test_reference_matcher import reference_alphas
 
 from permpat import (
     Box,
     InvalidBoundError,
     InvalidInputError,
     InvalidInsertionError,
+    Pattern,
     Permutation,
-    UnsupportedPatternError,
     classical,
+    contains,
     expand_basis,
     expand_marks,
     insert_point,
@@ -22,6 +26,7 @@ from permpat import (
     stack_preimage_basis,
     un_s,
 )
+from permpat import preimage
 from permpat.preimage import MarkedBasis, ShadeMarkResult, candidate_outcomes
 
 P = Permutation
@@ -190,6 +195,15 @@ class TestInsertPoint:
         out = insert_point(mesh("21", [(1, 0)]), Box(1, 2))
         assert out.perm == P((2, 3, 1)) and set(out.shade) == {Box(1, 0), Box(2, 0)}
 
+    def test_witness_counts_once_towards_every_mark_holding_the_box(self):
+        # The count-2 mark keeps its region, split around the new point,
+        # with count 1; the count-1 mark holding the box is witnessed.
+        assert insert_point(marked("21", marks=[({(1, 2)}, 2)]), Box(1, 2)) == \
+               marked("231", marks=[({(1, 2), (1, 3), (2, 2), (2, 3)}, 1)])
+        pat = marked("21", marks=[({(1, 2)}, 1), ({(1, 2), (2, 0)}, 2)])
+        assert insert_point(pat, Box(1, 2)) == \
+               marked("231", marks=[({(1, 2), (1, 3), (2, 2), (2, 3), (3, 0)}, 1)])
+
 
 class TestExpandMarks:
     def test_double_mark_of_321(self):
@@ -205,10 +219,54 @@ class TestExpandMarks:
         assert expand_marks(classical("21")) == (classical("21"),)
         assert expand_marks(mesh("21", [(0, 0)])) == (mesh("21", [(0, 0)]),)
 
-    def test_min_count_two_unsupported(self):
-        pat = marked("12", marks=[((Box(2, 0),), 2)])
-        with pytest.raises(UnsupportedPatternError):
-            expand_marks(pat)
+    @pytest.mark.parametrize("pat", [
+        marked("12", marks=[({(2, 0), (2, 1)}, 2)]),
+        marked("132", shade=[(2, 2)], marks=[({(1, 0), (1, 1), (2, 0)}, 2)]),
+        marked("21", marks=[({(0, 0), (1, 1), (2, 2)}, 3)]),
+        # Two overlapping marks: a witness in (1, 2) counts towards both.
+        marked("21", marks=[({(1, 2)}, 1), ({(1, 2), (2, 0)}, 2)]),
+    ], ids=["count-2", "count-2-shaded", "count-3", "counts-1-and-2-overlapping"])
+    def test_containment_equals_containment_of_some_expansion(self, pat):
+        expanded = expand_marks(pat)
+        for pi in perms_through(7):
+            want = bool(reference_alphas(pi.values, pat))
+            assert contains(pi, pat) == want, pi
+            assert any(contains(pi, q) for q in expanded) == want, pi
+
+
+class TestExpansionWork:
+    """Exact counters, never times: expansion builds each pattern once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"built": 0, "inserted": 0}
+        post_init, insert = Pattern.__post_init__, preimage.insert_point
+
+        def counting_post_init(pat):
+            counts["built"] += 1
+            post_init(pat)
+
+        def counting_insert(pat, box):
+            counts["inserted"] += 1
+            return insert(pat, box)
+
+        monkeypatch.setattr(Pattern, "__post_init__", counting_post_init)
+        monkeypatch.setattr(preimage, "insert_point", counting_insert)
+        return counts
+
+    def test_each_insertion_builds_one_pattern_and_nothing_is_rebuilt(self, counts):
+        for k in range(5):
+            for image in permutations(range(1, k + 1)):
+                for pat in stack_preimage_basis(P(image)):
+                    counts.update(built=0, inserted=0)
+                    expand_marks(pat)
+                    assert counts["built"] == (counts["inserted"] if pat.marks else 1), pat
+
+    def test_the_23451_basis_builds_14_patterns(self, counts):
+        basis = stack_preimage_basis(P((2, 3, 4, 5, 1)))
+        counts.update(built=0, inserted=0)
+        expand_basis(basis)
+        assert counts == {"built": 14, "inserted": 14}
 
 
 class TestExpandBasis:

@@ -110,6 +110,9 @@ PATTERNS = [
     marked("21", marks=[({(0, 0), (0, 1), (1, 2)}, 2)]),
     # A mark and shading in one column.
     marked("132", shade=[(1, 3)], marks=[{(1, 0), (1, 1)}]),
+    # A decoration searched on unstandardized values: the inner band
+    # reaching the top must not be bounded by the number of values.
+    decorated("1", [({(0, 1), (1, 0)}, decorated("1", [({(0, 0), (0, 1), (1, 0), (1, 1)}, "12")]))]),
 ]
 
 

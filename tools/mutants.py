@@ -1,10 +1,12 @@
-"""A standing mutation check for the search compiler and the oracle's scan.
+"""A standing mutation check for the search compiler, the oracle's scan,
+mark expansion and basis pruning.
 
 Each fault in ``MUTANTS`` is a one-line textual change to a file under
 ``src/``.  For each one in turn the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` to a temporary directory, applies the fault there, runs
 
     tests/test_reference_matcher.py tests/test_patterns.py tests/test_oracle.py
+    tests/test_preimage.py
 
 against the copy, and prints whether a test failed (killed) or none did
 (survived).  It exits 1 if a fault survives that ``EQUIVALENT`` does not
@@ -28,9 +30,15 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ["tests/test_reference_matcher.py", "tests/test_patterns.py", "tests/test_oracle.py"]
+TESTS = [
+    "tests/test_reference_matcher.py",
+    "tests/test_patterns.py",
+    "tests/test_oracle.py",
+    "tests/test_preimage.py",
+]
 PATTERNS = "src/permpat/patterns.py"
 ORACLE = "src/permpat/oracle.py"
+PREIMAGE = "src/permpat/preimage.py"
 
 
 class Mutant(NamedTuple):
@@ -60,6 +68,9 @@ MUTANTS = [
     Mutant("bottom filter < for <=", PATTERNS, 'inside = f"w <= {high}"', 'inside = f"w < {high}"'),
     Mutant("middle filter <= for <", PATTERNS,
            'inside = f"{low} < w <= {high}"', 'inside = f"{low} <= w <= {high}"'),
+    # Decorations search their region's values unstandardized.
+    Mutant("decoration band at the top keeps <= n", PATTERNS,
+           'f"{low} < w" if high == "n" else f"{low} < w <= {high}"', 'f"{low} < w <= {high}"'),
     # Marks: the or of lists, and the sum of their lengths.
     Mutant("mark needs every rectangle", PATTERNS,
            "tests.append(f\"({' or '.join(found)})\")", "tests.append(f\"({' and '.join(found)})\")"),
@@ -88,6 +99,14 @@ MUTANTS = [
            "REASON_BAD_IMAGE if in_av else REASON_CONTAINS_BASIS",
            "REASON_CONTAINS_BASIS if in_av else REASON_BAD_IMAGE"),
     Mutant("image count from the candidate side", ORACLE, "good_count += good", "good_count += in_av"),
+    # insert_point and expand_marks: one witness per branch, counted once per mark.
+    Mutant("witness deletes the mark whatever its count", PREIMAGE,
+           "count = m.min_count - (box in m.region)", "count = 0 if box in m.region else m.min_count"),
+    Mutant("box's column not split", PREIMAGE,
+           "cols = {box.col: (box.col, box.col + 1)}", "cols = {box.col: (box.col,)}"),
+    Mutant("expansion branches on the first box only", PREIMAGE, "for b in region:", "for b in region[:1]:"),
+    # prune_basis: a pattern goes only if patterns still kept imply it.
+    Mutant("pruning ignores the kept bits", PREIMAGE, "mask & kept & ~q", "mask & ~q"),
 ]
 
 # Faults that cannot change any result, by name, with the reason.
