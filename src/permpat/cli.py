@@ -178,12 +178,12 @@ def _cmd_preimage(args) -> tuple[list[str], int]:
     basis = MarkedBasis.from_patterns(
         outcome.to_pattern() for _, outcome in outcomes if outcome is not None
     )
-    if args.expand:
-        basis = MarkedBasis.from_patterns(expand_basis(basis))
+    patterns = expand_basis(basis) if args.expand else basis.patterns
     if args.prune is not None:
-        _check_work(args, "--prune", args.prune, len(basis))
-        basis = prune_basis(basis, args.prune)
-    lines.extend(_format_any(p) for p in basis)
+        _check_work(args, "--prune", args.prune, len(patterns))
+        basis = prune_basis(MarkedBasis.from_patterns(patterns), args.prune)
+        patterns = basis.patterns
+    lines.extend(_format_any(p) for p in patterns)
     if args.prune is not None:
         lines.append(f"# pruned: verified up to n={basis.verified_upto}")
     return lines, 0

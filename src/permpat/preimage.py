@@ -15,8 +15,10 @@ The pipeline has three stages:
    the image pattern exactly when it avoids every basis pattern.
 
 ``expand_marks`` trades marks for more patterns by inserting an explicit
-witness point into each box of a marked region; ``prune_basis`` drops basis
-elements that are implied by the rest, verified exhaustively up to a bound.
+witness point into each box of a marked region.  It branches on plain
+``(values, shade, marks)`` triples and builds one validated pattern per
+distinct finished expansion.  ``prune_basis`` drops basis elements that are
+implied by the rest, verified exhaustively up to a bound.
 """
 
 from __future__ import annotations
@@ -128,27 +130,27 @@ def _shade_and_mark_impl(
     pos = {v: i for i, v in enumerate(lam, 1)}
     _, ninv = _value_pairs(image.values)
 
-    shades: set[Box] = set()
+    # u before v with u < v in the image: the candidate must not let a later
+    # pass move anything between them, so shade the column strip where v
+    # precedes u, from height v up.  Column c is shaded from floor[c] up.
+    floor = [n + 1] * (n + 1)
     for u, v in ninv:
-        # u before v with u < v in the image: the candidate must not let a
-        # later pass move anything between them, so shade the column strip
-        # where v precedes u, from height v up.
         for c in range(pos[v], pos[u]):
-            for r in range(v, n + 1):
-                shades.add(Box(c, r))
+            floor[c] = min(floor[c], v)
+    shades = [(c, r) for c in range(n + 1) for r in range(floor[c], n + 1)]
 
-    marks: list[frozenset[Box]] = []
+    marks: list[frozenset[tuple[int, int]]] = []
     for u, v in inv_pairs:
         i, j = pos[u], pos[v]
         if all(lam[l - 1] < u for l in range(i + 1, j + 1)):
-            region = frozenset(Box(c, r) for c in range(i, j) for r in range(u, n + 1)) - shades
+            region = frozenset((c, r) for c in range(i, j) for r in range(u, floor[c]))
             if not region:
                 return None
             if not any(existing <= region for existing in marks):
                 marks = [m for m in marks if not region <= m]
                 marks.append(region)
 
-    return ShadeMarkResult(candidate, tuple(shades), tuple(tuple(sorted(m)) for m in marks))
+    return ShadeMarkResult(candidate, tuple(shades), tuple(marks))
 
 
 def shade_and_mark(candidate: Permutation, image: Permutation) -> ShadeMarkResult | None:
@@ -225,15 +227,33 @@ def stack_preimage_basis(image: Permutation) -> MarkedBasis:
     return MarkedBasis.from_patterns(pats)
 
 
-def _remap(boxes: Iterable[Box], box: Box) -> set[Box]:
-    cols = {box.col: (box.col, box.col + 1)}
-    rows = {box.row: (box.row, box.row + 1)}
-    out: set[Box] = set()
-    for b in boxes:
-        for c in cols.get(b.col, (b.col if b.col < box.col else b.col + 1,)):
-            for r in rows.get(b.row, (b.row if b.row < box.row else b.row + 1,)):
-                out.add(Box(c, r))
-    return out
+def _plain(pat: Pattern, action: str) -> tuple:
+    """``pat`` as the plain ``(values, shade, marks)`` triple of :func:`_insert`."""
+    if pat.kind not in ("classical", "mesh", "marked"):
+        raise UnsupportedPatternError(f"cannot {action} a {pat.kind} pattern")
+    return pat.perm.values, frozenset(pat.shade), tuple((frozenset(m.region), m.min_count) for m in pat.marks)
+
+
+def _insert(values: Values, shade: frozenset, marks: tuple, box: tuple[int, int]) -> tuple:
+    """Insert a point into ``box`` of a plain pattern, whose marks are
+    ``(region, min_count)`` pairs, and return the grown plain pattern: the
+    point takes column ``col + 1`` and value ``row + 1``, boxes on its
+    column or row split in two, and it counts once towards every mark whose
+    region holds the box; a mark whose count reaches 0 goes."""
+    col, row = box
+
+    def split(boxes) -> frozenset:
+        return frozenset([(c2, r2) for c, r in boxes
+                          for c2 in ((c, c + 1) if c == col else (c if c < col else c + 1,))
+                          for r2 in ((r, r + 1) if r == row else (r if r < row else r + 1,))])
+
+    shifted = tuple(v + 1 if v > row else v for v in values)
+    grown = []
+    for region, count in marks:
+        count -= box in region
+        if count:
+            grown.append((split(region), count))
+    return shifted[:col] + (row + 1,) + shifted[col:], split(shade), tuple(grown)
 
 
 def insert_point(pat: Pattern, box: Box | tuple[int, int]) -> Pattern:
@@ -242,63 +262,57 @@ def insert_point(pat: Pattern, box: Box | tuple[int, int]) -> Pattern:
     boxes and marked regions split with the grid.  The new point counts
     once towards every mark whose region contains the target box: such a
     mark keeps its region with ``min_count`` one lower, and disappears when
-    that count reaches 0.  Any other mark keeps its count.
+    that count reaches 0.  Any other mark keeps its count.  The insertion
+    itself runs on plain data, in the helper that expansion shares.
 
     >>> p = insert_point(marked("2341", marks=[{(3, 4)}]), (3, 4))
     >>> p.kind, str(p.perm)
     ('classical', '23451')
     """
     box = Box(*box)
-    if pat.kind not in ("classical", "mesh", "marked"):
-        raise UnsupportedPatternError(f"cannot insert a point into a {pat.kind} pattern")
-    k = len(pat.perm)
+    values, shade, marks = _plain(pat, "insert a point into")
+    k = len(values)
     if not (0 <= box.col <= k and 0 <= box.row <= k):
         raise InvalidInsertionError(f"box {tuple(box)} outside grid 0..{k}")
-    if box in pat.shade:
+    if box in shade:
         raise InvalidInsertionError(f"box {tuple(box)} is shaded")
+    values, shade, marks = _insert(values, shade, marks, box)
+    return _plainest(Permutation(values), shade, [Mark(region, count) for region, count in marks])
 
-    shifted = [v + 1 if v > box.row else v for v in pat.perm.values]
-    values = shifted[: box.col] + [box.row + 1] + shifted[box.col :]
-    perm = Permutation(tuple(values))
 
-    shade = _remap(pat.shade, box)
-    marks = []
-    for m in pat.marks:
-        count = m.min_count - (box in m.region)
-        if count:
-            marks.append(Mark(_remap(m.region, box), count))
-
-    return _plainest(perm, shade, marks)
+def _expand(pat: Pattern) -> set[Pattern]:
+    """The distinct expansions of ``pat``, each built as a pattern once,
+    branching on every box of the least mark in :meth:`Mark.sort_key` order."""
+    done: set[tuple[Values, frozenset]] = set()
+    todo = [_plain(pat, "expand")]
+    while todo:
+        values, shade, marks = todo.pop()
+        if not marks:
+            done.add((values, shade))
+            continue
+        region = min(marks, key=lambda m: (sorted(m[0]), m[1]))[0]
+        todo.extend(_insert(values, shade, marks, b) for b in region)
+    return {_plainest(Permutation(values), shade) for values, shade in done}
 
 
 def expand_marks(pat: Pattern) -> tuple[Pattern, ...]:
     """Replace a marked pattern by the equivalent set of mesh patterns:
     while marks are left, branch on each box of the first mark's region,
-    inserting a witness point there (:func:`insert_point`) that counts
-    towards every mark holding the box, so any ``min_count`` is accepted.
-    Containment in the marked pattern equals containment in some expansion.
+    inserting a witness point there that counts towards every mark holding
+    the box, so any ``min_count`` is accepted.  The branching runs on plain
+    data and builds each distinct finished pattern once.  Containment in
+    the marked pattern equals containment in some expansion.
 
     >>> [str(p.perm) for p in expand_marks(marked("21", marks=[{(1, 2)}]))]
     ['231']
     """
-    if pat.kind not in ("classical", "mesh", "marked"):
-        raise UnsupportedPatternError(f"cannot expand a {pat.kind} pattern")
-    done: set[Pattern] = set()
-    todo = [pat if pat.marks else _plainest(pat.perm, pat.shade)]
-    while todo:
-        cur = todo.pop()
-        if not cur.marks:
-            done.add(cur)
-            continue
-        region = min(cur.marks, key=Mark.sort_key).region
-        for b in region:
-            todo.append(insert_point(cur, b))
-    return canonical(done)
+    return canonical(_expand(pat))
 
 
 def expand_basis(basis: MarkedBasis | Iterable[Pattern]) -> tuple[Pattern, ...]:
-    """Expand every pattern of a basis and return the deduplicated union."""
-    return canonical(p for pat in basis for p in expand_marks(pat))
+    """Expand every pattern of a basis and return the deduplicated union,
+    sorted once."""
+    return canonical(p for pat in basis for p in _expand(pat))
 
 
 def prune_basis(basis: MarkedBasis, n_max: int) -> MarkedBasis:

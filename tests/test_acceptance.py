@@ -297,7 +297,7 @@ def test_property_suites(tmp_path, capsys):
     trials = 0
     while trials < 12:
         pat = random_pattern(rng, kinds=("marked",))
-        if pat.kind != "marked" or any(m.min_count != 1 for m in pat.marks):
+        if pat.kind != "marked":
             continue
         trials += 1
         expanded = expand_marks(pat)

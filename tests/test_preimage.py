@@ -1,6 +1,8 @@
 """Candidate generation, shading and marking, basis assembly and expansion."""
 from __future__ import annotations
 
+import contextlib
+import io
 from itertools import permutations
 
 import pytest
@@ -14,8 +16,11 @@ from permpat import (
     InvalidInsertionError,
     Pattern,
     Permutation,
+    UnsupportedPatternError,
+    barred,
     classical,
     contains,
+    decorated,
     expand_basis,
     expand_marks,
     insert_point,
@@ -26,7 +31,8 @@ from permpat import (
     stack_preimage_basis,
     un_s,
 )
-from permpat import preimage
+from permpat import patterns, preimage
+from permpat.cli import main
 from permpat.preimage import MarkedBasis, ShadeMarkResult, candidate_outcomes
 
 P = Permutation
@@ -103,6 +109,30 @@ class TestShadeAndMark:
         res = shade_and_mark(P((1, 2, 3)), P((1, 2, 3)))
         assert res.shades == () and res.marks == ()
         assert res.to_pattern() == classical("123")
+
+    def test_shading_and_marks_match_their_definition(self):
+        # Shaded: the union, over the image's non-inversions (u, v), of the
+        # strips of columns pos[v]..pos[u]-1 from row v up.  Each mark: the
+        # rectangle of an inversion with nothing above u between its letters,
+        # minus the shading; none empty, and only the minimal ones kept.
+        for k in range(1, 6):
+            for image in permutations(range(1, k + 1)):
+                pairs = [(image[a], image[b]) for a in range(k) for b in range(a + 1, k)]
+                for lam in un_s(image):
+                    pos = {v: i for i, v in enumerate(lam.values, 1)}
+                    shaded = {(c, r) for u, v in pairs if u < v
+                              for c in range(pos[v], pos[u]) for r in range(v, k + 1)}
+                    regions = {frozenset((c, r) for c in range(pos[u], pos[v])
+                                         for r in range(u, k + 1)) - shaded
+                               for u, v in pairs if u > v
+                               and all(lam.values[l - 1] < u for l in range(pos[u] + 1, pos[v] + 1))}
+                    res = shade_and_mark(lam, P(image))
+                    if not all(regions):
+                        assert res is None, (lam, image)
+                        continue
+                    assert set(res.shades) == shaded, (lam, image)
+                    assert {frozenset(m) for m in res.marks} == \
+                           {r for r in regions if not any(o < r for o in regions)}, (lam, image)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -235,38 +265,61 @@ class TestExpandMarks:
 
 
 class TestExpansionWork:
-    """Exact counters, never times: expansion builds each pattern once."""
+    """Exact counters, never times: expansion builds each finished pattern
+    once, and the CLI sorts an expanded basis once."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"built": 0, "inserted": 0}
-        post_init, insert = Pattern.__post_init__, preimage.insert_point
+        counts = {"built": 0, "keyed": 0}
+        post_init, sort_key = Pattern.__post_init__, patterns.pattern_sort_key
 
         def counting_post_init(pat):
             counts["built"] += 1
             post_init(pat)
 
-        def counting_insert(pat, box):
-            counts["inserted"] += 1
-            return insert(pat, box)
+        def counting_sort_key(pat):
+            counts["keyed"] += 1
+            return sort_key(pat)
 
         monkeypatch.setattr(Pattern, "__post_init__", counting_post_init)
-        monkeypatch.setattr(preimage, "insert_point", counting_insert)
+        for module in (patterns, preimage):
+            monkeypatch.setattr(module, "pattern_sort_key", counting_sort_key)
         return counts
 
-    def test_each_insertion_builds_one_pattern_and_nothing_is_rebuilt(self, counts):
+    def test_expand_marks_builds_each_expansion_once(self, counts):
         for k in range(5):
             for image in permutations(range(1, k + 1)):
                 for pat in stack_preimage_basis(P(image)):
-                    counts.update(built=0, inserted=0)
-                    expand_marks(pat)
-                    assert counts["built"] == (counts["inserted"] if pat.marks else 1), pat
+                    counts["built"] = 0
+                    expanded = expand_marks(pat)
+                    assert counts["built"] == len(expanded), pat
 
     def test_the_23451_basis_builds_14_patterns(self, counts):
         basis = stack_preimage_basis(P((2, 3, 4, 5, 1)))
-        counts.update(built=0, inserted=0)
+        counts["built"] = 0
         expand_basis(basis)
-        assert counts == {"built": 14, "inserted": 14}
+        assert counts["built"] == 14
+
+    def test_preimage_expand_over_every_length_5_image(self, counts):
+        for image in permutations("12345"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["preimage", "".join(image), "--expand"]) == 0
+        assert counts == {"built": 3_710, "keyed": 4_535}
+
+
+class TestExpansionKinds:
+    """Only classical, mesh and marked patterns grow or expand."""
+
+    @pytest.mark.parametrize("pat", [barred("231", [1]), decorated("21", [({(1, 1)}, "12")])],
+                             ids=["barred", "decorated"])
+    @pytest.mark.parametrize("call", [
+        lambda pat: insert_point(pat, Box(0, 0)),
+        expand_marks,
+        lambda pat: expand_basis([classical("21"), pat]),
+    ], ids=["insert_point", "expand_marks", "expand_basis"])
+    def test_refused(self, call, pat):
+        with pytest.raises(UnsupportedPatternError):
+            call(pat)
 
 
 class TestExpandBasis:

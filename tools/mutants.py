@@ -1,5 +1,5 @@
 """A standing mutation check for the search compiler, the oracle's scan,
-mark expansion and basis pruning.
+shading, mark expansion and basis pruning.
 
 Each fault in ``MUTANTS`` is a one-line textual change to a file under
 ``src/``.  For each one in turn the script copies ``src/``, ``tests/`` and
@@ -99,12 +99,17 @@ MUTANTS = [
            "REASON_BAD_IMAGE if in_av else REASON_CONTAINS_BASIS",
            "REASON_CONTAINS_BASIS if in_av else REASON_BAD_IMAGE"),
     Mutant("image count from the candidate side", ORACLE, "good_count += good", "good_count += in_av"),
-    # insert_point and expand_marks: one witness per branch, counted once per mark.
+    # _shade_and_mark_impl: column c is shaded from floor[c] up.
+    Mutant("shade floor starts at n", PREIMAGE, "floor = [n + 1] * (n + 1)", "floor = [n] * (n + 1)"),
+    # _insert and _expand: one witness per branch, counted once per mark.
     Mutant("witness deletes the mark whatever its count", PREIMAGE,
-           "count = m.min_count - (box in m.region)", "count = 0 if box in m.region else m.min_count"),
+           "count -= box in region", "count = 0 if box in region else count"),
     Mutant("box's column not split", PREIMAGE,
-           "cols = {box.col: (box.col, box.col + 1)}", "cols = {box.col: (box.col,)}"),
-    Mutant("expansion branches on the first box only", PREIMAGE, "for b in region:", "for b in region[:1]:"),
+           "for c2 in ((c, c + 1) if c == col", "for c2 in ((c,) if c == col"),
+    Mutant("finished expansion keeps its parent's shade", PREIMAGE,
+           "split(shade), tuple(grown)", "shade, tuple(grown)"),
+    Mutant("expansion branches on the first box only", PREIMAGE,
+           "for b in region)", "for b in sorted(region)[:1])"),
     # prune_basis: a pattern goes only if patterns still kept imply it.
     Mutant("pruning ignores the kept bits", PREIMAGE, "mask & kept & ~q", "mask & ~q"),
 ]
