@@ -32,7 +32,11 @@ decorations that avoid a pattern longer than 1, and the tuple's letters
 become one function of nested loops over the host's values, shared among
 the patterns like a trie.  Shaded boxes and marks are merged into
 rectangles, and each rectangle's points are one filtered slice of the
-host's values.  A single pattern is the tuple of one.
+host's values.  A single pattern is the tuple of one.  The search that
+lists occurrences yields each one's whole record, (alpha, beta, omega),
+written out from its loop variables, and :func:`occurrences` turns the
+records into :class:`Occurrence` objects without running Python code per
+record.
 """
 
 from __future__ import annotations
@@ -276,20 +280,18 @@ def canonical(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
 class Occurrence(NamedTuple):
     """An occurrence: ``alpha`` are the 1-based chosen positions, ``beta``
     the chosen values in increasing order, and ``omega`` the chosen points
-    as (position, value) pairs ordered by position.  Occurrences compare by
-    ``alpha``, the order in which the engine reports them."""
+    as (position, value) pairs ordered by position, as the engine yields
+    them.  Occurrences compare by ``alpha``, the order in which
+    :func:`occurrences` reports them."""
 
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
     omega: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def from_columns(cls, values: Sequence[int], cols: Sequence[int]) -> "Occurrence":
-        """Build from strictly increasing 0-based column indices into
-        ``values``, as the engine yields them; nothing is rechecked."""
-        alpha = tuple([c + 1 for c in cols])
-        picked = tuple([values[c] for c in cols])
-        return cls(alpha, tuple(sorted(picked)), tuple(zip(alpha, picked)))
+
+# An Occurrence from an (alpha, beta, omega) triple as the engine yields it,
+# built in C with nothing rechecked.
+_occurrence = functools.partial(tuple.__new__, Occurrence)
 
 
 class Diagram:
@@ -426,8 +428,12 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     ``"first"`` it returns whether the host contains some pattern of the
     tuple; with ``"mask"`` it returns the bitmask whose bit i is set when
     the host contains ``patterns[i]``; with ``"yield"`` it is a generator
-    over the 0-based columns of every occurrence of the tuple's one
-    pattern, in no particular order.  Callers pass canonical tuples, so one
+    over the ``(alpha, beta, omega)`` record of every occurrence of the
+    tuple's one pattern, in no particular order: each part is a tuple
+    expression written out at compile time, ``alpha`` the placed columns
+    plus 1 in position order, ``beta`` the placed values named in the
+    pattern's value order, so no sort runs, and ``omega`` their pairs in
+    position order.  Callers pass canonical tuples, so one
     basis is compiled once per action; the generated source is kept on the
     function as ``source``.
 
@@ -530,11 +536,13 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
             tests.append(f"not sub{i}_{j}({' + '.join(slices)})")
         if action == "mask":
             tests.insert(0, f"not mask & {1 << i}")
-        cols = "".join(f"{col[t]}, " for t in range(k))
+        alpha = "".join(f"{col[t]} + 1, " for t in range(k))
+        beta = "".join(f"{val[r]}, " for r in range(1, k + 1))
+        omega = "".join(f"({col[t]} + 1, {val[letters[t]]}), " for t in range(k))
         hit = {
             "first": ["return True"],
             "mask": [f"mask |= {1 << i}", f"if mask == {full}: return mask"],
-            "yield": [f"yield ({cols})"],
+            "yield": [f"yield (({alpha}), ({beta}), ({omega}))"],
         }[action]
         leaf_tests.append((" and ".join(tests), hit))
 
@@ -606,11 +614,15 @@ def occurrences(pi: Permutation, pat: Pattern) -> list[Occurrence]:
     ``alpha``.  For barred patterns the reported occurrences are those of the
     standardized unbarred part.
 
-    >>> [o.alpha for o in occurrences(Permutation.from_text("526413"), classical("132"))]
+    >>> found = occurrences(Permutation.from_text("526413"), classical("132"))
+    >>> [o.alpha for o in found]
     [(2, 3, 4), (2, 3, 6), (2, 4, 6)]
+    >>> found[0]
+    Occurrence(alpha=(2, 3, 4), beta=(2, 4, 6), omega=((2, 2), (3, 6), (4, 4)))
     """
-    found = _search((pat,), "yield")(pi.values)
-    return [Occurrence.from_columns(pi.values, cols) for cols in sorted(found)]
+    # The occurrences of one pattern have distinct alphas, so the records
+    # sort by alpha.
+    return list(map(_occurrence, sorted(_search((pat,), "yield")(pi.values))))
 
 
 def contains(pi: Permutation, pat: Pattern) -> bool:

@@ -120,15 +120,15 @@ def _plainest(perm: Permutation, shade: Iterable[Box], marks: Sequence[Mark] = (
 
 def _shade_and_mark_impl(
     candidate: Permutation,
-    image: Permutation,
+    ninv: Iterable[tuple[int, int]],
     inv_pairs: Sequence[tuple[int, int]],
 ) -> ShadeMarkResult | None:
-    """Core of shade_and_mark with an explicit inversion-pair order; the
-    result does not depend on that order."""
+    """Core of shade_and_mark, given the image's non-inversions and its
+    inversions in an explicit order; the result does not depend on that
+    order."""
     n = candidate.n
     lam = candidate.values
     pos = {v: i for i, v in enumerate(lam, 1)}
-    _, ninv = _value_pairs(image.values)
 
     # u before v with u < v in the image: the candidate must not let a later
     # pass move anything between them, so shade the column strip where v
@@ -170,7 +170,7 @@ def shade_and_mark(candidate: Permutation, image: Permutation) -> ShadeMarkResul
         raise InvalidInputError(
             f"candidate length {candidate.n} differs from image length {image.n}"
         )
-    inv, _ = _value_pairs(image.values)
+    inv, ninv = _value_pairs(image.values)
     pos = {v: i for i, v in enumerate(candidate.values, 1)}
     for u, v in inv:
         if pos[u] > pos[v]:
@@ -178,7 +178,7 @@ def shade_and_mark(candidate: Permutation, image: Permutation) -> ShadeMarkResul
                 f"candidate {candidate} does not preserve the inversion ({u}, {v}) of {image}"
             )
     ordered = sorted(inv, key=lambda p: (pos[p[0]], pos[p[1]]))
-    return _shade_and_mark_impl(candidate, image, ordered)
+    return _shade_and_mark_impl(candidate, ninv, ordered)
 
 
 def candidate_outcomes(image: Permutation) -> list[tuple[Permutation, ShadeMarkResult | None]]:

@@ -25,6 +25,12 @@ def inversions(values):
     return {(u, v) for i, u in enumerate(values) for v in values[i + 1:] if u > v}
 
 
+def noninversions(values):
+    """The non-inversions of a value sequence, as ordered value pairs (u, v)
+    with u before v and u < v."""
+    return {(u, v) for i, u in enumerate(values) for v in values[i + 1:] if u < v}
+
+
 def random_values(rng: random.Random, k: int) -> tuple[int, ...]:
     vals = list(range(1, k + 1))
     rng.shuffle(vals)

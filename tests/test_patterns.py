@@ -7,13 +7,12 @@ from math import comb
 import pytest
 from conftest import perms_through
 
-from test_reference_matcher import reference_alphas
+from test_reference_matcher import assert_record, reference_alphas
 
 from permpat import (
     Box,
     InvalidInputError,
     Mark,
-    Occurrence,
     Permutation,
     UnsupportedPatternError,
     barred,
@@ -248,10 +247,6 @@ class TestBarredToMesh:
 
 
 class TestOccurrenceGeometry:
-    def test_from_columns(self):
-        occ = Occurrence.from_columns(PI.values, (1, 2, 4))
-        assert occ.alpha == (2, 3, 5)
-
     @pytest.mark.parametrize("pats", [
         builtin_basis("west2"), builtin_basis("west3"), builtin_basis("bubble1243"),
         [barred("35241", [2])],
@@ -263,9 +258,7 @@ class TestOccurrenceGeometry:
                 assert sorted(occs) == occs
                 assert len(set(occs)) == len(occs)
                 for occ in occs:
-                    picked = tuple(pi.values[a - 1] for a in occ.alpha)
-                    assert occ.beta == tuple(sorted(picked))
-                    assert occ.omega == tuple(zip(occ.alpha, picked))
+                    assert_record(pi, occ)
 
     def test_occurrences_sorted_by_alpha(self):
         occ = occurrences(P((3, 2, 1)), classical("21"))
@@ -291,7 +284,10 @@ class TestCompiledSearch:
     def test_21_letters_occur_22_times_in_the_identity_of_length_22(self):
         pat = classical(range(1, 22))
         assert "def h0(" in _search((pat,), "yield").source
-        assert len(occurrences(P.identity(22), pat)) == 22
+        occs = occurrences(P.identity(22), pat)
+        assert len(occs) == 22
+        for occ in occs:
+            assert_record(P.identity(22), occ)
         assert contains(P.identity(22), pat)
         assert not contains(P.identity(20), pat)
 
@@ -305,7 +301,10 @@ class TestCompiledSearch:
         kept = found = 0
         for host in hosts:
             want = reference_alphas(host.values, pat)
-            assert [o.alpha for o in occurrences(host, pat)] == want, host
+            occs = occurrences(host, pat)
+            assert [o.alpha for o in occs] == want, host
+            for occ in occs:
+                assert_record(host, occ)
             assert contains(host, pat) == bool(want), host
             mask = sum(1 << i for i, q in enumerate(basis) if reference_alphas(host.values, q))
             assert _search(basis, "mask")(host.values) == mask, host

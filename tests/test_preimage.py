@@ -134,6 +134,21 @@ class TestShadeAndMark:
                     assert {frozenset(m) for m in res.marks} == \
                            {r for r in regions if not any(o < r for o in regions)}, (lam, image)
 
+    def test_image_pairs_built_once_per_candidate(self, monkeypatch):
+        # An exact work counter: the 120 images of length 5 have 1,296
+        # candidates, and each builds its image's pairs once.
+        calls = 0
+        value_pairs = preimage._value_pairs
+
+        def counting_value_pairs(values):
+            nonlocal calls
+            calls += 1
+            return value_pairs(values)
+
+        monkeypatch.setattr(preimage, "_value_pairs", counting_value_pairs)
+        outcomes = sum(len(candidate_outcomes(P(image))) for image in permutations(range(1, 6)))
+        assert outcomes == calls == 1_296
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             shade_and_mark(P((2, 1)), P((1, 3, 2)))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from conftest import inversions
+from conftest import inversions, noninversions
 from hypothesis import given, settings, strategies as st
 
 from permpat import (
@@ -136,10 +136,11 @@ class TestPreimageProperties:
         pos = {v: i for i, v in enumerate(image.values, 1)}
         inv = sorted(inversions(image.values),
                      key=lambda p: (pos[p[0]], pos[p[1]]))
+        ninv = noninversions(image.values)
         for lam in sorted(un_s(image.values)):
             shuffled = list(inv)
             rng.shuffle(shuffled)
-            assert _shade_and_mark_impl(lam, image, shuffled) == \
+            assert _shade_and_mark_impl(lam, ninv, shuffled) == \
                 shade_and_mark(lam, image)
 
     @settings(max_examples=25, deadline=None)

@@ -12,6 +12,7 @@ import pytest
 
 from permpat import (
     Box,
+    Occurrence,
     Permutation,
     barred,
     builtin_basis,
@@ -128,6 +129,23 @@ def test_every_kind_is_covered():
 def test_engine_matches_reference_through_length_6(pat):
     for pi in [Permutation(())] + list(perms_through(6)):
         assert engine_alphas(pi, pat) == reference_alphas(pi.values, pat), pi
+
+
+def assert_record(pi, occ):
+    """An occurrence record against its definition: ``beta`` is the chosen
+    values in increasing order and ``omega`` the chosen points in position
+    order, both read off ``alpha``."""
+    assert type(occ) is Occurrence
+    picked = tuple(pi.values[a - 1] for a in occ.alpha)
+    assert occ.beta == tuple(sorted(picked)), (pi, occ)
+    assert occ.omega == tuple(zip(occ.alpha, picked)), (pi, occ)
+
+
+@pytest.mark.parametrize("pat", PATTERNS, ids=str)
+def test_engine_records_match_the_definition(pat):
+    for pi in [Permutation(())] + list(perms_through(6)):
+        for occ in occurrences(pi, pat):
+            assert_record(pi, occ)
 
 
 @pytest.mark.parametrize("name", ["west2", "west3", "bubble1243"])

@@ -1,5 +1,5 @@
-"""A standing mutation check for the search compiler, the oracle's scan,
-shading, mark expansion and basis pruning.
+"""A standing mutation check for the search compiler and its occurrence
+records, the oracle's scan, shading, mark expansion and basis pruning.
 
 Each fault in ``MUTANTS`` is a one-line textual change to a file under
 ``src/``.  For each one in turn the script copies ``src/``, ``tests/`` and
@@ -85,6 +85,14 @@ MUTANTS = [
     Mutant("value test against the least letter below", PATTERNS,
            "chain = [max(below, key=letters.__getitem__)] if below else []",
            "chain = [min(below, key=letters.__getitem__)] if below else []"),
+    # The occurrence record the "yield" leaf writes out.
+    Mutant("beta in position order", PATTERNS,
+           'beta = "".join(f"{val[r]}, " for r in range(1, k + 1))',
+           'beta = "".join(f"{val[letters[t]]}, " for t in range(k))'),
+    Mutant("omega with 0-based columns", PATTERNS,
+           'f"({col[t]} + 1, {val[letters[t]]}), "', 'f"({col[t]}, {val[letters[t]]}), "'),
+    Mutant("alpha without + 1", PATTERNS,
+           'alpha = "".join(f"{col[t]} + 1, "', 'alpha = "".join(f"{col[t]}, "'),
     # _image_test: one verdict per first-pass image.
     Mutant("one pass read as none", ORACLE, "if passes == 0:", "if passes <= 1:"),
     Mutant("one pass too many", ORACLE,
