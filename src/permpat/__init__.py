@@ -59,7 +59,6 @@ from .preimage import (
     ShadeMarkResult,
     candidate_outcomes,
     expand_basis,
-    expand_marks,
     insert_point,
     prune_basis,
     shade_and_mark,
@@ -101,7 +100,6 @@ __all__ = [
     "contains",
     "decorated",
     "expand_basis",
-    "expand_marks",
     "format_pattern",
     "insert_point",
     "marked",

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .errors import InvalidBoundError, InvalidInputError, UnsupportedFormatError
-from .fixtures import FIXTURE_NAMES, FIXTURE_TARGETS, builtin_basis
+from .fixtures import FIXTURE_NAMES, FIXTURES, builtin_basis
 from .formats import (
     detect_format,
     format_pattern,
@@ -193,8 +193,7 @@ def _cmd_verify(args) -> tuple[list[str], int]:
     if args.builtin is not None:
         if args.basis is not None:
             raise InvalidInputError("--basis only combines with --pattern")
-        op, passes, image = FIXTURE_TARGETS[args.builtin]
-        candidate = builtin_basis(args.builtin)
+        op, passes, image, candidate = FIXTURES[args.builtin]
         op = args.op or op
         passes = args.passes if args.passes is not None else passes
     else:

@@ -12,9 +12,9 @@ Available names:
 * ``stack_len3_P`` for each length-3 permutation P -- basis of the
   stack-sort preimage of Av(P), in shaded-and-marked form.
 
-Each basis, paired with its operator and pass count from
-``FIXTURE_TARGETS``, is exact for all lengths: avoidance of the basis is
-equivalent to the sorted image avoiding the target patterns.
+``FIXTURES`` pairs each name with its operator, pass count, target
+patterns and basis.  Each basis is exact for all lengths: avoidance of the
+basis is equivalent to the sorted image avoiding the target patterns.
 """
 
 from __future__ import annotations
@@ -101,31 +101,22 @@ STACK_LEN3: dict[str, tuple[Pattern, ...]] = {
     ),
 }
 
-FIXTURES: dict[str, tuple[Pattern, ...]] = {
-    "west2": WEST2,
-    "west3": WEST3,
-    "bubble1243": BUBBLE_1243,
-    **{f"stack_len3_{p}": pats for p, pats in STACK_LEN3.items()},
+# name -> (operator, passes, target patterns, basis in canonical order).
+FIXTURES: dict[str, tuple[str, int, tuple[Pattern, ...], tuple[Pattern, ...]]] = {
+    "west2": ("stack", 2, (classical("21"),), canonical(WEST2)),
+    "west3": ("stack", 3, (classical("21"),), canonical(WEST3)),
+    "bubble1243": ("bubble", 1, (classical("1243"),), canonical(BUBBLE_1243)),
+    **{f"stack_len3_{p}": ("stack", 1, (classical(p),), canonical(pats)) for p, pats in STACK_LEN3.items()},
 }
 
 FIXTURE_NAMES: tuple[str, ...] = tuple(sorted(FIXTURES))
-
-# (operator, passes, target patterns): avoidance of the fixture basis is
-# equivalent to the image under `passes` applications avoiding the targets.
-FIXTURE_TARGETS: dict[str, tuple[str, int, tuple[Pattern, ...]]] = {
-    "west2": ("stack", 2, (classical("21"),)),
-    "west3": ("stack", 3, (classical("21"),)),
-    "bubble1243": ("bubble", 1, (classical("1243"),)),
-    **{f"stack_len3_{p}": ("stack", 1, (classical(p),)) for p in STACK_LEN3},
-}
 
 
 def builtin_basis(name: str) -> tuple[Pattern, ...]:
     """Look up a built-in basis by name, in canonical pattern order."""
     try:
-        pats = FIXTURES[name]
+        return FIXTURES[name][3]
     except KeyError:
         raise InvalidInputError(
             f"unknown basis {name!r}; expected one of {', '.join(FIXTURE_NAMES)}"
         ) from None
-    return canonical(pats)

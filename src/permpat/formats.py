@@ -44,13 +44,14 @@ from .permutation import Permutation
 FORMATS = ("line", "json")
 
 _BOX_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+_MARK_RE = re.compile(r"mark:\s*\{(.*)\}\s*>=\s*(\d+)")
 
 
 def _parse_boxes(text: str, offset: int) -> tuple[Box, ...]:
-    s = text.strip()
-    if not s:
-        return ()
-    pos = 0
+    # ``text`` starts at index ``offset`` of the line, which error
+    # positions index.
+    s = text.rstrip()
+    pos = len(text) - len(text.lstrip())
     boxes = []
     while pos < len(s):
         m = _BOX_RE.match(s, pos)
@@ -64,39 +65,41 @@ def _parse_boxes(text: str, offset: int) -> tuple[Box, ...]:
             pos += 1
             while pos < len(s) and s[pos] == " ":
                 pos += 1
+            if pos == len(s):
+                raise PatternSyntaxError("trailing ',' after the last box", offset + m.end())
     return tuple(boxes)
 
 
 def _parse_line(text: str) -> Pattern:
     sections = text.split("|")
-    offset = 0
     perm_text = sections[0]
     try:
         perm = Permutation.from_text(perm_text)
     except InvalidInputError as exc:
-        raise PatternSyntaxError(str(exc), offset) from None
+        raise PatternSyntaxError(str(exc), len(perm_text) - len(perm_text.lstrip())) from None
     shade: tuple[Box, ...] = ()
     shade_seen = False
     marks: list[Mark] = []
-    offset += len(perm_text) + 1
+    offset = len(perm_text) + 1
     for section in sections[1:]:
         body = section.strip()
+        # The index in ``text`` of the section's label.
+        label = offset + len(section) - len(section.lstrip())
         if body.startswith("shade:"):
             if shade_seen:
-                raise PatternSyntaxError("duplicate shade section", offset)
+                raise PatternSyntaxError("duplicate shade section", label)
             shade_seen = True
-            shade = _parse_boxes(body[len("shade:") :], offset)
+            shade = _parse_boxes(body[len("shade:") :], label + len("shade:"))
         elif body.startswith("mark:"):
-            rest = body[len("mark:") :].strip()
-            m = re.fullmatch(r"\{(.*)\}\s*>=\s*(\d+)", rest)
+            m = _MARK_RE.fullmatch(body)
             if not m:
-                raise PatternSyntaxError("expected 'mark: {(c,r),...} >= N'", offset)
-            boxes = _parse_boxes(m.group(1), offset)
+                raise PatternSyntaxError("expected 'mark: {(c,r),...} >= N'", label)
+            boxes = _parse_boxes(m.group(1), label + m.start(1))
             if not boxes:
-                raise PatternSyntaxError("mark region is empty", offset)
+                raise PatternSyntaxError("mark region is empty", label)
             marks.append(Mark(boxes, int(m.group(2))))
         else:
-            raise PatternSyntaxError(f"unknown section {body.split(':')[0]!r}", offset)
+            raise PatternSyntaxError(f"unknown section {body.split(':')[0]!r}", label)
         offset += len(section) + 1
     if marks:
         return marked(perm, shade, marks)
@@ -164,16 +167,15 @@ def parse_pattern(text: str, fmt: str = "line") -> Pattern:
     """
     if fmt not in FORMATS:
         raise UnsupportedFormatError(f"unknown format {fmt!r}; expected one of {', '.join(FORMATS)}")
-    s = text.strip()
-    if not s:
+    if not text.strip():
         raise PatternSyntaxError("empty pattern text")
     if fmt == "json":
         try:
-            obj = json.loads(s)
+            obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise PatternSyntaxError(f"invalid JSON: {exc.msg}", exc.pos) from None
         return _pattern_from_obj(obj)
-    return _parse_line(s)
+    return _parse_line(text)
 
 
 def detect_format(text: str) -> str:

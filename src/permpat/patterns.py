@@ -61,7 +61,13 @@ Region = tuple[Box, ...]
 
 def as_boxes(boxes: Iterable[BoxLike]) -> Region:
     """Normalize a collection of (col, row) pairs to a sorted tuple of boxes."""
-    region = {Box(c, r) for c, r in boxes}
+    region = set()
+    for box in boxes:
+        try:
+            c, r = box
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"a box must be a (col, row) pair, got {box!r}") from None
+        region.add(Box(c, r))
     # A bool is an int to Python and would print as True or False.
     if not {type(x) for box in region for x in box} <= {int}:
         raise InvalidInputError(f"box coordinates must be integers, got {region}")
@@ -594,7 +600,8 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
                 out.append(f"{body_ind}if {test}:")
                 body_ind += "    "
             node_lines(child, body_ind, child.bits, loops + 1, out)
-            if action == "mask":
+            # A full mask has returned already.
+            if action == "mask" and bits != full:
                 out.append(f"{body_ind}if mask & {bits} == {bits}: break")
 
     body = ["def search(values):", "    n = len(values)"]

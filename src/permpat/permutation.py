@@ -127,15 +127,6 @@ class Permutation:
     def __str__(self) -> str:
         return self.to_text()
 
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.values, 1))
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        if n < 0:
-            raise InvalidInputError(f"length must be nonnegative, got {n}")
-        return cls(tuple(range(1, n + 1)))
-
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
         """Parse one-line notation: contiguous digits up to length 9

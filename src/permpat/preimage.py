@@ -14,7 +14,7 @@ The pipeline has three stages:
    marked mesh patterns: a permutation is mapped into the avoidance class of
    the image pattern exactly when it avoids every basis pattern.
 
-``expand_marks`` trades marks for more patterns by inserting an explicit
+``expand_basis`` trades marks for more patterns by inserting an explicit
 witness point into each box of a marked region.  It branches on plain
 ``(values, shade, marks)`` triples and builds one validated pattern per
 distinct finished expansion.  ``prune_basis`` drops basis elements that are
@@ -121,11 +121,10 @@ def _plainest(perm: Permutation, shade: Iterable[Box], marks: Sequence[Mark] = (
 def _shade_and_mark_impl(
     candidate: Permutation,
     ninv: Iterable[tuple[int, int]],
-    inv_pairs: Sequence[tuple[int, int]],
+    inv_pairs: Iterable[tuple[int, int]],
 ) -> ShadeMarkResult | None:
     """Core of shade_and_mark, given the image's non-inversions and its
-    inversions in an explicit order; the result does not depend on that
-    order."""
+    inversions; the result does not depend on the order of either."""
     n = candidate.n
     lam = candidate.values
     pos = {v: i for i, v in enumerate(lam, 1)}
@@ -177,8 +176,7 @@ def shade_and_mark(candidate: Permutation, image: Permutation) -> ShadeMarkResul
             raise InvalidInputError(
                 f"candidate {candidate} does not preserve the inversion ({u}, {v}) of {image}"
             )
-    ordered = sorted(inv, key=lambda p: (pos[p[0]], pos[p[1]]))
-    return _shade_and_mark_impl(candidate, ninv, ordered)
+    return _shade_and_mark_impl(candidate, ninv, inv)
 
 
 def candidate_outcomes(image: Permutation) -> list[tuple[Permutation, ShadeMarkResult | None]]:
@@ -295,23 +293,18 @@ def _expand(pat: Pattern) -> set[Pattern]:
     return {_plainest(Permutation(values), shade) for values, shade in done}
 
 
-def expand_marks(pat: Pattern) -> tuple[Pattern, ...]:
-    """Replace a marked pattern by the equivalent set of mesh patterns:
-    while marks are left, branch on each box of the first mark's region,
-    inserting a witness point there that counts towards every mark holding
-    the box, so any ``min_count`` is accepted.  The branching runs on plain
-    data and builds each distinct finished pattern once.  Containment in
-    the marked pattern equals containment in some expansion.
+def expand_basis(basis: MarkedBasis | Iterable[Pattern]) -> tuple[Pattern, ...]:
+    """Replace each marked pattern of a basis by the equivalent set of mesh
+    patterns and return the deduplicated union, sorted once: while marks
+    are left, branch on each box of the first mark's region, inserting a
+    witness point there that counts towards every mark holding the box, so
+    any ``min_count`` is accepted.  The branching runs on plain data and
+    builds each distinct finished pattern once.  Containment in a marked
+    pattern equals containment in some expansion.
 
-    >>> [str(p.perm) for p in expand_marks(marked("21", marks=[{(1, 2)}]))]
+    >>> [str(p.perm) for p in expand_basis([marked("21", marks=[{(1, 2)}])])]
     ['231']
     """
-    return canonical(_expand(pat))
-
-
-def expand_basis(basis: MarkedBasis | Iterable[Pattern]) -> tuple[Pattern, ...]:
-    """Expand every pattern of a basis and return the deduplicated union,
-    sorted once."""
     return canonical(p for pat in basis for p in _expand(pat))
 
 

@@ -13,6 +13,11 @@ def all_perms(n):
         yield Permutation(vals)
 
 
+def identity(n):
+    """The identity permutation 1 2 ... n."""
+    return Permutation(tuple(range(1, n + 1)))
+
+
 def perms_through(n):
     """All permutations of every length from 1 to n."""
     for k in range(1, n + 1):

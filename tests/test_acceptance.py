@@ -6,7 +6,7 @@ import math
 import random
 from itertools import permutations
 
-from conftest import inversions, noninversions, perms_through, random_boxes, random_pattern, random_values
+from conftest import identity, inversions, noninversions, perms_through, random_boxes, random_pattern, random_values
 
 from permpat import (
     Permutation,
@@ -20,7 +20,6 @@ from permpat import (
     contains,
     decorated,
     expand_basis,
-    expand_marks,
     format_pattern,
     marked,
     mesh,
@@ -145,7 +144,7 @@ def test_property_suites(tmp_path, capsys):
     # --- sorting operators, exhaustively through length 8 ---
     p231 = classical("231")
     for pi in perms_through(8):
-        ident = P.identity(pi.n)
+        ident = identity(pi.n)
         s = stack_sort(pi)
         if sorted(s.values) != list(range(1, pi.n + 1)):
             failures.append(f"stack pass changes the values of {pi}")
@@ -242,7 +241,7 @@ def test_property_suites(tmp_path, capsys):
                 break
     for n in range(1, 8):
         for k in range(1, n + 1):
-            got = len(occurrences(P.identity(n), classical(P.identity(k))))
+            got = len(occurrences(identity(n), classical(identity(k))))
             if got != math.comb(n, k):
                 failures.append(f"identity count {got} != C({n},{k})")
 
@@ -301,7 +300,7 @@ def test_property_suites(tmp_path, capsys):
         if pat.kind != "marked":
             continue
         trials += 1
-        expanded = expand_marks(pat)
+        expanded = expand_basis([pat])
         bad = next((pi for pi in perms_through(7)
                     if contains(pi, pat) != any(contains(pi, e) for e in expanded)),
                    None)

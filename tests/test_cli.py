@@ -319,6 +319,10 @@ class TestUsageErrors:
                              '{"kind": "classical", "perm": [2, true]}')
         assert code == 2 and out == "" and "perm entry must be an integer, got true" in err
 
+    def test_trailing_comma_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "match", "21", "--inline", "21 | shade: (0,0),")
+        assert code == 2 and out == "" and "trailing ','" in err and "offset 17" in err
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--pattern", "21", "--upto", "3", "--basis"),
         ("match", "123", "--pattern"),

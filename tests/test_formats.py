@@ -60,7 +60,26 @@ class TestParseLineErrors:
     def test_bad_box_reports_offset(self):
         with pytest.raises(PatternSyntaxError) as exc:
             parse_pattern("132 | shade: (0,2),(1,2),x")
-        assert exc.value.position == 17
+        assert exc.value.position == 25
+
+    # Each position indexes the text as passed: the first character of a
+    # bad box, a trailing comma (refused), or the label of a bad section.
+    @pytest.mark.parametrize("text, position, char", [
+        ("21 | mark: {(1,1),y} >= 1", 18, "y"),
+        ("21 | paint: (0,0)", 5, "p"),
+        ("  21 | paint: (0,0)", 7, "p"),
+        ("21 | shade: (0,0) |  shade: (1,1)", 21, "s"),
+        ("21 |shade: (0,0) , (1,1)", 16, " "),
+        ("21 | shade: (0,0),", 17, ","),
+        ("21 | shade: (0,0), (1,1),  ", 24, ","),
+        ("21 | mark: {(1,1),} >= 1", 17, ","),
+        ("  1x2 | shade: (0,0)", 2, "1"),
+    ])
+    def test_position_indexes_the_text_passed(self, text, position, char):
+        with pytest.raises(PatternSyntaxError) as exc:
+            parse_pattern(text)
+        assert exc.value.position == position
+        assert text[position] == char
 
     def test_empty_text(self):
         with pytest.raises(PatternSyntaxError):

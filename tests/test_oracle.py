@@ -6,6 +6,7 @@ from itertools import permutations
 from multiprocessing import get_context
 
 import pytest
+from conftest import identity
 
 from permpat import (
     REASON_BAD_IMAGE,
@@ -28,7 +29,7 @@ from permpat import (
     verify_preimage,
 )
 from permpat import oracle
-from permpat.fixtures import FIXTURE_NAMES, FIXTURE_TARGETS
+from permpat.fixtures import FIXTURE_NAMES, FIXTURES
 from permpat.oracle import containment_masks
 from permpat.patterns import _search, canonical
 from permpat.permutation import operator_fn
@@ -196,6 +197,12 @@ class TestBuiltinBases:
         with pytest.raises(InvalidInputError):
             builtin_basis("west4")
 
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_basis_is_exact_for_its_operator_passes_and_targets(self, name):
+        op_id, passes, image, basis = FIXTURES[name]
+        assert basis == builtin_basis(name)
+        assert verify_preimage(image, basis, op_id, passes, 6).passed
+
     def test_west2_content(self):
         assert builtin_basis("west2") == (classical("2341"), mesh("3241", [(1, 4)]))
 
@@ -314,14 +321,14 @@ class TestImageVerdictPerFirstImage:
 
     @pytest.mark.parametrize("name, at_8", [("west3", 1780), ("bubble1243", 5040)])
     def test_one_image_search_per_distinct_first_pass_image(self, searches, name, at_8):
-        op_id, passes, image = FIXTURE_TARGETS[name]
-        assert verify_preimage(image, builtin_basis(name), op_id, passes, 8).passed
+        op_id, passes, image, basis = FIXTURES[name]
+        assert verify_preimage(image, basis, op_id, passes, 8).passed
         image = canonical(image)
         assert [searches[image, n] for n in range(1, 9)] == \
                [_distinct_first_images(op_id, n) for n in range(1, 9)]
         assert searches[image, 8] == at_8
         # the candidate side still searches every permutation
-        assert searches[builtin_basis(name), 8] == 40320
+        assert searches[basis, 8] == 40320
 
     def test_no_pass_searches_every_permutation(self, searches):
         image = (classical("21"),)
@@ -350,7 +357,7 @@ class TestAgainstTheDefinition:
     @pytest.mark.parametrize("passes", [0, 1, 2, 3])
     def test_census(self, op_id, passes):
         for n in range(1, 7):
-            naive = sum(sort_power(op_id, passes, pi).is_identity()
+            naive = sum(sort_power(op_id, passes, pi) == identity(n)
                         for pi in map(P, permutations(range(1, n + 1))))
             assert census(op_id, passes, n) == naive
 

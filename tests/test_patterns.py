@@ -5,7 +5,7 @@ import re
 from math import comb
 
 import pytest
-from conftest import perms_through
+from conftest import identity, perms_through
 
 from test_reference_matcher import assert_record, reference_alphas
 
@@ -61,6 +61,15 @@ class TestConstruction:
     def test_box_coordinates_must_be_integers(self, box):
         with pytest.raises(InvalidInputError):
             mesh("12", [box])
+
+    @pytest.mark.parametrize("make, item", [
+        (lambda: mesh("21", [1]), "1"),
+        (lambda: mesh("21", [(1, 2, 3)]), "(1, 2, 3)"),
+        (lambda: Mark([(0, 0, 0)]), "(0, 0, 0)"),
+    ], ids=["int", "triple", "mark-triple"])
+    def test_a_box_that_is_not_a_pair_is_named(self, make, item):
+        with pytest.raises(InvalidInputError, match=re.escape(f"got {item}")):
+            make()
 
     def test_classical_refuses_decorations(self):
         with pytest.raises(InvalidInputError):
@@ -134,7 +143,7 @@ class TestClassicalMatching:
         assert not contains(P((3, 2, 4, 1)), classical("2341"))
 
     def test_identity_in_identity_hits_binomial_bound(self):
-        occ = occurrences(P.identity(5), classical("12"))
+        occ = occurrences(identity(5), classical("12"))
         assert len(occ) == comb(5, 2)
 
     def test_longer_pattern_than_text_never_occurs(self):
@@ -284,18 +293,18 @@ class TestCompiledSearch:
     def test_21_letters_occur_22_times_in_the_identity_of_length_22(self):
         pat = classical(range(1, 22))
         assert "def h0(" in _search((pat,), "yield").source
-        occs = occurrences(P.identity(22), pat)
+        occs = occurrences(identity(22), pat)
         assert len(occs) == 22
         for occ in occs:
-            assert_record(P.identity(22), occ)
-        assert contains(P.identity(22), pat)
-        assert not contains(P.identity(20), pat)
+            assert_record(identity(22), occ)
+        assert contains(identity(22), pat)
+        assert not contains(identity(20), pat)
 
     def test_21_letter_mesh_pattern_matches_reference(self):
         letters = (*range(1, 10), 11, 10, *range(12, 22))
         pat = mesh(letters, [(9, 9), (15, 15)])
         swapped = (*range(1, 10), 11, 10, *range(12, 23))
-        hosts = [P.identity(22), P(swapped), P((*swapped[:4], 23, *swapped[4:])),
+        hosts = [identity(22), P(swapped), P((*swapped[:4], 23, *swapped[4:])),
                  P((*swapped[:15], 23, *swapped[15:])), P((2, 1, *range(3, 10), 23, *swapped[9:]))]
         basis = (pat, classical("321"))
         kept = found = 0
@@ -337,3 +346,13 @@ class TestCompiledSearch:
         # and marked boxes take 7.
         for action in ("first", "mask"):
             assert slice_count(_search(HEADLINE_BASES[name], action)) == slices
+
+    @pytest.mark.parametrize("name", HEADLINE_BASES)
+    def test_no_break_on_the_full_mask(self, name):
+        # A full mask returns where it is set, so a loop over every pattern
+        # never tests for it.
+        basis = HEADLINE_BASES[name]
+        full = (1 << len(basis)) - 1
+        source = _search(basis, "mask").source
+        assert f"if mask == {full}: return mask" in source
+        assert f"if mask & {full} == {full}: break" not in source

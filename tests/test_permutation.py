@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import pytest
+from conftest import identity
 
 from permpat import (
     InvalidInputError,
@@ -36,12 +37,7 @@ class TestConstruction:
     def test_empty_is_vacuously_valid(self):
         # every value of 1..0 appears exactly once, so n = 0 is fine
         assert P(()).n == 0
-        assert P(()).is_identity()
-
-    def test_identity(self):
-        assert P.identity(4) == P((1, 2, 3, 4))
-        assert P.identity(4).is_identity()
-        assert not P((2, 1)).is_identity()
+        assert P(()) == identity(0)
 
     def test_equality_and_ordering(self):
         assert P((1, 2)) == P([1, 2])
@@ -101,12 +97,12 @@ class TestStackSort:
         assert stack_sort(P.from_text(before)) == P.from_text(after)
 
     def test_descending_input_sorts_in_one_pass(self):
-        assert stack_sort(P((5, 4, 3, 2, 1))).is_identity()
+        assert stack_sort(P((5, 4, 3, 2, 1))) == identity(5)
 
     def test_iterated(self):
         pi = P((2, 3, 4, 1))
         assert sort_power("stack", 2, pi) == P((2, 1, 3, 4))
-        assert sort_power("stack", 3, pi).is_identity()
+        assert sort_power("stack", 3, pi) == identity(4)
 
 
 class TestBubbleSort:
@@ -122,7 +118,7 @@ class TestBubbleSort:
         assert bubble_sort(P.from_text(before)) == P.from_text(after)
 
     def test_n_minus_one_passes_always_sort(self):
-        assert sort_power("bubble", 4, P((5, 4, 3, 2, 1))).is_identity()
+        assert sort_power("bubble", 4, P((5, 4, 3, 2, 1))) == identity(5)
 
 
 class TestSortPower:

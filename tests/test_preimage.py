@@ -22,7 +22,6 @@ from permpat import (
     contains,
     decorated,
     expand_basis,
-    expand_marks,
     insert_point,
     marked,
     mesh,
@@ -253,16 +252,16 @@ class TestInsertPoint:
 class TestExpandMarks:
     def test_double_mark_of_321(self):
         pat = marked("321", marks=[((Box(1, 3),), 1), ((Box(2, 2), Box(2, 3)), 1)])
-        assert names(p.perm for p in expand_marks(pat)) == {"45231", "35241", "34251"}
-        assert all(p.kind == "classical" for p in expand_marks(pat))
+        assert names(p.perm for p in expand_basis([pat])) == {"45231", "35241", "34251"}
+        assert all(p.kind == "classical" for p in expand_basis([pat]))
 
     def test_single_mark_of_21(self):
         pat = marked("21", marks=[((Box(1, 2),), 1)])
-        assert expand_marks(pat) == (classical("231"),)
+        assert expand_basis([pat]) == (classical("231"),)
 
     def test_no_marks_returns_itself(self):
-        assert expand_marks(classical("21")) == (classical("21"),)
-        assert expand_marks(mesh("21", [(0, 0)])) == (mesh("21", [(0, 0)]),)
+        assert expand_basis([classical("21")]) == (classical("21"),)
+        assert expand_basis([mesh("21", [(0, 0)])]) == (mesh("21", [(0, 0)]),)
 
     @pytest.mark.parametrize("pat", [
         marked("12", marks=[({(2, 0), (2, 1)}, 2)]),
@@ -272,7 +271,7 @@ class TestExpandMarks:
         marked("21", marks=[({(1, 2)}, 1), ({(1, 2), (2, 0)}, 2)]),
     ], ids=["count-2", "count-2-shaded", "count-3", "counts-1-and-2-overlapping"])
     def test_containment_equals_containment_of_some_expansion(self, pat):
-        expanded = expand_marks(pat)
+        expanded = expand_basis([pat])
         for pi in perms_through(7):
             want = bool(reference_alphas(pi.values, pat))
             assert contains(pi, pat) == want, pi
@@ -306,7 +305,7 @@ class TestExpansionWork:
             for image in permutations(range(1, k + 1)):
                 for pat in stack_preimage_basis(P(image)):
                     counts["built"] = 0
-                    expanded = expand_marks(pat)
+                    expanded = expand_basis([pat])
                     assert counts["built"] == len(expanded), pat
 
     def test_the_23451_basis_builds_14_patterns(self, counts):
@@ -329,9 +328,9 @@ class TestExpansionKinds:
                              ids=["barred", "decorated"])
     @pytest.mark.parametrize("call", [
         lambda pat: insert_point(pat, Box(0, 0)),
-        expand_marks,
+        lambda pat: expand_basis([pat]),
         lambda pat: expand_basis([classical("21"), pat]),
-    ], ids=["insert_point", "expand_marks", "expand_basis"])
+    ], ids=["insert_point", "expand_basis_of_one", "expand_basis"])
     def test_refused(self, call, pat):
         with pytest.raises(UnsupportedPatternError):
             call(pat)

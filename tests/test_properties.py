@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from conftest import inversions, noninversions
+from conftest import identity, inversions, noninversions
 from hypothesis import given, settings, strategies as st
 
 from permpat import (
@@ -101,7 +101,7 @@ class TestPatternProperties:
 
     @given(st.integers(1, 6), st.integers(1, 4))
     def test_identity_in_identity_reaches_the_bound(self, n, k):
-        count = len(occurrences(P.identity(n), classical(P.identity(k))))
+        count = len(occurrences(identity(n), classical(identity(k))))
         assert count == math.comb(n, k)
 
     @settings(max_examples=40, deadline=None)

@@ -1,12 +1,13 @@
 """A standing mutation check for the search compiler and its occurrence
-records, the oracle's scan, shading, mark expansion and basis pruning.
+records, box normalization, the oracle's scan, shading, mark expansion,
+basis pruning, the fixture table and the line-format parser.
 
 Each fault in ``MUTANTS`` is a one-line textual change to a file under
 ``src/``.  For each one in turn the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` to a temporary directory, applies the fault there, runs
 
     tests/test_reference_matcher.py tests/test_patterns.py tests/test_oracle.py
-    tests/test_preimage.py
+    tests/test_preimage.py tests/test_formats.py
 
 against the copy, and prints whether a test failed (killed) or none did
 (survived).  It exits 1 if a fault survives that ``EQUIVALENT`` does not
@@ -35,10 +36,13 @@ TESTS = [
     "tests/test_patterns.py",
     "tests/test_oracle.py",
     "tests/test_preimage.py",
+    "tests/test_formats.py",
 ]
 PATTERNS = "src/permpat/patterns.py"
 ORACLE = "src/permpat/oracle.py"
 PREIMAGE = "src/permpat/preimage.py"
+FIXTURES = "src/permpat/fixtures.py"
+FORMATS = "src/permpat/formats.py"
 
 
 class Mutant(NamedTuple):
@@ -93,6 +97,13 @@ MUTANTS = [
            'f"({col[t]} + 1, {val[letters[t]]}), "', 'f"({col[t]}, {val[letters[t]]}), "'),
     Mutant("alpha without + 1", PATTERNS,
            'alpha = "".join(f"{col[t]} + 1, "', 'alpha = "".join(f"{col[t]}, "'),
+    # The mask search breaks out of a loop once its patterns are found; a
+    # full mask has returned already, so a break on it is dead code.
+    Mutant("break on the full mask emitted", PATTERNS,
+           'if action == "mask" and bits != full:', 'if action == "mask":'),
+    # as_boxes: a box is a pair.
+    Mutant("box arity check dropped", PATTERNS,
+           "c, r = box\n        except", "c, r = box[:2]\n        except"),
     # _image_test: one verdict per first-pass image.
     Mutant("one pass read as none", ORACLE, "if passes == 0:", "if passes <= 1:"),
     Mutant("one pass too many", ORACLE,
@@ -120,6 +131,13 @@ MUTANTS = [
            "for b in region)", "for b in sorted(region)[:1])"),
     # prune_basis: a pattern goes only if patterns still kept imply it.
     Mutant("pruning ignores the kept bits", PREIMAGE, "mask & kept & ~q", "mask & ~q"),
+    # The fixture table: each basis is exact for its operator and passes.
+    Mutant("a fixture's pass count off by one", FIXTURES,
+           '"west2": ("stack", 2,', '"west2": ("stack", 3,'),
+    # The line parser: positions index the text passed, and no trailing comma.
+    Mutant("box offset counted from the section start", FORMATS,
+           'label + len("shade:"))', "offset)"),
+    Mutant("trailing comma accepted", FORMATS, "if pos == len(s):", "if pos > len(s):"),
 ]
 
 # Faults that cannot change any result, by name, with the reason.
