@@ -26,7 +26,6 @@ from .oracle import (
     av_set,
     census,
     preimage_av_set,
-    reference_count,
     verify_preimage,
 )
 from .patterns import (
@@ -110,7 +109,6 @@ __all__ = [
     "pattern_sort_key",
     "preimage_av_set",
     "prune_basis",
-    "reference_count",
     "render_grid",
     "shade_and_mark",
     "sort_power",

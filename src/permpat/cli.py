@@ -181,7 +181,7 @@ def _cmd_preimage(args) -> tuple[list[str], int]:
     patterns = expand_basis(basis) if args.expand else basis.patterns
     if args.prune is not None:
         _check_work(args, "--prune", args.prune, len(patterns))
-        basis = prune_basis(MarkedBasis.from_patterns(patterns), args.prune)
+        basis = prune_basis(patterns, args.prune)
         patterns = basis.patterns
     lines.extend(_format_any(p) for p in patterns)
     if args.prune is not None:
@@ -191,11 +191,11 @@ def _cmd_preimage(args) -> tuple[list[str], int]:
 
 def _cmd_verify(args) -> tuple[list[str], int]:
     if args.builtin is not None:
-        if args.basis is not None:
-            raise InvalidInputError("--basis only combines with --pattern")
+        # Each fixture basis is exact only for its own operator and pass count.
+        for flag, value in (("--basis", args.basis), ("--op", args.op), ("--passes", args.passes)):
+            if value is not None:
+                raise InvalidInputError(f"{flag} only combines with --pattern")
         op, passes, image, candidate = FIXTURES[args.builtin]
-        op = args.op or op
-        passes = args.passes if args.passes is not None else passes
     else:
         if args.basis is None:
             raise InvalidInputError("--pattern requires --basis FILE")

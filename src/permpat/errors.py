@@ -32,5 +32,8 @@ class PatternSyntaxError(InvalidInputError):
     offset at which parsing failed."""
 
     def __init__(self, message: str, position: int = 0):
-        super().__init__(f"{message} (at offset {position})")
+        super().__init__(message)
         self.position = position
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (at offset {self.position})"

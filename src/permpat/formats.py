@@ -186,24 +186,32 @@ def detect_format(text: str) -> str:
 def parse_pattern_list(text: str) -> list[Pattern]:
     """Parse several patterns: either a JSON array of pattern objects, or
     one pattern per line (line or JSON form, auto-detected), skipping blank
-    lines and ``#`` comments."""
+    lines and ``#`` comments.  Error positions index ``text``."""
     body = text.strip()
     if not body:
         return []
     if body.startswith("["):
+        # str.strip also drops whitespace that JSON refuses, such as a form
+        # feed, so the stripped body is parsed and its offset added.
         try:
             items = json.loads(body)
         except json.JSONDecodeError as exc:
-            raise PatternSyntaxError(f"invalid JSON: {exc.msg}", exc.pos) from None
+            lead = len(text) - len(text.lstrip())
+            raise PatternSyntaxError(f"invalid JSON: {exc.msg}", lead + exc.pos) from None
         if not isinstance(items, list):
             raise PatternSyntaxError("expected a JSON array of patterns")
         return [_pattern_from_obj(item) for item in items]
     out = []
-    for line in body.splitlines():
+    start = 0  # the index in ``text`` of the line's first character
+    for line in text.splitlines(keepends=True):
         s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        out.append(parse_pattern(s, detect_format(s)))
+        if s and not s.startswith("#"):
+            try:
+                out.append(parse_pattern(s, detect_format(s)))
+            except PatternSyntaxError as exc:
+                lead = len(line) - len(line.lstrip())
+                raise PatternSyntaxError(exc.args[0], start + lead + exc.position) from None
+        start += len(line)
     return out
 
 

@@ -2,16 +2,17 @@
 
 Everything here enumerates symmetric groups exhaustively, which keeps the
 results independent of the pattern machinery's cleverer paths and makes the
-module the referee for the rest of the package.  One scan serves
-``av_set``, ``preimage_av_set`` and ``verify_preimage``: it walks S_n in
-lexicographic order and asks of each permutation whether it avoids the
-candidate basis and whether its image after the sorting passes avoids the
-image basis; each basis is one compiled search that stops at its first
-hit.  ``census`` counts identity images on the same blocks, and
-``containment_masks`` feeds implication pruning one pattern bitmask per
-permutation, from one compiled search of all the patterns.  With
-``jobs > 1`` a scan is split into one block per first letter and the
-blocks are merged in order, so worker count never changes a result.
+module the referee for the rest of the package.  ``_scan`` is its one
+enumeration of S_n, in lexicographic order: it runs a worker on the whole
+of S_n, or with ``jobs > 1`` on one block per first letter in parallel,
+and merges the blocks' results in order, so worker count never changes a
+result.  For ``av_set``, ``preimage_av_set`` and ``verify_preimage`` the
+worker asks of each permutation whether it avoids the candidate basis and
+whether its image after the sorting passes avoids the image basis; each
+basis is one compiled search that stops at its first hit.  ``census``
+counts identity images on the same blocks, and ``_mask_block`` collects
+the distinct pattern bitmasks of its block, from one compiled search of
+all the patterns, for implication pruning (``preimage.prune_basis``).
 
 The image side of a scan depends on a permutation only through its image
 after the first pass, and that pass is many-to-one (1,780 stack-sort
@@ -26,10 +27,9 @@ change a result.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidBoundError, InvalidInputError
 from .patterns import Pattern, _search, canonical
@@ -41,9 +41,7 @@ __all__ = [
     "REASON_CONTAINS_BASIS",
     "av_set",
     "census",
-    "containment_masks",
     "preimage_av_set",
-    "reference_count",
     "verify_preimage",
 ]
 
@@ -179,18 +177,11 @@ def census(op_id: str, passes: int, n: int, *, jobs: int = 1) -> int:
     return sum(_scan(_census_block, n, op_id, passes, jobs))
 
 
-def containment_masks(n: int, patterns: Sequence[Pattern]) -> Iterator[tuple[Values, int]]:
-    """Each permutation of length ``n`` in lexicographic order, with a mask
-    whose bit i is set when it contains ``patterns[i]``.  Used for
-    implication pruning.
-
-    >>> from .patterns import classical
-    >>> list(containment_masks(2, [classical("12"), classical("21")]))
-    [((1, 2), 1), ((2, 1), 2)]
-    """
-    search = _search(tuple(patterns), "mask")
-    for vals in _perm_stream(n, None):
-        yield vals, search(vals)
+def _mask_block(args) -> set[int]:
+    # The distinct masks of the block, bit i set when a permutation
+    # contains patterns[i]: what implication pruning needs of S_n.
+    n, first, _, _, patterns = args
+    return set(map(_search(patterns, "mask"), _perm_stream(n, first)))
 
 
 @dataclass(frozen=True)
@@ -286,30 +277,3 @@ def verify_preimage(
             counterexample = (Permutation(vals), reason)
             break
     return VerificationReport(op_id, passes, tuple(rows), counterexample)
-
-
-def reference_count(class_id: str, n: int) -> int:
-    """Closed-form reference counts, exact for all ``n``:
-
-    * ``catalan``: the Catalan number C(2n, n) / (n + 1), the size of
-      Av_n(231) and the one-pass stack census.
-    * ``west2``: 2 (3n)! / ((n+1)! (2n+1)!), the two-pass stack census.
-
-    >>> [reference_count("west2", n) for n in range(1, 6)]
-    [1, 2, 6, 22, 91]
-    """
-    if n < 0:
-        raise InvalidInputError(f"length must be nonnegative, got {n}")
-    if class_id == "catalan":
-        return math.comb(2 * n, n) // (n + 1)
-    if class_id == "west2":
-        # the formula's combinatorial meaning starts at n = 1
-        if n < 1:
-            raise InvalidInputError(f"west2 counts are defined for n >= 1, got {n}")
-        num = 2 * math.factorial(3 * n)
-        den = math.factorial(n + 1) * math.factorial(2 * n + 1)
-        quotient, remainder = divmod(num, den)
-        if remainder:
-            raise ArithmeticError(f"west2 formula is not integral at n={n}")
-        return quotient
-    raise InvalidInputError(f"unknown counting formula {class_id!r}")

@@ -18,13 +18,15 @@ The pipeline has three stages:
 witness point into each box of a marked region.  It branches on plain
 ``(values, shade, marks)`` triples and builds one validated pattern per
 distinct finished expansion.  ``prune_basis`` drops basis elements that are
-implied by the rest, verified exhaustively up to a bound.
+implied by the rest, verified exhaustively up to a bound by the oracle's
+one enumeration, ``oracle._scan``.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -37,14 +39,12 @@ from .patterns import (
     Box,
     Mark,
     Pattern,
-    as_boxes,
     canonical,
     classical,
     marked,
     mesh,
-    pattern_sort_key,
 )
-from .oracle import containment_masks
+from .oracle import _mask_block, _scan
 from .permutation import Permutation, Values, _standardize, _value_pairs, as_word
 
 
@@ -82,30 +82,30 @@ def un_s(word: Iterable[int]) -> frozenset[Permutation]:
 @dataclass(frozen=True)
 class ShadeMarkResult:
     """Outcome of shading and marking one accepted candidate: the candidate
-    permutation, the shaded boxes, and the marked regions (each region needs
-    at least one point; regions are pairwise incomparable under inclusion
-    and disjoint from the shading)."""
+    permutation, the shaded boxes, and the marked regions, each of which
+    needs at least one point.  Construction builds the pattern they denote
+    once, which normalizes the boxes and checks them against the grid and
+    the marks against the shading; ``shades`` and ``marks`` are read back
+    from it.  The regions must also be pairwise incomparable under
+    inclusion, so equal or nested regions are refused."""
 
     candidate: Permutation
     shades: tuple[Box, ...]
     marks: tuple[tuple[Box, ...], ...]
+    _pattern: Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        shades = as_boxes(self.shades)
-        marks = tuple(sorted(as_boxes(region) for region in self.marks))
-        object.__setattr__(self, "shades", shades)
-        object.__setattr__(self, "marks", marks)
-        shade_set = set(shades)
-        for region in marks:
-            if shade_set.intersection(region):
-                raise InvalidInputError(f"mark region {region} overlaps the shading")
-        for a in marks:
-            for b in marks:
-                if a is not b and set(a) <= set(b):
-                    raise InvalidInputError(f"mark regions {a} and {b} are nested")
+        marks = [Mark(region) for region in self.marks]
+        for a, b in itertools.permutations(marks, 2):
+            if set(a.region) <= set(b.region):
+                raise InvalidInputError(f"mark regions {a.region} and {b.region} are nested")
+        pattern = _plainest(self.candidate, self.shades, marks)
+        object.__setattr__(self, "_pattern", pattern)
+        object.__setattr__(self, "shades", pattern.shade)
+        object.__setattr__(self, "marks", tuple(m.region for m in pattern.marks))
 
     def to_pattern(self) -> Pattern:
-        return _plainest(self.candidate, self.shades, [Mark(region) for region in self.marks])
+        return self._pattern
 
 
 def _plainest(perm: Permutation, shade: Iterable[Box], marks: Sequence[Mark] = ()) -> Pattern:
@@ -187,7 +187,10 @@ def candidate_outcomes(image: Permutation) -> list[tuple[Permutation, ShadeMarkR
 
 @dataclass(frozen=True)
 class MarkedBasis:
-    """A canonical, deduplicated tuple of classical/mesh/marked patterns.
+    """A basis of classical, mesh and marked patterns.  Construction
+    normalizes ``patterns`` through :func:`canonical`, as a pattern
+    normalizes its own parts: any iterable is accepted, and the field holds
+    the distinct patterns in :func:`pattern_sort_key` order.
     ``verified_upto`` records the bound of an exhaustive pruning check, if
     one was performed."""
 
@@ -195,16 +198,15 @@ class MarkedBasis:
     verified_upto: int | None = None
 
     def __post_init__(self) -> None:
-        for pat in self.patterns:
+        patterns = canonical(self.patterns)
+        for pat in patterns:
             if pat.kind not in ("classical", "mesh", "marked"):
                 raise InvalidInputError(f"basis patterns must be classical, mesh or marked, got {pat.kind}")
-        keys = [pattern_sort_key(p) for p in self.patterns]
-        if keys != sorted(set(keys)):
-            raise InvalidInputError("basis patterns must be unique and canonically ordered")
+        object.__setattr__(self, "patterns", patterns)
 
     @classmethod
     def from_patterns(cls, patterns: Iterable[Pattern], verified_upto: int | None = None) -> "MarkedBasis":
-        return cls(canonical(patterns), verified_upto)
+        return cls(patterns, verified_upto)
 
     def __iter__(self) -> Iterator[Pattern]:
         return iter(self.patterns)
@@ -308,22 +310,21 @@ def expand_basis(basis: MarkedBasis | Iterable[Pattern]) -> tuple[Pattern, ...]:
     return canonical(p for pat in basis for p in _expand(pat))
 
 
-def prune_basis(basis: MarkedBasis, n_max: int) -> MarkedBasis:
+def prune_basis(basis: MarkedBasis | Iterable[Pattern], n_max: int) -> MarkedBasis:
     """Greedily drop basis patterns implied by the rest, keeping avoidance
     sets identical for every length up to ``n_max``.  The result is only
     verified up to that bound, which it records.
 
-    One scan per length records the distinct bitmasks of basis patterns
-    that some permutation contains.  In basis order, a pattern q is dropped
-    when every mask with q's bit also has the bit of another pattern still
-    kept: every permutation containing q then contains one of them, so the
-    avoidance sets do not change.
+    One scan per length (:func:`oracle._scan`) collects the distinct
+    bitmasks of basis patterns that some permutation contains.  In basis
+    order, a pattern q is dropped when every mask with q's bit also has the
+    bit of another pattern still kept: every permutation containing q then
+    contains one of them, so the avoidance sets do not change.
 
-    >>> b = MarkedBasis.from_patterns([classical("2341"), classical("23451")])
-    >>> [str(p.perm) for p in prune_basis(b, 5)]
+    >>> [str(p.perm) for p in prune_basis([classical("2341"), classical("23451")], 5)]
     ['2341']
     """
-    patterns = basis.patterns
+    patterns = MarkedBasis(basis).patterns
     if patterns:
         longest = max(len(p.perm) for p in patterns)
         if n_max < longest:
@@ -331,12 +332,12 @@ def prune_basis(basis: MarkedBasis, n_max: int) -> MarkedBasis:
                 f"pruning bound {n_max} is below the longest basis pattern ({longest})"
             )
 
-    masks = {mask for n in range(1, n_max + 1) for _, mask in containment_masks(n, patterns)}
+    masks = set().union(*(
+        block for n in range(1, n_max + 1) for block in _scan(_mask_block, n, "stack", 0, 1, patterns)
+    ))
     kept = (1 << len(patterns)) - 1
     for i in range(len(patterns)):
         q = 1 << i
         if all(mask & kept & ~q for mask in masks if mask & q):
             kept &= ~q
-    return MarkedBasis.from_patterns(
-        (p for i, p in enumerate(patterns) if kept >> i & 1), verified_upto=n_max
-    )
+    return MarkedBasis((p for i, p in enumerate(patterns) if kept >> i & 1), verified_upto=n_max)

@@ -1,10 +1,12 @@
-"""Shared helpers: exhaustive permutation streams and seeded random patterns."""
+"""Shared helpers: exhaustive permutation streams, closed-form counts and
+seeded random patterns."""
 from __future__ import annotations
 
+import math
 import random
 from itertools import permutations
 
-from permpat import Box, Permutation, barred, classical, decorated, marked, mesh
+from permpat import Box, InvalidInputError, Permutation, barred, classical, decorated, marked, mesh
 
 
 def all_perms(n):
@@ -34,6 +36,33 @@ def noninversions(values):
     """The non-inversions of a value sequence, as ordered value pairs (u, v)
     with u before v and u < v."""
     return {(u, v) for i, u in enumerate(values) for v in values[i + 1:] if u < v}
+
+
+def reference_count(class_id: str, n: int) -> int:
+    """Closed-form reference counts, exact for all ``n``:
+
+    * ``catalan``: the Catalan number C(2n, n) / (n + 1), the size of
+      Av_n(231) and the one-pass stack census.
+    * ``west2``: 2 (3n)! / ((n+1)! (2n+1)!), the two-pass stack census.
+
+    >>> [reference_count("west2", n) for n in range(1, 6)]
+    [1, 2, 6, 22, 91]
+    """
+    if n < 0:
+        raise InvalidInputError(f"length must be nonnegative, got {n}")
+    if class_id == "catalan":
+        return math.comb(2 * n, n) // (n + 1)
+    if class_id == "west2":
+        # the formula's combinatorial meaning starts at n = 1
+        if n < 1:
+            raise InvalidInputError(f"west2 counts are defined for n >= 1, got {n}")
+        num = 2 * math.factorial(3 * n)
+        den = math.factorial(n + 1) * math.factorial(2 * n + 1)
+        quotient, remainder = divmod(num, den)
+        if remainder:
+            raise ArithmeticError(f"west2 formula is not integral at n={n}")
+        return quotient
+    raise InvalidInputError(f"unknown counting formula {class_id!r}")
 
 
 def random_values(rng: random.Random, k: int) -> tuple[int, ...]:

@@ -6,7 +6,16 @@ import math
 import random
 from itertools import permutations
 
-from conftest import identity, inversions, noninversions, perms_through, random_boxes, random_pattern, random_values
+from conftest import (
+    identity,
+    inversions,
+    noninversions,
+    perms_through,
+    random_boxes,
+    random_pattern,
+    random_values,
+    reference_count,
+)
 
 from permpat import (
     Permutation,
@@ -27,7 +36,6 @@ from permpat import (
     parse_pattern,
     parse_pattern_list,
     preimage_av_set,
-    reference_count,
     render_grid,
     sort_power,
     stack_preimage_basis,

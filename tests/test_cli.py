@@ -149,6 +149,13 @@ class TestVerify:
                            "--basis", str(f), "--upto", "3")
         assert code == 2 and "--pattern" in err
 
+    @pytest.mark.parametrize("flag,value", [("--op", "bubble"), ("--op", "stack"), ("--passes", "1")])
+    def test_builtin_refuses_operator_and_pass_count(self, capsys, flag, value):
+        # A fixture basis is exact only for its own operator and pass count.
+        code, out, err = run(capsys, "verify", "--builtin", "west2", flag, value, "--upto", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and flag in err and "--pattern" in err
+
     def test_negative_pass_count_is_a_usage_error(self, capsys, tmp_path):
         f = tmp_path / "basis.txt"
         f.write_text("231\n")

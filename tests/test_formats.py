@@ -246,6 +246,19 @@ class TestParsePatternList:
         assert parse_pattern_list("") == []
         assert parse_pattern_list("# only a comment\n") == []
 
+    @pytest.mark.parametrize("text,position", [
+        ("  [1,,]", 5),
+        ("21\n  21 | paint: (0,0)", 10),
+        ("# head\r\n\n\t{\"kind\": \"classical\", \"perm\": [1,]}", 43),
+        ("\x0c [{\"kind\": \"classical\", \"perm\": [1]},]", 38),
+    ], ids=["json-array", "line", "json-line", "form-feed-before-array"])
+    def test_error_positions_index_the_text(self, text, position):
+        with pytest.raises(PatternSyntaxError) as info:
+            parse_pattern_list(text)
+        assert info.value.position == position
+        assert str(info.value).endswith(f"(at offset {position})")
+        assert text[position] in ",p]"
+
     def test_json_array_must_be_an_array(self):
         with pytest.raises(PatternSyntaxError):
             parse_pattern_list('[{"kind": "classical", "perm": [1]}')

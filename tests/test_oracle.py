@@ -6,7 +6,8 @@ from itertools import permutations
 from multiprocessing import get_context
 
 import pytest
-from conftest import identity
+from conftest import identity, reference_count
+from test_reference_matcher import reference_alphas
 
 from permpat import (
     REASON_BAD_IMAGE,
@@ -24,13 +25,11 @@ from permpat import (
     mesh,
     preimage_av_set,
     prune_basis,
-    reference_count,
     sort_power,
     verify_preimage,
 )
 from permpat import oracle
 from permpat.fixtures import FIXTURE_NAMES, FIXTURES
-from permpat.oracle import containment_masks
 from permpat.patterns import _search, canonical
 from permpat.permutation import operator_fn
 
@@ -168,23 +167,22 @@ class TestReferenceCounts:
             reference_count("west2", 0)
 
 
-class TestContainmentMasks:
-    def test_exact_containing_set(self):
-        got = [vals for vals, mask in containment_masks(3, [classical("21")]) if mask]
-        assert got == [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+class TestMaskBlock:
+    """The pruning worker: the distinct containment masks of one block."""
 
-    def test_complement_of_avoidance(self):
-        basis_pat = mesh("3241", [(1, 4)])
-        masks = list(containment_masks(5, [basis_pat]))
-        av = [p.values for p in av_set(5, (basis_pat,))]
-        assert [vals for vals, mask in masks if not mask] == av
-        assert len(masks) == 120
+    PATS = (classical("12"), classical("21"), classical("231"), mesh("3241", [(1, 4)]),
+            marked("21", marks=[({(1, 2)}, 1)]))
 
-    def test_one_bit_per_pattern(self):
-        pats = [classical("12"), classical("21"), classical("231")]
-        avoiders = [{p.values for p in av_set(4, (pat,))} for pat in pats]
-        for vals, mask in containment_masks(4, pats):
-            assert [bool(mask >> i & 1) for i in range(3)] == [vals not in av for av in avoiders]
+    @pytest.mark.parametrize("n", range(7))
+    def test_masks_of_s_n_are_those_of_the_definition(self, n):
+        want = {sum(1 << i for i, pat in enumerate(self.PATS) if reference_alphas(vals, pat))
+                for vals in permutations(range(1, n + 1))}
+        assert oracle._mask_block((n, None, "stack", 0, self.PATS)) == want
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_union_over_first_letter_blocks_is_the_one_block_set(self, n):
+        blocks = [oracle._mask_block((n, first, "stack", 0, self.PATS)) for first in range(1, n + 1)]
+        assert set().union(*blocks) == oracle._mask_block((n, None, "stack", 0, self.PATS))
 
 
 class TestBuiltinBases:

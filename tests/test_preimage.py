@@ -174,10 +174,28 @@ class TestShadeMarkResult:
         with pytest.raises(InvalidInputError):
             ShadeMarkResult(P((2, 1)), shades=(Box(1, 2),), marks=((Box(1, 2),),))
 
-    def test_marks_must_be_incomparable(self):
-        with pytest.raises(InvalidInputError):
-            ShadeMarkResult(P((2, 1)), shades=(),
-                            marks=((Box(1, 2),), (Box(1, 2), Box(1, 1))))
+    @pytest.mark.parametrize("marks", [
+        ((Box(1, 2),), (Box(1, 2), Box(1, 1))),
+        ((Box(1, 2),), (Box(1, 2),)),
+    ], ids=["nested", "equal"])
+    def test_marks_must_be_incomparable(self, marks):
+        with pytest.raises(InvalidInputError, match="nested"):
+            ShadeMarkResult(P((2, 1)), shades=(), marks=marks)
+
+    @pytest.mark.parametrize("shades,marks", [
+        ((Box(3, 0),), ()),
+        ((), ((Box(0, 3),),)),
+    ], ids=["shaded", "marked"])
+    def test_box_outside_the_grid_refused(self, shades, marks):
+        with pytest.raises(InvalidInputError, match="outside grid"):
+            ShadeMarkResult(P((2, 1)), shades=shades, marks=marks)
+
+    def test_parts_read_back_from_the_pattern(self):
+        res = ShadeMarkResult(P((2, 1)), shades=[(0, 2), (0, 1), (0, 2)],
+                              marks=[{(2, 0), (1, 2)}])
+        assert res.shades == (Box(0, 1), Box(0, 2))
+        assert res.marks == ((Box(1, 2), Box(2, 0)),)
+        assert res.to_pattern() == marked("21", shade=[(0, 1), (0, 2)], marks=[{(1, 2), (2, 0)}])
 
 
 class TestStackPreimageBasis:
@@ -207,6 +225,13 @@ class TestMarkedBasis:
         b = classical("123")
         basis = MarkedBasis.from_patterns([a, b, a])
         assert list(basis) == sorted({a, b}, key=lambda p: (p.perm.n, p.perm.values))
+
+    def test_constructor_normalizes(self):
+        a = marked("21", marks=[((Box(1, 2),), 1)])
+        b = classical("123")
+        basis = MarkedBasis((b, a, b))
+        assert basis.patterns == (a, b)
+        assert basis == MarkedBasis.from_patterns([a, b])
 
     def test_rejects_unorderable_kinds(self):
         with pytest.raises(InvalidInputError):
@@ -296,8 +321,7 @@ class TestExpansionWork:
             return sort_key(pat)
 
         monkeypatch.setattr(Pattern, "__post_init__", counting_post_init)
-        for module in (patterns, preimage):
-            monkeypatch.setattr(module, "pattern_sort_key", counting_sort_key)
+        monkeypatch.setattr(patterns, "pattern_sort_key", counting_sort_key)
         return counts
 
     def test_expand_marks_builds_each_expansion_once(self, counts):
@@ -318,7 +342,7 @@ class TestExpansionWork:
         for image in permutations("12345"):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["preimage", "".join(image), "--expand"]) == 0
-        assert counts == {"built": 3_710, "keyed": 4_535}
+        assert counts == {"built": 3_710, "keyed": 3_590}
 
 
 class TestExpansionKinds:
@@ -373,6 +397,12 @@ class TestPruneBasis:
     def test_irredundant_basis_unchanged(self):
         basis = stack_preimage_basis(P((2, 3, 1)))
         assert list(prune_basis(basis, 6)) == list(basis)
+
+    def test_every_length_counts(self):
+        # Only the length-1 permutation shows that 1 is not implied by 12
+        # and 21 together; once 1 is kept, it implies both.
+        pruned = prune_basis([classical("21"), classical("1"), classical("12")], 3)
+        assert list(pruned) == [classical("1")]
 
     def test_bound_below_longest_pattern_rejected(self):
         basis = MarkedBasis.from_patterns([classical("2341")])

@@ -1,6 +1,7 @@
-"""A standing mutation check for the search compiler and its occurrence
-records, box normalization, the oracle's scan, shading, mark expansion,
-basis pruning, the fixture table and the line-format parser.
+"""A standing mutation check for the search compiler, its lowering of
+barred patterns and decorations and its occurrence records, box
+normalization, the oracle's scan, shading and its result type, mark
+expansion, basis pruning, the fixture table and the pattern parsers.
 
 Each fault in ``MUTANTS`` is a one-line textual change to a file under
 ``src/``.  For each one in turn the script copies ``src/``, ``tests/`` and
@@ -81,6 +82,14 @@ MUTANTS = [
     Mutant("min_count 2 read as 1", PATTERNS, "if m.min_count == 1:", "if m.min_count <= 2:"),
     Mutant("min_count sum > for >=", PATTERNS,
            "for f in found)} >= {int(m.min_count)}", "for f in found)} > {int(m.min_count)}"),
+    # _lower: a barred pattern becomes its mesh pattern, and only a
+    # decoration avoiding the pattern 1 becomes shading.
+    Mutant("barred lowering skipped", PATTERNS, "pat = barred_to_mesh(pat)", "pass"),
+    Mutant("every length-1 decoration lowered", PATTERNS,
+           "if d.avoid == _POINT:", "if len(d.avoid.perm) == 1:"),
+    # corners: box (c, r) ends at the column of letter c + 1.
+    Mutant("box one column too wide", PATTERNS,
+           'right = col[c] if c < k else "n"', 'right = col[c + 1] if c + 1 < k else "n"'),
     # _placements: column ranges and value tests.
     Mutant("left neighbour's gap off by one", PATTERNS,
            'start = f"x{depth[tl]} + {t - tl}"', 'start = f"x{depth[tl]} + {t - tl + 1}"'),
@@ -89,6 +98,8 @@ MUTANTS = [
     Mutant("value test against the least letter below", PATTERNS,
            "chain = [max(below, key=letters.__getitem__)] if below else []",
            "chain = [min(below, key=letters.__getitem__)] if below else []"),
+    Mutant("no value test against the letter above", PATTERNS,
+           "chain.append(min(above, key=letters.__getitem__))", "pass"),
     # The occurrence record the "yield" leaf writes out.
     Mutant("beta in position order", PATTERNS,
            'beta = "".join(f"{val[r]}, " for r in range(1, k + 1))',
@@ -104,6 +115,8 @@ MUTANTS = [
     # as_boxes: a box is a pair.
     Mutant("box arity check dropped", PATTERNS,
            "c, r = box\n        except", "c, r = box[:2]\n        except"),
+    # _scan: a negative pass count is refused.
+    Mutant("pass-count check loosened", ORACLE, "if passes < 0:", "if passes < -1:"),
     # _image_test: one verdict per first-pass image.
     Mutant("one pass read as none", ORACLE, "if passes == 0:", "if passes <= 1:"),
     Mutant("one pass too many", ORACLE,
@@ -118,6 +131,9 @@ MUTANTS = [
            "REASON_BAD_IMAGE if in_av else REASON_CONTAINS_BASIS",
            "REASON_CONTAINS_BASIS if in_av else REASON_BAD_IMAGE"),
     Mutant("image count from the candidate side", ORACLE, "good_count += good", "good_count += in_av"),
+    # ShadeMarkResult: equal or nested mark regions are refused.
+    Mutant("nested-region check dropped", PREIMAGE,
+           "if set(a.region) <= set(b.region):", "if False:"),
     # _shade_and_mark_impl: column c is shaded from floor[c] up.
     Mutant("shade floor starts at n", PREIMAGE, "floor = [n + 1] * (n + 1)", "floor = [n] * (n + 1)"),
     # _insert and _expand: one witness per branch, counted once per mark.
@@ -131,6 +147,8 @@ MUTANTS = [
            "for b in region)", "for b in sorted(region)[:1])"),
     # prune_basis: a pattern goes only if patterns still kept imply it.
     Mutant("pruning ignores the kept bits", PREIMAGE, "mask & kept & ~q", "mask & ~q"),
+    Mutant("pruning keeps only the last length's masks", PREIMAGE,
+           "for n in range(1, n_max + 1)", "for n in (n_max,)"),
     # The fixture table: each basis is exact for its operator and passes.
     Mutant("a fixture's pass count off by one", FIXTURES,
            '"west2": ("stack", 2,', '"west2": ("stack", 3,'),
@@ -138,6 +156,9 @@ MUTANTS = [
     Mutant("box offset counted from the section start", FORMATS,
            'label + len("shade:"))', "offset)"),
     Mutant("trailing comma accepted", FORMATS, "if pos == len(s):", "if pos > len(s):"),
+    # parse_pattern_list: a line's error position counts from the text's start.
+    Mutant("line offset dropped from a list position", FORMATS,
+           "start + lead + exc.position", "lead + exc.position"),
 ]
 
 # Faults that cannot change any result, by name, with the reason.
