@@ -183,6 +183,21 @@ def detect_format(text: str) -> str:
     return "json" if text.lstrip().startswith("{") else "line"
 
 
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _element_start(array: str, index: int) -> int:
+    """The index in ``array``, the text of a valid JSON array, of the first
+    character of its element ``index``."""
+    decoder = json.JSONDecoder()
+    pos = _JSON_SPACE.match(array, 1).end()
+    for _ in range(index):
+        _, end = decoder.raw_decode(array, pos)
+        # Past the comma after the element, and the whitespace after that.
+        pos = _JSON_SPACE.match(array, _JSON_SPACE.match(array, end).end() + 1).end()
+    return pos
+
+
 def parse_pattern_list(text: str) -> list[Pattern]:
     """Parse several patterns: either a JSON array of pattern objects, or
     one pattern per line (line or JSON form, auto-detected), skipping blank
@@ -193,14 +208,20 @@ def parse_pattern_list(text: str) -> list[Pattern]:
     if body.startswith("["):
         # str.strip also drops whitespace that JSON refuses, such as a form
         # feed, so the stripped body is parsed and its offset added.
+        lead = len(text) - len(text.lstrip())
         try:
             items = json.loads(body)
         except json.JSONDecodeError as exc:
-            lead = len(text) - len(text.lstrip())
             raise PatternSyntaxError(f"invalid JSON: {exc.msg}", lead + exc.pos) from None
         if not isinstance(items, list):
             raise PatternSyntaxError("expected a JSON array of patterns")
-        return [_pattern_from_obj(item) for item in items]
+        out = []
+        for index, item in enumerate(items):
+            try:
+                out.append(_pattern_from_obj(item))
+            except PatternSyntaxError as exc:
+                raise PatternSyntaxError(exc.args[0], lead + _element_start(body, index)) from None
+        return out
     out = []
     start = 0  # the index in ``text`` of the line's first character
     for line in text.splitlines(keepends=True):

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from multiprocessing import get_all_start_methods, get_context
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidBoundError, InvalidInputError
@@ -127,10 +126,13 @@ def _census_block(args) -> int:
 def _run_blocks(worker, argslist: list, jobs: int) -> list:
     if jobs <= 1 or len(argslist) <= 1:
         return [worker(a) for a in argslist]
+    # Imported here, so that a process that never fans out does not load it.
+    import multiprocessing
+
     # Fork starts workers fastest; spawn works everywhere, because the
     # workers are module-level functions and their arguments pickle.
-    method = "fork" if "fork" in get_all_start_methods() else "spawn"
-    with get_context(method).Pool(min(jobs, len(argslist))) as pool:
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    with multiprocessing.get_context(method).Pool(min(jobs, len(argslist))) as pool:
         return pool.map(worker, argslist)
 
 

@@ -32,19 +32,29 @@ decorations that avoid a pattern longer than 1, and the tuple's letters
 become one function of nested loops over the host's values, shared among
 the patterns like a trie.  Shaded boxes and marks are merged into
 rectangles, and each rectangle's points are one filtered slice of the
-host's values.  A single pattern is the tuple of one.  The search that
-lists occurrences yields each one's whole record, (alpha, beta, omega),
-written out from its loop variables, and :func:`occurrences` turns the
-records into :class:`Occurrence` objects without running Python code per
-record.
+host's values.  A single pattern is the tuple of one.  The first-hit and
+mask searches test a marked pattern with at most ``_MAX_EXPANSIONS``
+expansions as those expansions, one trie path each: a host contains a
+marked pattern exactly when it contains one of its expansions, and each
+expansion is searched by letters and shading alone.  The search that
+lists occurrences keeps every mark test, because an expansion's
+occurrences have an extra letter; it yields each occurrence's whole
+record, (alpha, beta, omega), written out from its loop variables, and
+:func:`occurrences` turns the records into :class:`Occurrence` objects
+without running Python code per record.
+
+Expansion itself runs here on plain ``(values, shade, marks)`` triples
+(:func:`_insert`, :func:`_expansions`, :func:`_expand`), shared with
+``preimage.insert_point`` and ``preimage.expand_basis``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import InvalidInputError, UnsupportedPatternError
 from .permutation import Permutation, Values, _standardize
@@ -283,6 +293,64 @@ def canonical(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
     return tuple(sorted(set(patterns), key=pattern_sort_key))
 
 
+def _plainest(perm: Permutation, shade: Iterable[Box], marks: Sequence[Mark] = ()) -> Pattern:
+    """The pattern of the plainest kind that carries ``shade`` and ``marks``:
+    marked if there are marks, else mesh if there is shading, else classical."""
+    if marks:
+        return marked(perm, shade, marks)
+    if shade:
+        return mesh(perm, shade)
+    return classical(perm)
+
+
+def _plain(pat: Pattern, action: str) -> tuple:
+    """``pat`` as the plain ``(values, shade, marks)`` triple of :func:`_insert`."""
+    if pat.kind not in ("classical", "mesh", "marked"):
+        raise UnsupportedPatternError(f"cannot {action} a {pat.kind} pattern")
+    return pat.perm.values, frozenset(pat.shade), tuple((frozenset(m.region), m.min_count) for m in pat.marks)
+
+
+def _insert(values: Values, shade: frozenset, marks: tuple, box: tuple[int, int]) -> tuple:
+    """Insert a point into ``box`` of a plain pattern, whose marks are
+    ``(region, min_count)`` pairs, and return the grown plain pattern: the
+    point takes column ``col + 1`` and value ``row + 1``, boxes on its
+    column or row split in two, and it counts once towards every mark whose
+    region holds the box; a mark whose count reaches 0 goes."""
+    col, row = box
+
+    def split(boxes) -> frozenset:
+        return frozenset([(c2, r2) for c, r in boxes
+                          for c2 in ((c, c + 1) if c == col else (c if c < col else c + 1,))
+                          for r2 in ((r, r + 1) if r == row else (r if r < row else r + 1,))])
+
+    shifted = tuple(v + 1 if v > row else v for v in values)
+    grown = []
+    for region, count in marks:
+        count -= box in region
+        if count:
+            grown.append((split(region), count))
+    return shifted[:col] + (row + 1,) + shifted[col:], split(shade), tuple(grown)
+
+
+def _expansions(pat: Pattern) -> Iterator[tuple[Values, frozenset]]:
+    """The plain ``(values, shade)`` pair of every finished expansion of
+    ``pat``, depth first and with repeats: while marks are left, branch on
+    every box of the least mark in :meth:`Mark.sort_key` order."""
+    todo = [_plain(pat, "expand")]
+    while todo:
+        values, shade, marks = todo.pop()
+        if not marks:
+            yield values, shade
+            continue
+        region = min(marks, key=lambda m: (sorted(m[0]), m[1]))[0]
+        todo.extend(_insert(values, shade, marks, b) for b in region)
+
+
+def _expand(pat: Pattern) -> set[Pattern]:
+    """The distinct expansions of ``pat``, each built as a pattern once."""
+    return {_plainest(Permutation(values), shade) for values, shade in set(_expansions(pat))}
+
+
 class Occurrence(NamedTuple):
     """An occurrence: ``alpha`` are the 1-based chosen positions, ``beta``
     the chosen values in increasing order, and ``omega`` the chosen points
@@ -335,10 +403,10 @@ _POINT = Pattern("classical", Permutation((1,)))
 _MAX_LOOPS = 20
 
 class _Node:
-    """A trie node of a compiled search: the patterns whose letters are all
-    placed here, the loops that place the next letter, keyed on
-    (depth, column range) and then on the value test, and the bits of
-    every pattern below."""
+    """A trie node of a compiled search: the leaves of the paths whose
+    letters are all placed here, the loops that place the next letter,
+    keyed on (depth, column range) and then on the value test, and the
+    bits of every pattern with a path below."""
 
     __slots__ = ("leaves", "loops", "bits")
 
@@ -426,6 +494,27 @@ def _rectangles(region: Region, letters: Values) -> list[list[Box]]:
     return rects
 
 
+# The first-hit and mask searches test a marked pattern with at most this
+# many expansions as those expansions.  Over every host of length up to 8,
+# summed over the 29 fixture and derived length-4 bases that have marks,
+# the bound 3 took 0.56 of the time of the mark tests, 2 took 0.61 and 1
+# took 0.64.  No bound took 0.52 but only 0.93 on bubble1243, whose 1243
+# has a mark of four boxes in one band: one slice tests it, where its
+# four expansions cost a loop each.
+_MAX_EXPANSIONS = 3
+
+
+def _witnesses(pat: Pattern) -> list[tuple[Values, Region]] | None:
+    """The distinct expansions of marked ``pat`` as sorted ``(letters,
+    shade)`` pairs, or None if there are more than ``_MAX_EXPANSIONS``."""
+    found: set[tuple[Values, Region]] = set()
+    for values, shade in _expansions(pat):
+        found.add((values, as_boxes(shade)))
+        if len(found) > _MAX_EXPANSIONS:
+            return None
+    return sorted(found)
+
+
 @functools.lru_cache(maxsize=4096)
 def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     """The search for a tuple of patterns, reusable across hosts.
@@ -447,7 +536,13 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     decorations that are left (:func:`_lower`).  A barred pattern becomes
     its mesh pattern (:func:`barred_to_mesh`): an occurrence of the unbarred
     part extends exactly when the box the barred letter vacated holds a
-    point.
+    point.  With ``"first"`` and ``"mask"``, a marked pattern with at most
+    ``_MAX_EXPANSIONS`` distinct expansions (:func:`_witnesses`) is instead
+    lowered to those expansions, each one path through the trie whose leaf
+    returns True or sets the bit of the pattern it came from; a host
+    contains the pattern exactly when it contains one of them.  A pattern
+    with more expansions, and every pattern under ``"yield"``, keeps its
+    mark tests.
 
     The letters are placed by nested ``for`` loops, one per letter: the
     maximum first, then the minimum, then the rest right to left.  A
@@ -481,8 +576,16 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     full = (1 << len(patterns)) - 1
     root = _Node()
     leaf_tests: list[tuple[str, list[str]]] = []
+    # Each path runs from the root of the trie to one leaf, and carries the
+    # index of the pattern whose bit its leaf sets.
+    paths: list[tuple[int, Values, Region, tuple[Mark, ...], list[Decoration]]] = []
     for i, pat in enumerate(patterns):
-        letters, shade, marks, decors = _lower(pat)
+        witnesses = _witnesses(pat) if action != "yield" and pat.marks else None
+        if witnesses is None:
+            paths.append((i, *_lower(pat)))
+        else:
+            paths.extend((i, values, shade, (), []) for values, shade in witnesses)
+    for i, letters, shade, marks, decors in paths:
         k = len(letters)
         node = root
         col: dict[int, str] = {}
@@ -491,7 +594,7 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
             node = node.loops.setdefault((d, cols), {}).setdefault(test, _Node())
             node.bits |= 1 << i
             col[t], val[letters[t]] = f"x{d}", f"v{d}"
-        node.leaves.append(i)
+        node.leaves.append(len(leaf_tests))
 
         def corners(box: Box) -> tuple[str, str, str, str]:
             # Box (i, j) holds the host points strictly between the
@@ -557,16 +660,17 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     helpers: list[list[str]] = []
 
     def node_lines(node: _Node, ind: str, bits: int, loops: int, out: list[str]) -> None:
-        for i in node.leaves:
-            cond, hit = leaf_tests[i]
+        for leaf in node.leaves:
+            cond, hit = leaf_tests[leaf]
             if cond:
                 out.append(f"{ind}if {cond}:")
                 out.extend(f"{ind}    {line}" for line in hit)
             else:
                 out.extend(f"{ind}{line}" for line in hit)
         for (d, cols), branches in node.loops.items():
-            # Each pattern lies below one branch, so the branches' bits are disjoint.
-            inner = sum(child.bits for child in branches.values())
+            # The expansions of one pattern may lie below several branches,
+            # so their bits are joined, not summed.
+            inner = functools.reduce(operator.or_, (child.bits for child in branches.values()))
             if action == "mask" and inner != bits:
                 out.append(f"{ind}if mask & {inner} != {inner}:")
                 loop_ind = ind + "    "

@@ -17,7 +17,10 @@ The pipeline has three stages:
 ``expand_basis`` trades marks for more patterns by inserting an explicit
 witness point into each box of a marked region.  It branches on plain
 ``(values, shade, marks)`` triples and builds one validated pattern per
-distinct finished expansion.  ``prune_basis`` drops basis elements that are
+distinct finished expansion.  The expansion helpers (``_plain``,
+``_insert``, ``_expand``, ``_plainest``) live in ``patterns``, whose
+compiled search also tests small marks through their expansions; this
+module imports them.  ``prune_basis`` drops basis elements that are
 implied by the rest, verified exhaustively up to a bound by the oracle's
 one enumeration, ``oracle._scan``.
 """
@@ -27,22 +30,22 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     InvalidBoundError,
     InvalidInputError,
     InvalidInsertionError,
-    UnsupportedPatternError,
 )
 from .patterns import (
     Box,
     Mark,
     Pattern,
+    _expand,
+    _insert,
+    _plain,
+    _plainest,
     canonical,
-    classical,
-    marked,
-    mesh,
 )
 from .oracle import _mask_block, _scan
 from .permutation import Permutation, Values, _standardize, _value_pairs, as_word
@@ -106,16 +109,6 @@ class ShadeMarkResult:
 
     def to_pattern(self) -> Pattern:
         return self._pattern
-
-
-def _plainest(perm: Permutation, shade: Iterable[Box], marks: Sequence[Mark] = ()) -> Pattern:
-    """The pattern of the plainest kind that carries ``shade`` and ``marks``:
-    marked if there are marks, else mesh if there is shading, else classical."""
-    if marks:
-        return marked(perm, shade, marks)
-    if shade:
-        return mesh(perm, shade)
-    return classical(perm)
 
 
 def _shade_and_mark_impl(
@@ -227,35 +220,6 @@ def stack_preimage_basis(image: Permutation) -> MarkedBasis:
     return MarkedBasis.from_patterns(pats)
 
 
-def _plain(pat: Pattern, action: str) -> tuple:
-    """``pat`` as the plain ``(values, shade, marks)`` triple of :func:`_insert`."""
-    if pat.kind not in ("classical", "mesh", "marked"):
-        raise UnsupportedPatternError(f"cannot {action} a {pat.kind} pattern")
-    return pat.perm.values, frozenset(pat.shade), tuple((frozenset(m.region), m.min_count) for m in pat.marks)
-
-
-def _insert(values: Values, shade: frozenset, marks: tuple, box: tuple[int, int]) -> tuple:
-    """Insert a point into ``box`` of a plain pattern, whose marks are
-    ``(region, min_count)`` pairs, and return the grown plain pattern: the
-    point takes column ``col + 1`` and value ``row + 1``, boxes on its
-    column or row split in two, and it counts once towards every mark whose
-    region holds the box; a mark whose count reaches 0 goes."""
-    col, row = box
-
-    def split(boxes) -> frozenset:
-        return frozenset([(c2, r2) for c, r in boxes
-                          for c2 in ((c, c + 1) if c == col else (c if c < col else c + 1,))
-                          for r2 in ((r, r + 1) if r == row else (r if r < row else r + 1,))])
-
-    shifted = tuple(v + 1 if v > row else v for v in values)
-    grown = []
-    for region, count in marks:
-        count -= box in region
-        if count:
-            grown.append((split(region), count))
-    return shifted[:col] + (row + 1,) + shifted[col:], split(shade), tuple(grown)
-
-
 def insert_point(pat: Pattern, box: Box | tuple[int, int]) -> Pattern:
     """Insert an explicit point into a box: the new pattern has one more
     letter, at column ``box.col + 1`` and value ``box.row + 1``.  Shaded
@@ -265,6 +229,7 @@ def insert_point(pat: Pattern, box: Box | tuple[int, int]) -> Pattern:
     that count reaches 0.  Any other mark keeps its count.  The insertion
     itself runs on plain data, in the helper that expansion shares.
 
+    >>> from .patterns import marked
     >>> p = insert_point(marked("2341", marks=[{(3, 4)}]), (3, 4))
     >>> p.kind, str(p.perm)
     ('classical', '23451')
@@ -280,21 +245,6 @@ def insert_point(pat: Pattern, box: Box | tuple[int, int]) -> Pattern:
     return _plainest(Permutation(values), shade, [Mark(region, count) for region, count in marks])
 
 
-def _expand(pat: Pattern) -> set[Pattern]:
-    """The distinct expansions of ``pat``, each built as a pattern once,
-    branching on every box of the least mark in :meth:`Mark.sort_key` order."""
-    done: set[tuple[Values, frozenset]] = set()
-    todo = [_plain(pat, "expand")]
-    while todo:
-        values, shade, marks = todo.pop()
-        if not marks:
-            done.add((values, shade))
-            continue
-        region = min(marks, key=lambda m: (sorted(m[0]), m[1]))[0]
-        todo.extend(_insert(values, shade, marks, b) for b in region)
-    return {_plainest(Permutation(values), shade) for values, shade in done}
-
-
 def expand_basis(basis: MarkedBasis | Iterable[Pattern]) -> tuple[Pattern, ...]:
     """Replace each marked pattern of a basis by the equivalent set of mesh
     patterns and return the deduplicated union, sorted once: while marks
@@ -304,6 +254,7 @@ def expand_basis(basis: MarkedBasis | Iterable[Pattern]) -> tuple[Pattern, ...]:
     builds each distinct finished pattern once.  Containment in a marked
     pattern equals containment in some expansion.
 
+    >>> from .patterns import marked
     >>> [str(p.perm) for p in expand_basis([marked("21", marks=[{(1, 2)}])])]
     ['231']
     """
@@ -321,6 +272,7 @@ def prune_basis(basis: MarkedBasis | Iterable[Pattern], n_max: int) -> MarkedBas
     bit of another pattern still kept: every permutation containing q then
     contains one of them, so the avoidance sets do not change.
 
+    >>> from .patterns import classical
     >>> [str(p.perm) for p in prune_basis([classical("2341"), classical("23451")], 5)]
     ['2341']
     """

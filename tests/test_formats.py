@@ -259,6 +259,16 @@ class TestParsePatternList:
         assert str(info.value).endswith(f"(at offset {position})")
         assert text[position] in ",p]"
 
+    @pytest.mark.parametrize("text,position,first", [
+        ('  [{"kind":"classical","perm":[1]}, {"kind": "classical"}]', 36, "{"),
+        ('[{"kind":"classical","perm":[1]},\n 5]', 35, "5"),
+    ], ids=["missing-key", "not-an-object"])
+    def test_error_in_an_array_element_points_at_the_element(self, text, position, first):
+        with pytest.raises(PatternSyntaxError) as info:
+            parse_pattern_list(text)
+        assert info.value.position == position
+        assert text[position] == first
+
     def test_json_array_must_be_an_array(self):
         with pytest.raises(PatternSyntaxError):
             parse_pattern_list('[{"kind": "classical", "perm": [1]}')

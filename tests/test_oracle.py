@@ -1,9 +1,14 @@
 """Exhaustive avoidance sets, censuses, verification reports, fixtures."""
 from __future__ import annotations
 
+import multiprocessing
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import permutations
 from multiprocessing import get_context
+from pathlib import Path
 
 import pytest
 from conftest import identity, reference_count
@@ -242,10 +247,20 @@ class TestJobsDeterminism:
             methods.append(method)
             return get_context(method)
 
-        monkeypatch.setattr(oracle, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(oracle, "get_context", recording_context)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", recording_context)
         assert census("stack", 2, 6, jobs=2) == census("stack", 2, 6, jobs=1)
         assert methods == ["spawn"]
+
+    def test_multiprocessing_loads_only_to_fan_out(self):
+        # A fresh interpreter: this one has loaded it for the tests above.
+        import permpat
+
+        src = str(Path(permpat.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, permpat, permpat.cli; print('multiprocessing' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n"
 
     # Each case's least counterexample lies outside the block of first
     # letter 1, so the merge over blocks must pick the right one.  In the

@@ -29,7 +29,7 @@ from permpat import (
     stack_preimage_basis,
 )
 from permpat.fixtures import FIXTURE_NAMES
-from permpat.patterns import _search, canonical
+from permpat.patterns import _search, _witnesses, canonical
 
 P = Permutation
 PI = P((5, 2, 6, 4, 1, 3))
@@ -338,14 +338,57 @@ class TestCompiledSearch:
             assert "prefix" not in _search(HEADLINE_BASES[name], action).source
 
     @pytest.mark.parametrize("name, slices", [
-        ("bubble1243", 7), ("west2", 1), ("stack_len3_321", 2), ("west3", 29), ("23451", 22),
+        ("bubble1243", 5), ("west2", 1), ("stack_len3_321", 0), ("west3", 29), ("23451", 22),
     ])
     def test_column_slices_of_the_headline_bases(self, name, slices):
         # An exact work counter: one slice per rectangle of merged boxes,
         # and per column of a decoration's region.  bubble1243's 20 shaded
-        # and marked boxes take 7.
+        # and marked boxes take 7 as marks; with three of its patterns
+        # searched as their expansions, 5.  stack_len3_321's one pattern
+        # becomes three unshaded ones.
         for action in ("first", "mask"):
             assert slice_count(_search(HEADLINE_BASES[name], action)) == slices
+
+    @pytest.mark.parametrize("name, marked_patterns, lowered", [
+        ("bubble1243", 4, 3), ("stack_len3_132", 2, 2), ("stack_len3_213", 2, 2),
+        ("stack_len3_231", 2, 2), ("stack_len3_312", 2, 2), ("stack_len3_321", 1, 1),
+        ("stack_len3_123", 0, 0), ("west2", 0, 0), ("west3", 0, 0),
+    ])
+    def test_marks_with_few_expansions_are_lowered(self, name, marked_patterns, lowered):
+        # An exact count of the fixture patterns whose first-hit and mask
+        # searches test their expansions instead of their marks: those
+        # with at most 3.  bubble1243's 1243 has 4, one per box of its
+        # mark's band.
+        basis = builtin_basis(name)
+        assert sum(1 for p in basis if p.marks) == marked_patterns
+        assert sum(1 for p in basis if p.marks and _witnesses(p) is not None) == lowered
+        for p in basis:
+            if p.marks:
+                assert (_witnesses(p) is not None) == (len(expand_basis([p])) <= 3)
+
+    def test_counts_above_the_bound_keep_their_marks(self):
+        # Three points in one box make its 3! orders: 6 expansions.
+        pat = marked("21", shade=[(0, 0)], marks=[({(1, 1)}, 3)])
+        assert len(expand_basis([pat])) == 6
+        assert _witnesses(pat) is None
+        for action in ("first", "mask"):
+            source = _search((pat,), action).source
+            assert loop_count(_search((pat,), action)) == 2
+            assert "len([w for w in values[" in source and ">= 3" in source
+        two = marked("21", shade=[(0, 0)], marks=[({(1, 1)}, 2)])
+        # Two points in the box between 2 and 1, in either order.
+        assert _witnesses(two) == [((4, 2, 3, 1), (Box(0, 0),)), ((4, 3, 2, 1), (Box(0, 0),))]
+
+    def test_yield_keeps_the_mark_test(self):
+        # The occurrences of a marked pattern are not those of its
+        # expansions, which have one more letter.
+        pat = builtin_basis("bubble1243")[1]
+        assert str(pat.perm) == "1423" and _witnesses(pat) is not None
+        listed = _search((pat,), "yield")
+        assert loop_count(listed) == 4
+        assert " and ([w for w in values[x3 + 1:x2] if w > v0]):" in listed.source
+        assert loop_count(_search((pat,), "first")) == 5
+        assert "([w" not in _search((pat,), "first").source
 
     @pytest.mark.parametrize("name", HEADLINE_BASES)
     def test_no_break_on_the_full_mask(self, name):

@@ -6,6 +6,7 @@ lowering of one pattern kind to another.
 """
 from __future__ import annotations
 
+import functools
 from itertools import combinations, permutations
 
 import pytest
@@ -37,21 +38,51 @@ def standardize(word):
 
 def reference_alphas(values, pat):
     """1-based column tuples of every occurrence of ``pat`` in ``values``."""
+    return list(reference_occurrences(values, pat))
+
+
+def reference_contains(values, pat):
+    """Whether ``values`` contains ``pat``, from its first occurrence."""
+    return next(reference_occurrences(values, pat), None) is not None
+
+
+@functools.lru_cache(maxsize=64)
+def positions_by_pattern(values, k):
+    """Every set of k host positions, 1-based, in lexicographic order and
+    grouped by the pattern its values form; kept for the last few hosts,
+    so checking many patterns host by host standardizes each set once."""
+    groups = {}
+    for cols in combinations(range(1, len(values) + 1), k):
+        groups.setdefault(standardize([values[c - 1] for c in cols]), []).append(cols)
+    return groups
+
+
+@functools.lru_cache(maxsize=256)
+def boxes_off(values, cols):
+    """The value and box of each host point off the chosen positions
+    ``cols``, in host order.  Box (i, j) holds the points strictly between
+    the chosen columns i and i+1 and the chosen values j and j+1 (with 0
+    and n+1 as borders), so a point lies in box (i, j) when i chosen
+    columns lie left of it and j chosen values below it."""
+    picked = [values[c - 1] for c in cols]
+    return tuple((v, (sum(c < x for c in cols), sum(u < v for u in picked)))
+                 for x, v in enumerate(values, 1) if x not in cols)
+
+
+def reference_occurrences(values, pat):
+    """The 1-based column tuple of each occurrence of ``pat`` in ``values``,
+    in lexicographic order."""
     n, full = len(values), pat.perm.values
     bar = pat.barred_positions[0] if pat.kind == "barred" else None
     letters = standardize(full[: bar - 1] + full[bar:]) if bar else full
-    found = []
-    for cols in combinations(range(1, n + 1), len(letters)):
-        picked = [values[c - 1] for c in cols]
-        if standardize(picked) != letters:
-            continue
-        a, r = (0, *cols, n + 1), (0, *sorted(picked), n + 1)
+    values = tuple(values)
+    for cols in positions_by_pattern(values, len(letters)).get(letters, ()):
+        boxes = boxes_off(values, cols)
 
         def inside(region):
-            return [v for x, v in enumerate(values, 1)
-                    if any(a[i] < x < a[i + 1] and r[j] < v < r[j + 1] for i, j in region)]
+            return [v for v, box in boxes if box in region]
 
-        if any(inside([box]) for box in pat.shade):
+        if any(box in pat.shade for _, box in boxes):
             continue
         if any(len(inside(m.region)) < m.min_count for m in pat.marks):
             continue
@@ -63,8 +94,7 @@ def reference_alphas(values, pat):
             for x in range(1, n + 1) if x not in cols
         ):
             continue
-        found.append(cols)
-    return found
+        yield cols
 
 
 EVERY_BOX_OF_1 = [(c, r) for c in range(2) for r in range(2)]
@@ -164,11 +194,23 @@ def assert_basis_search_matches_reference(basis, hosts):
     """The compiled basis search against per-pattern reference containment:
     the mask has bit i exactly when the host contains ``basis[i]``, and the
     first-hit search answers whether the mask is nonzero."""
-    mask_search, first_search = _search(basis, "mask"), _search(basis, "first")
+    assert_bases_search_match_reference([basis], hosts)
+
+
+def assert_bases_search_match_reference(bases, hosts):
+    """:func:`assert_basis_search_matches_reference` for several bases,
+    host by host, so the reference groups each host's positions once and
+    decides each distinct pattern once."""
+    patterns = canonical(pat for basis in bases for pat in basis)
+    slot = {pat: j for j, pat in enumerate(patterns)}
+    searches = [([slot[pat] for pat in basis], basis, _search(basis, "mask"), _search(basis, "first"))
+                for basis in bases]
     for pi in hosts:
-        want = sum(1 << i for i, pat in enumerate(basis) if reference_alphas(pi.values, pat))
-        assert mask_search(pi.values) == want, pi
-        assert first_search(pi.values) == bool(want), pi
+        contained = [reference_contains(pi.values, pat) for pat in patterns]
+        for slots, basis, mask_search, first_search in searches:
+            want = sum(1 << i for i, j in enumerate(slots) if contained[j])
+            assert mask_search(pi.values) == want, (pi, basis)
+            assert first_search(pi.values) == bool(want), (pi, basis)
 
 
 def test_every_pattern_as_one_basis_matches_reference_through_length_6():
@@ -186,6 +228,33 @@ def test_fixture_basis_search_matches_reference(name):
 
 @pytest.mark.parametrize("k", range(5))
 def test_expanded_preimage_bases_match_reference_through_length_6(k):
-    hosts = hosts_through(6)
-    for image in permutations(range(1, k + 1)):
-        assert_basis_search_matches_reference(expand_basis(stack_preimage_basis(Permutation(image))), hosts)
+    bases = [expand_basis(stack_preimage_basis(Permutation(image))) for image in permutations(range(1, k + 1))]
+    assert_bases_search_match_reference(bases, hosts_through(6))
+
+
+def test_derived_bases_match_reference_through_length_7():
+    # The first-hit and mask searches test some marks through their
+    # expansions, and one pattern's expansions may share loops with
+    # another pattern's.
+    bases = [stack_preimage_basis(Permutation(image)).patterns
+             for k in range(5) for image in permutations(range(1, k + 1))]
+    assert len(bases) == 34
+    assert_bases_search_match_reference(bases, hosts_through(7))
+
+
+# Marks needing 2 or 3 points; the first four have at most 3 expansions.
+COUNTED_MARKS = [
+    marked("1", marks=[({(0, 0)}, 2)]),
+    marked("1", marks=[({(0, 0), (1, 1)}, 2)]),
+    marked("21", shade=[(0, 2)], marks=[({(1, 1)}, 2)]),
+    marked("231", marks=[({(3, 0)}, 2), {(1, 3)}]),
+    marked("132", marks=[({(1, 2), (1, 3)}, 2)]),
+    marked("21", marks=[({(0, 0)}, 3)]),
+    marked("21", shade=[(0, 0)], marks=[({(1, 1)}, 3)]),
+    marked("12", marks=[({(0, 0), (2, 2)}, 3)]),
+]
+
+
+def test_counted_marks_match_reference_through_length_7():
+    bases = [(pat,) for pat in COUNTED_MARKS] + [canonical(COUNTED_MARKS)]
+    assert_bases_search_match_reference(bases, hosts_through(7))

@@ -1,5 +1,5 @@
 """A standing mutation check for the search compiler, its lowering of
-barred patterns and decorations and its occurrence records, box
+barred patterns, decorations and marks and its occurrence records, box
 normalization, the oracle's scan, shading and its result type, mark
 expansion, basis pruning, the fixture table and the pattern parsers.
 
@@ -136,15 +136,28 @@ MUTANTS = [
            "if set(a.region) <= set(b.region):", "if False:"),
     # _shade_and_mark_impl: column c is shaded from floor[c] up.
     Mutant("shade floor starts at n", PREIMAGE, "floor = [n + 1] * (n + 1)", "floor = [n] * (n + 1)"),
-    # _insert and _expand: one witness per branch, counted once per mark.
-    Mutant("witness deletes the mark whatever its count", PREIMAGE,
+    # _insert and _expansions: one witness per branch, counted once per mark.
+    Mutant("witness deletes the mark whatever its count", PATTERNS,
            "count -= box in region", "count = 0 if box in region else count"),
-    Mutant("box's column not split", PREIMAGE,
+    Mutant("box's column not split", PATTERNS,
            "for c2 in ((c, c + 1) if c == col", "for c2 in ((c,) if c == col"),
-    Mutant("finished expansion keeps its parent's shade", PREIMAGE,
+    Mutant("finished expansion keeps its parent's shade", PATTERNS,
            "split(shade), tuple(grown)", "shade, tuple(grown)"),
-    Mutant("expansion branches on the first box only", PREIMAGE,
+    Mutant("expansion branches on the first box only", PATTERNS,
            "for b in region)", "for b in sorted(region)[:1])"),
+    # _search: first-hit and mask searches test a mark with few expansions
+    # through them, each leaf setting its own pattern's bit.
+    Mutant("marks lowered when listing occurrences", PATTERNS,
+           'if action != "yield" and pat.marks else None', "if pat.marks else None"),
+    Mutant("an expansion's leaf sets bit 0", PATTERNS,
+           "(i, values, shade, (), [])", "(0, values, shade, (), [])"),
+    Mutant("one expansion dropped", PATTERNS,
+           "for values, shade in witnesses)", "for values, shade in witnesses[1:])"),
+    Mutant("expansion bound one lower", PATTERNS,
+           "if len(found) > _MAX_EXPANSIONS:", "if len(found) >= _MAX_EXPANSIONS:"),
+    Mutant("branch bits summed, not joined", PATTERNS,
+           "functools.reduce(operator.or_, (child.bits for child in branches.values()))",
+           "sum(child.bits for child in branches.values())"),
     # prune_basis: a pattern goes only if patterns still kept imply it.
     Mutant("pruning ignores the kept bits", PREIMAGE, "mask & kept & ~q", "mask & ~q"),
     Mutant("pruning keeps only the last length's masks", PREIMAGE,
@@ -159,6 +172,9 @@ MUTANTS = [
     # parse_pattern_list: a line's error position counts from the text's start.
     Mutant("line offset dropped from a list position", FORMATS,
            "start + lead + exc.position", "lead + exc.position"),
+    # parse_pattern_list: an array element's error points at the element.
+    Mutant("element offset dropped from an array position", FORMATS,
+           "lead + _element_start(body, index)", "lead"),
 ]
 
 # Faults that cannot change any result, by name, with the reason.
