@@ -128,7 +128,8 @@ def _parse_inline(spec: str):
 
 def _patterns_from_file(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, as some editors write one.
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path} is not UTF-8 text: {exc}") from None
     return parse_pattern_list(text)

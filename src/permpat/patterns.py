@@ -27,31 +27,27 @@ permutation.  Box (i, j) then instantiates to the rectangle
 with alpha(0) = beta(0) = 0 and alpha(k+1) = beta(k+1) = n+1.
 
 One search is compiled and cached per tuple of patterns and per action
-(``_search``): every kind is lowered to letters, shaded boxes, marks and
-decorations that avoid a pattern longer than 1, and the tuple's letters
-become one function of nested loops over the host's values, shared among
-the patterns like a trie.  Shaded boxes and marks are merged into
-rectangles, and each rectangle's points are one filtered slice of the
-host's values.  A single pattern is the tuple of one.  The first-hit and
-mask searches test a marked pattern with at most ``_MAX_EXPANSIONS``
-expansions as those expansions, one trie path each: a host contains a
-marked pattern exactly when it contains one of its expansions, and each
-expansion is searched by letters and shading alone.  The search that
-lists occurrences keeps every mark test, because an expansion's
-occurrences have an extra letter; it yields each occurrence's whole
-record, (alpha, beta, omega), written out from its loop variables, and
-:func:`occurrences` turns the records into :class:`Occurrence` objects
-without running Python code per record.
+(``_search``), in two steps.  Lowering (:func:`_lower`) turns each pattern
+into trie paths of letters, shaded boxes, marks and decorations.  Emission
+writes the paths of the tuple as one function of nested loops over the
+host's values, shared among the patterns like a trie, whose leaves test
+each path's boxes by filtered slices of the host's values.  A single
+pattern is the tuple of one.  The search that lists occurrences yields
+each occurrence's whole record, (alpha, beta, omega), written out from its
+loop variables, and :func:`occurrences` turns the records into
+:class:`Occurrence` objects without running Python code per record.
 
 Expansion itself runs here on plain ``(values, shade, marks)`` triples
 (:func:`_insert`, :func:`_expansions`, :func:`_expand`), shared with
-``preimage.insert_point`` and ``preimage.expand_basis``.
+``preimage.insert_point`` and ``preimage.expand_basis``; lowering reads
+it for small marks.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
@@ -403,32 +399,17 @@ _POINT = Pattern("classical", Permutation((1,)))
 _MAX_LOOPS = 20
 
 class _Node:
-    """A trie node of a compiled search: the leaves of the paths whose
-    letters are all placed here, the loops that place the next letter,
-    keyed on (depth, column range) and then on the value test, and the
-    bits of every pattern with a path below."""
+    """A trie node of a compiled search: the ``(condition, hit)`` pair of
+    each path whose letters are all placed here, the loops that place the
+    next letter, keyed on (depth, column range) and then on the value test,
+    and the bits of every pattern with a path below."""
 
     __slots__ = ("leaves", "loops", "bits")
 
-    def __init__(self) -> None:
-        self.leaves: list[int] = []
+    def __init__(self, bits: int = 0) -> None:
+        self.leaves: list[tuple[str, list[str]]] = []
         self.loops: dict[tuple[int, str], dict[str, _Node]] = {}
-        self.bits = 0
-
-
-def _lower(pat: Pattern) -> tuple[Values, Region, tuple[Mark, ...], list[Decoration]]:
-    # A barred pattern becomes its mesh pattern, and a decoration whose
-    # region must avoid the pattern 1 becomes shaded boxes.
-    if pat.kind == "barred":
-        pat = barred_to_mesh(pat)
-    shade = set(pat.shade)
-    decors = []
-    for d in pat.decorations:
-        if d.avoid == _POINT:
-            shade.update(d.region)
-        else:
-            decors.append(d)
-    return pat.perm.values, as_boxes(shade), pat.marks, decors
+        self.bits = bits
 
 
 def _placements(letters: Values) -> list[tuple[int, str, str]]:
@@ -506,13 +487,49 @@ _MAX_EXPANSIONS = 3
 
 def _witnesses(pat: Pattern) -> list[tuple[Values, Region]] | None:
     """The distinct expansions of marked ``pat`` as sorted ``(letters,
-    shade)`` pairs, or None if there are more than ``_MAX_EXPANSIONS``."""
+    shade)`` pairs, or None if there are more than ``_MAX_EXPANSIONS``.
+    A mark of c points has at least c! expansions, its witnesses' orders in
+    one box, so such a pattern over the bound is refused before any is
+    built; a refusal only keeps the mark tests, never changing a result."""
+    if any(math.factorial(m.min_count) > _MAX_EXPANSIONS for m in pat.marks):
+        return None
     found: set[tuple[Values, Region]] = set()
     for values, shade in _expansions(pat):
         found.add((values, as_boxes(shade)))
         if len(found) > _MAX_EXPANSIONS:
             return None
     return sorted(found)
+
+
+def _lower(
+    pat: Pattern, action: str
+) -> list[tuple[Values, Region, tuple[Mark, ...], tuple[Decoration, ...]]]:
+    """Every trie path of ``pat`` in the search for ``action``, as
+    ``(letters, shade, marks, decorations)``.
+
+    A barred pattern becomes its mesh pattern (:func:`barred_to_mesh`): an
+    occurrence of the unbarred part extends exactly when the box the barred
+    letter vacated holds a point.  A decoration whose region must avoid the
+    pattern 1 becomes shaded boxes; the decorations left avoid a longer
+    pattern.  With ``"first"`` and ``"mask"``, a marked pattern with at most
+    ``_MAX_EXPANSIONS`` distinct expansions (:func:`_witnesses`) becomes
+    those expansions, one path each with no marks: a host contains the
+    pattern exactly when it contains one of them.  A pattern with more
+    expansions keeps its mark tests, and so does every pattern under
+    ``"yield"``, because an expansion's occurrences have an extra letter."""
+    if pat.kind == "barred":
+        pat = barred_to_mesh(pat)
+    witnesses = _witnesses(pat) if action != "yield" and pat.marks else None
+    if witnesses is not None:
+        return [(values, shade, (), ()) for values, shade in witnesses]
+    shade = set(pat.shade)
+    decors = []
+    for d in pat.decorations:
+        if d.avoid == _POINT:
+            shade.update(d.region)
+        else:
+            decors.append(d)
+    return [(pat.perm.values, as_boxes(shade), pat.marks, tuple(decors))]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -532,26 +549,19 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     basis is compiled once per action; the generated source is kept on the
     function as ``source``.
 
-    Each pattern is lowered to letters, shaded boxes, marks and the
-    decorations that are left (:func:`_lower`).  A barred pattern becomes
-    its mesh pattern (:func:`barred_to_mesh`): an occurrence of the unbarred
-    part extends exactly when the box the barred letter vacated holds a
-    point.  With ``"first"`` and ``"mask"``, a marked pattern with at most
-    ``_MAX_EXPANSIONS`` distinct expansions (:func:`_witnesses`) is instead
-    lowered to those expansions, each one path through the trie whose leaf
-    returns True or sets the bit of the pattern it came from; a host
-    contains the pattern exactly when it contains one of them.  A pattern
-    with more expansions, and every pattern under ``"yield"``, keeps its
-    mark tests.
+    It is built in two steps.  Each pattern is lowered to its trie paths
+    (:func:`_lower`), whose leaves return True, set the bit of the pattern
+    they came from, or yield their record.  Then the trie is emitted as
+    source, as follows.
 
     The letters are placed by nested ``for`` loops, one per letter: the
     maximum first, then the minimum, then the rest right to left.  A
     letter's columns run between those of its nearest placed neighbours in
     position, leaving room for the letters still to come, and its value is
     compared with those of its nearest placed neighbours in value.  Across
-    the patterns the placements merge like a trie: one loop per distinct
+    the paths the placements merge like a trie: one loop per distinct
     column range, one ``if`` per distinct value test inside it.  Where a
-    pattern's letters are all placed, its shaded boxes and each mark's
+    path's letters are all placed, its shaded boxes and each mark's
     boxes are merged into rectangles (:func:`_rectangles`), and each
     rectangle's points are listed by one comprehension over a column slice
     of the host, ``values[left:right]``, filtered to the rectangle's values:
@@ -574,17 +584,16 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     """
     namespace: dict = {}
     full = (1 << len(patterns)) - 1
-    root = _Node()
-    leaf_tests: list[tuple[str, list[str]]] = []
-    # Each path runs from the root of the trie to one leaf, and carries the
-    # index of the pattern whose bit its leaf sets.
-    paths: list[tuple[int, Values, Region, tuple[Mark, ...], list[Decoration]]] = []
-    for i, pat in enumerate(patterns):
-        witnesses = _witnesses(pat) if action != "yield" and pat.marks else None
-        if witnesses is None:
-            paths.append((i, *_lower(pat)))
-        else:
-            paths.extend((i, values, shade, (), []) for values, shade in witnesses)
+    # Per action: the lines a leaf runs on a hit, the lines that call a
+    # helper function and pass its hits on, and the line that ends a search.
+    report = f"if mask == {full}: return mask"
+    hit, call, finish = {
+        "first": (["return True"], ["if {}: return True"], "return False"),
+        "mask": (["mask |= {bit}", report], ["mask = {}", report], "return mask"),
+        "yield": (["yield {record}"], ["yield from {}"], "return"),
+    }[action]
+    root = _Node(full)
+    paths = [(i, *path) for i, pat in enumerate(patterns) for path in _lower(pat, action)]
     for i, letters, shade, marks, decors in paths:
         k = len(letters)
         node = root
@@ -594,7 +603,6 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
             node = node.loops.setdefault((d, cols), {}).setdefault(test, _Node())
             node.bits |= 1 << i
             col[t], val[letters[t]] = f"x{d}", f"v{d}"
-        node.leaves.append(len(leaf_tests))
 
         def corners(box: Box) -> tuple[str, str, str, str]:
             # Box (i, j) holds the host points strictly between the
@@ -645,73 +653,60 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
             tests.append(f"not sub{i}_{j}({' + '.join(slices)})")
         if action == "mask":
             tests.insert(0, f"not mask & {1 << i}")
-        alpha = "".join(f"{col[t]} + 1, " for t in range(k))
-        beta = "".join(f"{val[r]}, " for r in range(1, k + 1))
-        omega = "".join(f"({col[t]} + 1, {val[letters[t]]}), " for t in range(k))
-        hit = {
-            "first": ["return True"],
-            "mask": [f"mask |= {1 << i}", f"if mask == {full}: return mask"],
-            "yield": [f"yield (({alpha}), ({beta}), ({omega}))"],
-        }[action]
-        leaf_tests.append((" and ".join(tests), hit))
+        record = ""
+        if action == "yield":
+            alpha = "".join(f"{col[t]} + 1, " for t in range(k))
+            beta = "".join(f"{val[r]}, " for r in range(1, k + 1))
+            omega = "".join(f"({col[t]} + 1, {val[letters[t]]}), " for t in range(k))
+            record = f"(({alpha}), ({beta}), ({omega}))"
+        node.leaves.append((" and ".join(tests), [line.format(bit=1 << i, record=record) for line in hit]))
 
     state = "values, n" + (", mask" if action == "mask" else "")
-    finish = {"first": "return False", "mask": "return mask", "yield": "return"}[action]
     helpers: list[list[str]] = []
 
-    def node_lines(node: _Node, ind: str, bits: int, loops: int, out: list[str]) -> None:
-        for leaf in node.leaves:
-            cond, hit = leaf_tests[leaf]
+    def emit(node: _Node, ind: str, loops: int, out: list[str]) -> None:
+        # The lines of ``node``'s leaves and loops, indented by ``ind``
+        # inside ``loops`` nested loops of the function that ``out`` holds.
+        for cond, lines in node.leaves:
             if cond:
                 out.append(f"{ind}if {cond}:")
-                out.extend(f"{ind}    {line}" for line in hit)
+                out.extend(f"{ind}    {line}" for line in lines)
             else:
-                out.extend(f"{ind}{line}" for line in hit)
+                out.extend(f"{ind}{line}" for line in lines)
         for (d, cols), branches in node.loops.items():
             # The expansions of one pattern may lie below several branches,
             # so their bits are joined, not summed.
-            inner = functools.reduce(operator.or_, (child.bits for child in branches.values()))
-            if action == "mask" and inner != bits:
-                out.append(f"{ind}if mask & {inner} != {inner}:")
-                loop_ind = ind + "    "
+            bits = functools.reduce(operator.or_, (child.bits for child in branches.values()))
+            if action == "mask" and bits != node.bits:
+                out.append(f"{ind}if mask & {bits} != {bits}:")
+                ind_loop = ind + "    "
             else:
-                loop_ind = ind
-            if loops < _MAX_LOOPS:
-                loop_lines(d, cols, branches, inner, loop_ind, loops, out)
-                continue
-            name = f"h{len(helpers)}"
-            args = state + "".join(f", x{e}, v{e}" for e in range(d))
-            body = [f"def {name}({args}):"]
-            helpers.append(body)
-            loop_lines(d, cols, branches, inner, "    ", 0, body)
-            body.append(f"    {finish}")
-            if action == "first":
-                out.append(f"{loop_ind}if {name}({args}): return True")
-            elif action == "mask":
-                out.append(f"{loop_ind}mask = {name}({args})")
-                out.append(f"{loop_ind}if mask == {full}: return mask")
-            else:
-                out.append(f"{loop_ind}yield from {name}({args})")
-
-    def loop_lines(
-        d: int, cols: str, branches: dict, bits: int, ind: str, loops: int, out: list[str]
-    ) -> None:
-        out.append(f"{ind}for x{d} in {cols}:")
-        out.append(f"{ind}    v{d} = values[x{d}]")
-        for test, child in branches.items():
-            body_ind = ind + "    "
-            if test:
-                out.append(f"{body_ind}if {test}:")
-                body_ind += "    "
-            node_lines(child, body_ind, child.bits, loops + 1, out)
-            # A full mask has returned already.
-            if action == "mask" and bits != full:
-                out.append(f"{body_ind}if mask & {bits} == {bits}: break")
+                ind_loop = ind
+            body, nested = out, loops
+            if loops >= _MAX_LOOPS:
+                name = f"h{len(helpers)}"
+                args = state + "".join(f", x{e}, v{e}" for e in range(d))
+                out.extend(ind_loop + line.format(f"{name}({args})") for line in call)
+                body, nested, ind_loop = [f"def {name}({args}):"], 0, "    "
+                helpers.append(body)
+            body.append(f"{ind_loop}for x{d} in {cols}:")
+            body.append(f"{ind_loop}    v{d} = values[x{d}]")
+            for test, child in branches.items():
+                ind_body = ind_loop + "    "
+                if test:
+                    body.append(f"{ind_body}if {test}:")
+                    ind_body += "    "
+                emit(child, ind_body, nested + 1, body)
+                # A full mask has returned already.
+                if action == "mask" and bits != full:
+                    body.append(f"{ind_body}if mask & {bits} == {bits}: break")
+            if body is not out:
+                body.append(f"    {finish}")
 
     body = ["def search(values):", "    n = len(values)"]
     if action == "mask":
         body.append("    mask = 0")
-    node_lines(root, "    ", full, 0, body)
+    emit(root, "    ", 0, body)
     body.append(f"    {finish}")
     source = "\n".join(line for lines in helpers + [body] for line in lines) + "\n"
     exec(source, namespace)

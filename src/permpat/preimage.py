@@ -174,8 +174,11 @@ def shade_and_mark(candidate: Permutation, image: Permutation) -> ShadeMarkResul
 
 def candidate_outcomes(image: Permutation) -> list[tuple[Permutation, ShadeMarkResult | None]]:
     """Every candidate from :func:`un_s` paired with its shade-and-mark
-    outcome (None for rejected candidates), in lexicographic order."""
-    return [(lam, shade_and_mark(lam, image)) for lam in sorted(un_s(image.values))]
+    outcome (None for rejected candidates), in lexicographic order.  Every
+    candidate keeps the image's inversions, so the image's value pairs are
+    read once and :func:`shade_and_mark`'s checks are not repeated."""
+    inv, ninv = _value_pairs(image.values)
+    return [(lam, _shade_and_mark_impl(lam, ninv, inv)) for lam in sorted(un_s(image.values))]
 
 
 @dataclass(frozen=True)

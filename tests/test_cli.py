@@ -142,6 +142,16 @@ class TestVerify:
         assert code == 1
         assert out.splitlines()[-1] == "FAIL 312 image-good-but-contains-basis"
 
+    def test_mark_of_many_points_compiles_at_once(self, capsys, tmp_path):
+        # A mark that needs 80 points keeps its mark test, with no expansion
+        # tried.  No host of length up to 3 holds 80 points, so each host
+        # containing 231 reads as a bad image.
+        f = tmp_path / "basis.txt"
+        f.write_text("1 | mark: {(0,0)} >= 80\n")
+        code, out, _ = run(capsys, "verify", "--pattern", "21", "--basis", str(f), "--upto", "3")
+        assert code == 1
+        assert out.splitlines()[-2:] == ["  3          6          5  NO", "FAIL 231 in-Av-but-bad-image"]
+
     def test_builtin_refuses_basis_file(self, capsys, tmp_path):
         f = tmp_path / "basis.txt"
         f.write_text("231\n")
@@ -341,6 +351,20 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv, str(f))
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(f) in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--pattern", "21", "--op", "stack", "--passes", "2", "--upto", "5", "--basis"),
+        ("match", "52341", "--pattern"),
+        ("render", "--file"),
+    ], ids=lambda argv: argv[0])
+    def test_pattern_file_with_a_byte_order_mark_reads_as_without(self, capsys, tmp_path, argv):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text("2341\n", encoding="utf-8")
+        marked.write_text("2341\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want = run(capsys, *argv, str(plain))
+        assert want[0] in (0, 1) and want[2] == ""
+        assert run(capsys, *argv, str(marked)) == want
 
 
 def test_python_dash_m_runs_the_cli():

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from conftest import identity, perms_through
 
-from test_reference_matcher import assert_record, reference_alphas
+from test_reference_matcher import COUNTED_MARKS, assert_record, reference_alphas
 
 from permpat import (
     Box,
@@ -28,6 +28,7 @@ from permpat import (
     pattern_sort_key,
     stack_preimage_basis,
 )
+from permpat import patterns
 from permpat.fixtures import FIXTURE_NAMES
 from permpat.patterns import _search, _witnesses, canonical
 
@@ -378,6 +379,28 @@ class TestCompiledSearch:
         two = marked("21", shade=[(0, 0)], marks=[({(1, 1)}, 2)])
         # Two points in the box between 2 and 1, in either order.
         assert _witnesses(two) == [((4, 2, 3, 1), (Box(0, 0),)), ((4, 3, 2, 1), (Box(0, 0),))]
+
+    @pytest.mark.parametrize("count", [3, 80])
+    def test_marks_of_three_points_are_refused_unexpanded(self, monkeypatch, count):
+        # An exact work counter: a mark that needs c points has at least c!
+        # expansions, more than 3 from c = 3 on, so no point is inserted.
+        calls = 0
+        insert = patterns._insert
+
+        def counting_insert(*args):
+            nonlocal calls
+            calls += 1
+            return insert(*args)
+
+        monkeypatch.setattr(patterns, "_insert", counting_insert)
+        pat = marked("1", marks=[({(0, 0)}, count)])
+        for action in ("first", "mask"):
+            assert f"]) >= {count}" in _search.__wrapped__((pat,), action).source
+        assert calls == 0
+
+    @pytest.mark.parametrize("pat", COUNTED_MARKS, ids=str)
+    def test_refusal_agrees_with_the_expansion_count(self, pat):
+        assert (_witnesses(pat) is not None) == (len(expand_basis([pat])) <= 3)
 
     def test_yield_keeps_the_mark_test(self):
         # The occurrences of a marked pattern are not those of its

@@ -133,9 +133,9 @@ class TestShadeAndMark:
                     assert {frozenset(m) for m in res.marks} == \
                            {r for r in regions if not any(o < r for o in regions)}, (lam, image)
 
-    def test_image_pairs_built_once_per_candidate(self, monkeypatch):
+    def test_image_pairs_built_once_per_image(self, monkeypatch):
         # An exact work counter: the 120 images of length 5 have 1,296
-        # candidates, and each builds its image's pairs once.
+        # candidates, and each image builds its pairs once for all of them.
         calls = 0
         value_pairs = preimage._value_pairs
 
@@ -146,7 +146,7 @@ class TestShadeAndMark:
 
         monkeypatch.setattr(preimage, "_value_pairs", counting_value_pairs)
         outcomes = sum(len(candidate_outcomes(P(image))) for image in permutations(range(1, 6)))
-        assert outcomes == calls == 1_296
+        assert (outcomes, calls) == (1_296, 120)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -163,6 +163,13 @@ class TestShadeAndMark:
         by_name = {str(lam): res for lam, res in outcomes}
         assert by_name["321"] is None
         assert by_name["132"] is not None and by_name["312"] is not None
+
+    def test_outcomes_equal_checked_shade_and_mark_through_length_6(self):
+        # candidate_outcomes skips shade_and_mark's checks, which every
+        # candidate from un_s passes.
+        for image in perms_through(6):
+            checked = [(lam, shade_and_mark(lam, image)) for lam in sorted(un_s(image.values))]
+            assert candidate_outcomes(image) == checked, image
 
 
 class TestShadeMarkResult:

@@ -145,19 +145,32 @@ MUTANTS = [
            "split(shade), tuple(grown)", "shade, tuple(grown)"),
     Mutant("expansion branches on the first box only", PATTERNS,
            "for b in region)", "for b in sorted(region)[:1])"),
-    # _search: first-hit and mask searches test a mark with few expansions
-    # through them, each leaf setting its own pattern's bit.
+    # _lower and _witnesses: first-hit and mask searches test a mark with
+    # few expansions through them, and a mark of c points has c! or more.
     Mutant("marks lowered when listing occurrences", PATTERNS,
            'if action != "yield" and pat.marks else None', "if pat.marks else None"),
-    Mutant("an expansion's leaf sets bit 0", PATTERNS,
-           "(i, values, shade, (), [])", "(0, values, shade, (), [])"),
     Mutant("one expansion dropped", PATTERNS,
-           "for values, shade in witnesses)", "for values, shade in witnesses[1:])"),
+           "for values, shade in witnesses]", "for values, shade in witnesses[1:]]"),
     Mutant("expansion bound one lower", PATTERNS,
            "if len(found) > _MAX_EXPANSIONS:", "if len(found) >= _MAX_EXPANSIONS:"),
+    Mutant("marks of 2 points refused unexpanded", PATTERNS,
+           "math.factorial(m.min_count) > _MAX_EXPANSIONS", "m.min_count >= 2"),
+    Mutant("decorations left after lowering dropped", PATTERNS,
+           "pat.marks, tuple(decors))]", "pat.marks, ())]"),
+    # _search: each path's leaf sets its own pattern's bit, and its hit runs
+    # only when its condition holds.
+    Mutant("every leaf sets bit 0", PATTERNS, "[(i, *path) for i, pat", "[(0, *path) for i, pat"),
+    Mutant("a leaf's condition ignored", PATTERNS, 'out.append(f"{ind}if {cond}:")',
+           'out.append(f"{ind}if True or {cond}:")'),
     Mutant("branch bits summed, not joined", PATTERNS,
            "functools.reduce(operator.or_, (child.bits for child in branches.values()))",
            "sum(child.bits for child in branches.values())"),
+    # A search nested past 20 loops passes the hits of its helper on.
+    Mutant("a helper's hit not passed on", PATTERNS, '["if {}: return True"]', '["{}"]'),
+    Mutant("a helper's mask dropped", PATTERNS, '["mask = {}", report]', '["{}", report]'),
+    # The root's bits only decide whether a loop at the top is skipped once
+    # its patterns are found.
+    Mutant("root carries no bits", PATTERNS, "root = _Node(full)", "root = _Node()"),
     # prune_basis: a pattern goes only if patterns still kept imply it.
     Mutant("pruning ignores the kept bits", PREIMAGE, "mask & kept & ~q", "mask & ~q"),
     Mutant("pruning keeps only the last length's masks", PREIMAGE,
@@ -178,7 +191,10 @@ MUTANTS = [
 ]
 
 # Faults that cannot change any result, by name, with the reason.
-EQUIVALENT: dict[str, str] = {}
+EQUIVALENT: dict[str, str] = {
+    "root carries no bits": "it only adds a skip test before each loop at the top, which passes "
+    "unless every pattern below that loop is found already, when the loop would set no new bit",
+}
 
 
 def run_mutant(mutant: Mutant) -> bool:
