@@ -491,7 +491,7 @@ def _witnesses(pat: Pattern) -> list[tuple[Values, Region]] | None:
     A mark of c points has at least c! expansions, its witnesses' orders in
     one box, so such a pattern over the bound is refused before any is
     built; a refusal only keeps the mark tests, never changing a result."""
-    if any(math.factorial(m.min_count) > _MAX_EXPANSIONS for m in pat.marks):
+    if any(math.factorial(min(m.min_count, _MAX_EXPANSIONS + 1)) > _MAX_EXPANSIONS for m in pat.marks):
         return None
     found: set[tuple[Values, Region]] = set()
     for values, shade in _expansions(pat):
@@ -584,13 +584,13 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     """
     namespace: dict = {}
     full = (1 << len(patterns)) - 1
-    # Per action: the lines a leaf runs on a hit, the lines that call a
-    # helper function and pass its hits on, and the line that ends a search.
+    # Per action: the lines that call a helper function and pass its hits
+    # on, and the line that ends a search.
     report = f"if mask == {full}: return mask"
-    hit, call, finish = {
-        "first": (["return True"], ["if {}: return True"], "return False"),
-        "mask": (["mask |= {bit}", report], ["mask = {}", report], "return mask"),
-        "yield": (["yield {record}"], ["yield from {}"], "return"),
+    call, finish = {
+        "first": (["if {}: return True"], "return False"),
+        "mask": (["mask = {}", report], "return mask"),
+        "yield": (["yield from {}"], "return"),
     }[action]
     root = _Node(full)
     paths = [(i, *path) for i, pat in enumerate(patterns) for path in _lower(pat, action)]
@@ -651,15 +651,16 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
                 )
                 slices.append(f"[w for w in values[{bounds[0][0]}:{bounds[0][1]}] if {inside}]")
             tests.append(f"not sub{i}_{j}({' + '.join(slices)})")
+        hit = ["return True"]
         if action == "mask":
             tests.insert(0, f"not mask & {1 << i}")
-        record = ""
-        if action == "yield":
+            hit = [f"mask |= {1 << i}", report]
+        elif action == "yield":
             alpha = "".join(f"{col[t]} + 1, " for t in range(k))
             beta = "".join(f"{val[r]}, " for r in range(1, k + 1))
             omega = "".join(f"({col[t]} + 1, {val[letters[t]]}), " for t in range(k))
-            record = f"(({alpha}), ({beta}), ({omega}))"
-        node.leaves.append((" and ".join(tests), [line.format(bit=1 << i, record=record) for line in hit]))
+            hit = [f"yield (({alpha}), ({beta}), ({omega}))"]
+        node.leaves.append((" and ".join(tests), hit))
 
     state = "values, n" + (", mask" if action == "mask" else "")
     helpers: list[list[str]] = []
@@ -677,11 +678,10 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
             # The expansions of one pattern may lie below several branches,
             # so their bits are joined, not summed.
             bits = functools.reduce(operator.or_, (child.bits for child in branches.values()))
+            ind_loop = ind
             if action == "mask" and bits != node.bits:
                 out.append(f"{ind}if mask & {bits} != {bits}:")
-                ind_loop = ind + "    "
-            else:
-                ind_loop = ind
+                ind_loop += "    "
             body, nested = out, loops
             if loops >= _MAX_LOOPS:
                 name = f"h{len(helpers)}"

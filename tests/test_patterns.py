@@ -380,7 +380,7 @@ class TestCompiledSearch:
         # Two points in the box between 2 and 1, in either order.
         assert _witnesses(two) == [((4, 2, 3, 1), (Box(0, 0),)), ((4, 3, 2, 1), (Box(0, 0),))]
 
-    @pytest.mark.parametrize("count", [3, 80])
+    @pytest.mark.parametrize("count", [3, 80, 10**9])
     def test_marks_of_three_points_are_refused_unexpanded(self, monkeypatch, count):
         # An exact work counter: a mark that needs c points has at least c!
         # expansions, more than 3 from c = 3 on, so no point is inserted.

@@ -154,7 +154,8 @@ MUTANTS = [
     Mutant("expansion bound one lower", PATTERNS,
            "if len(found) > _MAX_EXPANSIONS:", "if len(found) >= _MAX_EXPANSIONS:"),
     Mutant("marks of 2 points refused unexpanded", PATTERNS,
-           "math.factorial(m.min_count) > _MAX_EXPANSIONS", "m.min_count >= 2"),
+           "math.factorial(min(m.min_count, _MAX_EXPANSIONS + 1)) > _MAX_EXPANSIONS",
+           "m.min_count >= 2"),
     Mutant("decorations left after lowering dropped", PATTERNS,
            "pat.marks, tuple(decors))]", "pat.marks, ())]"),
     # _search: each path's leaf sets its own pattern's bit, and its hit runs
