@@ -112,12 +112,18 @@ def _check_work(args, flag: str, bound: int, patterns: int) -> None:
     """Refuse a scan of every permutation of length up to ``bound`` against
     ``patterns`` patterns (a census tests each for the identity, so counts
     one) whose estimated work exceeds :data:`WORK_LIMIT`, unless ``--force``
-    was passed."""
+    was passed.  21! alone is far above the limit, so a larger bound is
+    refused with the order of magnitude of bound!, read off ``lgamma``."""
     patterns = max(patterns, 1)
-    work = sum(math.factorial(n) for n in range(1, bound + 1)) * patterns
+    if bound <= 20:
+        work = sum(math.factorial(n) for n in range(1, bound + 1)) * patterns
+        about = f"{work:,}"
+    else:
+        work = math.inf
+        about = f"10^{round((math.lgamma(bound + 1) + math.log(patterns)) / math.log(10))}"
     if work > WORK_LIMIT and not args.force:
         raise InvalidBoundError(
-            f"{flag} {bound} needs about {work:,} searches (n! for each n <= {bound}, "
+            f"{flag} {bound} needs about {about} searches (n! for each n <= {bound}, "
             f"times {patterns}), above the limit of {WORK_LIMIT:,}; pass --force to run it anyway"
         )
 

@@ -28,17 +28,7 @@ from .errors import (
     PatternSyntaxError,
     UnsupportedFormatError,
 )
-from .patterns import (
-    Box,
-    Decoration,
-    Mark,
-    Pattern,
-    barred,
-    classical,
-    decorated,
-    marked,
-    mesh,
-)
+from .patterns import Box, Decoration, Mark, Pattern
 from .permutation import Permutation
 
 FORMATS = ("line", "json")
@@ -101,11 +91,7 @@ def _parse_line(text: str) -> Pattern:
         else:
             raise PatternSyntaxError(f"unknown section {body.split(':')[0]!r}", label)
         offset += len(section) + 1
-    if marks:
-        return marked(perm, shade, marks)
-    if shade_seen:
-        return mesh(perm, shade)
-    return classical(perm)
+    return Pattern(perm, shade, tuple(marks))
 
 
 def _pattern_to_obj(pat: Pattern) -> dict:
@@ -156,7 +142,10 @@ def _pattern_from_obj(obj) -> Pattern:
         if isinstance(exc, InvalidInputError):
             raise
         raise PatternSyntaxError(f"malformed pattern JSON: {exc}") from None
-    return Pattern(kind, perm, shade, marks, decor, bars)
+    pat = Pattern(perm, shade, marks, decor, bars)
+    if kind != pat.kind:
+        raise PatternSyntaxError(f"pattern JSON of kind {json.dumps(kind)} has a {pat.kind} pattern's parts")
+    return pat
 
 
 def parse_pattern(text: str, fmt: str = "line") -> Pattern:
@@ -170,11 +159,14 @@ def parse_pattern(text: str, fmt: str = "line") -> Pattern:
     if not text.strip():
         raise PatternSyntaxError("empty pattern text")
     if fmt == "json":
+        # Python's recursion limit stops json.loads on deeply nested arrays,
+        # and the hashing of deeply nested decorations.
         try:
-            obj = json.loads(text)
+            return _pattern_from_obj(json.loads(text))
         except json.JSONDecodeError as exc:
             raise PatternSyntaxError(f"invalid JSON: {exc.msg}", exc.pos) from None
-        return _pattern_from_obj(obj)
+        except RecursionError:
+            raise PatternSyntaxError("nested too deeply") from None
     return _parse_line(text)
 
 
@@ -213,6 +205,8 @@ def parse_pattern_list(text: str) -> list[Pattern]:
             items = json.loads(body)
         except json.JSONDecodeError as exc:
             raise PatternSyntaxError(f"invalid JSON: {exc.msg}", lead + exc.pos) from None
+        except RecursionError:
+            raise PatternSyntaxError("nested too deeply", lead) from None
         if not isinstance(items, list):
             raise PatternSyntaxError("expected a JSON array of patterns")
         out = []
@@ -221,6 +215,8 @@ def parse_pattern_list(text: str) -> list[Pattern]:
                 out.append(_pattern_from_obj(item))
             except PatternSyntaxError as exc:
                 raise PatternSyntaxError(exc.args[0], lead + _element_start(body, index)) from None
+            except RecursionError:
+                raise PatternSyntaxError("nested too deeply", lead + _element_start(body, index)) from None
         return out
     out = []
     start = 0  # the index in ``text`` of the line's first character
@@ -238,21 +234,19 @@ def parse_pattern_list(text: str) -> list[Pattern]:
 
 def format_pattern(pat: Pattern, fmt: str = "line") -> str:
     """Canonical text for a pattern; parsing it back yields an equal
-    pattern.  Decorated, barred and mark-free marked patterns require JSON.
+    pattern.  Decorated and barred patterns require JSON.
 
-    >>> format_pattern(mesh("3241", {(1, 4)}))
+    >>> format_pattern(Pattern(Permutation.from_text("3241"), [(1, 4)]))
     '3241 | shade: (1,4)'
     """
     if fmt not in FORMATS:
         raise UnsupportedFormatError(f"unknown format {fmt!r}; expected one of {', '.join(FORMATS)}")
     if fmt == "json":
         return json.dumps(_pattern_to_obj(pat), separators=(",", ":"))
-    # The line form of a marked pattern without marks would parse back as
-    # a mesh or classical one.
-    if pat.kind not in ("classical", "mesh") and not pat.marks:
-        raise UnsupportedFormatError(f"this {pat.kind} pattern has no line form; use the json format")
+    if pat.kind in ("barred", "decorated"):
+        raise UnsupportedFormatError(f"{pat.kind} patterns have no line form; use the json format")
     parts = [pat.perm.to_text()]
-    if pat.kind != "classical" and (pat.shade or pat.kind == "mesh"):
+    if pat.shade:
         parts.append("shade: " + ",".join(f"({b.col},{b.row})" for b in pat.shade))
     for m in pat.marks:
         boxes = ",".join(f"({b.col},{b.row})" for b in m.region)

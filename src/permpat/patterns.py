@@ -1,6 +1,6 @@
 """Pattern types and the occurrence engine.
 
-Five pattern kinds share one type:
+Five pattern kinds share one type, and a pattern's parts decide its kind:
 
 * ``classical``  -- an order pattern, nothing else;
 * ``mesh``       -- classical plus shaded boxes that must stay empty;
@@ -49,7 +49,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import InvalidInputError, UnsupportedPatternError
@@ -134,63 +134,51 @@ _KIND_RANK = {kind: rank for rank, kind in enumerate(KINDS)}
 
 @dataclass(frozen=True)
 class Pattern:
-    """A pattern of one of the five kinds.
+    """A pattern, whose parts decide its ``kind``: barred if it has barred
+    positions, else decorated if it has decorations, else marked if it has
+    marks, else mesh if it has shading, else classical.  Bars stand alone,
+    decorations exclude shading and marks, and marks stay off the shading.
 
     Construction normalizes every component (sorted, deduplicated tuples),
     so two patterns are syntactically equal exactly when they compare equal.
     """
 
-    kind: str
     perm: Permutation
     shade: Region = ()
     marks: tuple[Mark, ...] = ()
     decorations: tuple[Decoration, ...] = ()
     barred_positions: tuple[int, ...] = ()
+    kind: str = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise InvalidInputError(f"unknown pattern kind {self.kind!r}")
         k = len(self.perm)
         shade = as_boxes(self.shade)
-        _check_boxes(shade, k, "shaded")
         marks = tuple(sorted(set(self.marks), key=Mark.sort_key))
         decorations = tuple(sorted(set(self.decorations), key=Decoration.sort_key))
         bars = set(self.barred_positions)
         if not set(map(type, bars)) <= {int}:
             raise InvalidInputError(f"barred positions must be integers, got {self.barred_positions!r}")
         bars = tuple(sorted(bars))
+        if bars and (shade or marks or decorations):
+            raise InvalidInputError("barred patterns carry only barred positions")
+        if decorations and (shade or marks):
+            raise InvalidInputError("decorated patterns carry only decorations")
+        if not all(1 <= b <= k for b in bars):
+            raise InvalidInputError(f"barred positions {bars} outside 1..{k}")
+        _check_boxes(shade, k, "shaded")
+        for m in marks:
+            _check_boxes(m.region, k, "marked")
+            if not set(m.region).isdisjoint(shade):
+                raise InvalidInputError(f"mark region {m.region} overlaps the shading")
+        for d in decorations:
+            _check_boxes(d.region, k, "decorated")
+        kind = ("barred" if bars else "decorated" if decorations else "marked" if marks
+                else "mesh" if shade else "classical")
         object.__setattr__(self, "shade", shade)
         object.__setattr__(self, "marks", marks)
         object.__setattr__(self, "decorations", decorations)
         object.__setattr__(self, "barred_positions", bars)
-
-        if self.kind == "classical":
-            if shade or marks or decorations or bars:
-                raise InvalidInputError("classical patterns carry no shading, marks, decorations or bars")
-        elif self.kind == "mesh":
-            if marks or decorations or bars:
-                raise InvalidInputError("mesh patterns carry only shading")
-        elif self.kind == "marked":
-            if decorations or bars:
-                raise InvalidInputError("marked patterns carry only shading and marks")
-            shade_set = set(shade)
-            for m in marks:
-                _check_boxes(m.region, k, "marked")
-                if shade_set.intersection(m.region):
-                    raise InvalidInputError(f"mark region {m.region} overlaps the shading")
-        elif self.kind == "barred":
-            if shade or marks or decorations:
-                raise InvalidInputError("barred patterns carry only barred positions")
-            if not bars:
-                raise InvalidInputError("barred pattern without barred positions")
-            for b in bars:
-                if not 1 <= b <= k:
-                    raise InvalidInputError(f"barred position {b} outside 1..{k}")
-        else:  # decorated
-            if shade or marks or bars:
-                raise InvalidInputError("decorated patterns carry only decorations")
-            for d in decorations:
-                _check_boxes(d.region, k, "decorated")
+        object.__setattr__(self, "kind", kind)
 
     def __len__(self) -> int:
         return len(self.perm)
@@ -213,12 +201,12 @@ def classical(perm: PermLike) -> Pattern:
     >>> classical("231").perm.values
     (2, 3, 1)
     """
-    return Pattern("classical", _as_perm(perm))
+    return Pattern(_as_perm(perm))
 
 
 def mesh(perm: PermLike, shade: Iterable[BoxLike] = ()) -> Pattern:
     """A mesh pattern with the given shaded boxes."""
-    return Pattern("mesh", _as_perm(perm), shade=shade)
+    return Pattern(_as_perm(perm), shade)
 
 
 def _as_mark(item) -> Mark:
@@ -242,7 +230,7 @@ def marked(perm: PermLike, shade: Iterable[BoxLike] = (), marks: Iterable = ()) 
     >>> p.marks[0].region
     (Box(col=1, row=2),)
     """
-    return Pattern("marked", _as_perm(perm), shade=shade, marks=tuple(_as_mark(m) for m in marks))
+    return Pattern(_as_perm(perm), shade, tuple(_as_mark(m) for m in marks))
 
 
 def _as_decoration(item) -> Decoration:
@@ -258,12 +246,15 @@ def decorated(perm: PermLike, decorations: Iterable) -> Pattern:
     """A decorated pattern.  Each element of ``decorations`` may be a
     :class:`Decoration` or a ``(region, avoid)`` pair, where ``avoid`` is a
     pattern or anything :func:`classical` accepts."""
-    return Pattern("decorated", _as_perm(perm), decorations=tuple(_as_decoration(d) for d in decorations))
+    return Pattern(_as_perm(perm), decorations=tuple(_as_decoration(d) for d in decorations))
 
 
 def barred(perm: PermLike, positions: Iterable[int]) -> Pattern:
     """A barred pattern; ``positions`` are the 1-based barred positions."""
-    return Pattern("barred", _as_perm(perm), barred_positions=tuple(positions))
+    pat = Pattern(_as_perm(perm), barred_positions=tuple(positions))
+    if not pat.barred_positions:
+        raise InvalidInputError("barred pattern without barred positions")
+    return pat
 
 
 def pattern_sort_key(pat: Pattern) -> tuple:
@@ -287,16 +278,6 @@ def canonical(patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
     ['1', '12', '231']
     """
     return tuple(sorted(set(patterns), key=pattern_sort_key))
-
-
-def _plainest(perm: Permutation, shade: Iterable[Box], marks: Sequence[Mark] = ()) -> Pattern:
-    """The pattern of the plainest kind that carries ``shade`` and ``marks``:
-    marked if there are marks, else mesh if there is shading, else classical."""
-    if marks:
-        return marked(perm, shade, marks)
-    if shade:
-        return mesh(perm, shade)
-    return classical(perm)
 
 
 def _plain(pat: Pattern, action: str) -> tuple:
@@ -344,7 +325,7 @@ def _expansions(pat: Pattern) -> Iterator[tuple[Values, frozenset]]:
 
 def _expand(pat: Pattern) -> set[Pattern]:
     """The distinct expansions of ``pat``, each built as a pattern once."""
-    return {_plainest(Permutation(values), shade) for values, shade in set(_expansions(pat))}
+    return {Pattern(Permutation(values), shade) for values, shade in set(_expansions(pat))}
 
 
 class Occurrence(NamedTuple):
@@ -392,7 +373,7 @@ class Diagram:
         return self._prefix
 
 
-_POINT = Pattern("classical", Permutation((1,)))
+_POINT = Pattern(Permutation((1,)))
 
 # CPython compiles at most 20 statically nested blocks in one function; a
 # search nested deeper continues in a helper function.

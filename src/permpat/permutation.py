@@ -78,8 +78,10 @@ def operator_fn(op_id: str) -> Callable[[Values], Values]:
 
 
 def _sort_power(op_id: str, k: int, values: Values) -> Values:
+    # Pass i of either operator leaves the i largest values in place at the
+    # end, so n - 1 passes sort, and no later pass moves anything.
     fn = operator_fn(op_id)
-    for _ in range(k):
+    for _ in range(min(k, len(values) - 1)):
         values = fn(values)
     return values
 

@@ -18,7 +18,7 @@ The pipeline has three stages:
 witness point into each box of a marked region.  It branches on plain
 ``(values, shade, marks)`` triples and builds one validated pattern per
 distinct finished expansion.  The expansion helpers (``_plain``,
-``_insert``, ``_expand``, ``_plainest``) live in ``patterns``, whose
+``_insert``, ``_expand``) live in ``patterns``, whose
 compiled search also tests small marks through their expansions; this
 module imports them.  ``prune_basis`` drops basis elements that are
 implied by the rest, verified exhaustively up to a bound by the oracle's
@@ -44,7 +44,6 @@ from .patterns import (
     _expand,
     _insert,
     _plain,
-    _plainest,
     canonical,
 )
 from .oracle import _mask_block, _scan
@@ -102,7 +101,7 @@ class ShadeMarkResult:
         for a, b in itertools.permutations(marks, 2):
             if set(a.region) <= set(b.region):
                 raise InvalidInputError(f"mark regions {a.region} and {b.region} are nested")
-        pattern = _plainest(self.candidate, self.shades, marks)
+        pattern = Pattern(self.candidate, self.shades, marks)
         object.__setattr__(self, "_pattern", pattern)
         object.__setattr__(self, "shades", pattern.shade)
         object.__setattr__(self, "marks", tuple(m.region for m in pattern.marks))
@@ -245,7 +244,7 @@ def insert_point(pat: Pattern, box: Box | tuple[int, int]) -> Pattern:
     if box in shade:
         raise InvalidInsertionError(f"box {tuple(box)} is shaded")
     values, shade, marks = _insert(values, shade, marks, box)
-    return _plainest(Permutation(values), shade, [Mark(region, count) for region, count in marks])
+    return Pattern(Permutation(values), shade, tuple(Mark(region, count) for region, count in marks))
 
 
 def expand_basis(basis: MarkedBasis | Iterable[Pattern]) -> tuple[Pattern, ...]:

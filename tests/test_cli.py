@@ -11,7 +11,7 @@ import pytest
 
 import permpat
 from permpat import MarkedBasis, VerificationReport, classical, mesh, parse_pattern_list
-from permpat import cli
+from permpat import cli, permutation
 from permpat.cli import main
 
 
@@ -257,6 +257,22 @@ class TestWorkLimit:
         code, _, err = run(capsys, *argv, "--force")
         assert code == 0 and err == "" and scan in scans
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--builtin", "west2", "--upto", "100000"),
+        ("census", "--op", "stack", "--passes", "2", "--upto", "100000"),
+        ("preimage", "231", "--prune", "100000"),
+    ], ids=["verify", "census", "prune"])
+    def test_huge_bound_is_refused_without_its_factorial(self, capsys, scans, monkeypatch, argv):
+        # The refusal reads the order of magnitude of 100000! off lgamma:
+        # no factorial of a number above 20 is computed.
+        factorial = cli.math.factorial
+        args = []
+        monkeypatch.setattr(cli.math, "factorial", lambda n: args.append(n) or factorial(n))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and scans == []
+        assert err.startswith("error:") and "about 10^45657" in err and "--force" in err
+        assert all(n <= 20 for n in args) and len(args) <= 20
+
     def test_limit_is_inclusive(self, capsys, monkeypatch):
         # census to 5 tests 1 + 2 + 6 + 24 + 120 = 153 permutations
         argv = ("census", "--op", "stack", "--passes", "1", "--upto", "5")
@@ -265,6 +281,38 @@ class TestWorkLimit:
         monkeypatch.setattr(cli, "WORK_LIMIT", 152)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "153" in err
+
+
+class TestHugePassCount:
+    """n - 1 passes sort a permutation of length n, so no more are applied."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        for op_id, step in list(permutation._OPERATORS.items()):
+            monkeypatch.setitem(permutation._OPERATORS, op_id,
+                                lambda values, step=step: calls.append(values) or step(values))
+        return calls
+
+    def test_sort(self, capsys, passes):
+        assert run(capsys, "sort", "--op", "stack", "--passes", "100000000", "321") == (0, "123\n", "")
+        assert len(passes) == 2
+
+    def test_census(self, capsys, passes):
+        code, out, _ = run(capsys, "census", "--op", "bubble", "--passes", "100000000", "--upto", "3")
+        assert (code, out) == (0, "1 1\n2 2\n3 6\n")
+        # 0, 1 and 2 passes for each permutation of length 1, 2 and 3
+        assert len(passes) == 2 * 1 + 6 * 2
+
+    def test_verify(self, capsys, passes, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        code, out, _ = run(capsys, "verify", "--pattern", "21", "--basis", str(empty),
+                           "--passes", "100000000", "--upto", "2")
+        assert code == 0 and out.endswith("PASS\n")
+        # a first pass for each permutation of length 1 and 2, then one more
+        # pass for the one distinct first-pass image of length 2
+        assert len(passes) == 1 + 2 + 1
 
 
 class TestBuiltin:
@@ -365,6 +413,26 @@ class TestUsageErrors:
         want = run(capsys, *argv, str(plain))
         assert want[0] in (0, 1) and want[2] == ""
         assert run(capsys, *argv, str(marked)) == want
+
+
+def _nested_decorations(depth):
+    # A decorated pattern whose decoration avoids a decorated pattern, and
+    # so on ``depth`` times, in one line of JSON.
+    head = '{"kind": "decorated", "perm": [1], "decor": [{"boxes": [[0, 0]], "avoid": '
+    return head * depth + '{"kind": "classical", "perm": [1]}' + "}]}" * depth
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("verify", "--pattern", "21", "--upto", "3", "--basis"), "[" * 100000),
+    (("match", "1", "--pattern"), _nested_decorations(300)),
+    (("render", "--file"), _nested_decorations(300)),
+], ids=["deep-array", "match-deep-decorations", "render-deep-decorations"])
+def test_deep_nesting_is_a_usage_error(capsys, tmp_path, argv, text):
+    f = tmp_path / "deep.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, *argv, str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
 
 
 def test_python_dash_m_runs_the_cli():

@@ -48,9 +48,10 @@ class TestParseLine:
     def test_whitespace_tolerated(self):
         assert parse_pattern("  21 | shade: ( 1 , 0 )  ") == mesh("21", {(1, 0)})
 
-    def test_empty_shade_section_is_a_mesh_pattern(self):
+    def test_empty_shade_section_is_classical(self):
+        # A pattern's parts decide its kind, and no shaded box leaves none.
         pat = parse_pattern("21 | shade: ")
-        assert pat.kind == "mesh" and pat.shade == ()
+        assert pat == classical("21") and pat.kind == "classical"
 
     def test_comma_perm_form(self):
         assert parse_pattern("10,2,3,4,5,6,7,8,9,1 | shade: (0,0)").perm.n == 10
@@ -140,11 +141,15 @@ class TestFormatLine:
         with pytest.raises(UnsupportedFormatError):
             format_pattern(barred("35241", [2]))
 
-    @pytest.mark.parametrize("pat", [marked("12"), marked("12", [(0, 0)])], ids=["bare", "shaded"])
-    def test_marked_without_marks_has_no_line_form(self, pat):
-        # "12" and "12 | shade: (0,0)" would parse back as classical and mesh.
-        with pytest.raises(UnsupportedFormatError):
-            format_pattern(pat)
+    @pytest.mark.parametrize("pat, line", [
+        (marked("12"), "12"),
+        (marked("12", [(0, 0)]), "12 | shade: (0,0)"),
+    ], ids=["bare", "shaded"])
+    def test_marked_without_marks_is_mesh_or_classical(self, pat, line):
+        # Without marks, marked() builds the classical or the mesh pattern.
+        assert pat == (mesh("12", [(0, 0)]) if pat.shade else classical("12"))
+        assert format_pattern(pat) == line
+        assert parse_pattern(line) == pat
         assert parse_pattern(format_pattern(pat, "json"), "json") == pat
 
     def test_unknown_format(self):
@@ -213,6 +218,29 @@ class TestJson:
             parse_pattern('{"kind": "barred", "perm": [1, 2], "bars": [1.9]}', "json")
         with pytest.raises(PatternSyntaxError, match="barred position"):
             parse_pattern('{"kind": "barred", "perm": [1, 2], "bars": [true]}', "json")
+
+
+    # A pattern's parts decide its kind, and the kind JSON names must agree.
+    @pytest.mark.parametrize("text", [
+        '{"kind": "mesh", "perm": [1, 2]}',
+        '{"kind": "marked", "perm": [1, 2], "shade": [[0, 0]]}',
+        '{"kind": "barred", "perm": [1, 2], "bars": []}',
+        '{"kind": "decorated", "perm": [1, 2]}',
+        '{"kind": "triangle", "perm": [1, 2]}',
+        '{"kind": "decorated", "perm": [1], '
+        '"decor": [{"boxes": [[0, 0]], "avoid": {"kind": "mesh", "perm": [1]}}]}',
+    ], ids=["mesh", "marked", "barred", "decorated", "unknown", "avoided"])
+    def test_kind_must_match_the_parts(self, text):
+        with pytest.raises(PatternSyntaxError, match="pattern's parts"):
+            parse_pattern(text, "json")
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        head = '{"kind": "decorated", "perm": [1], "decor": [{"boxes": [[0, 0]], "avoid": '
+        deep = head * 300 + '{"kind": "classical", "perm": [1]}' + "}]}" * 300
+        with pytest.raises(PatternSyntaxError, match="nested too deeply"):
+            parse_pattern(deep, "json")
+        with pytest.raises(PatternSyntaxError, match="nested too deeply"):
+            parse_pattern_list("[" * 100000)
 
 
 class TestDetectFormat:

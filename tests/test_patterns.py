@@ -13,6 +13,7 @@ from permpat import (
     Box,
     InvalidInputError,
     Mark,
+    Pattern,
     Permutation,
     UnsupportedPatternError,
     barred,
@@ -25,6 +26,7 @@ from permpat import (
     marked,
     mesh,
     occurrences,
+    parse_pattern,
     pattern_sort_key,
     stack_preimage_basis,
 )
@@ -72,10 +74,30 @@ class TestConstruction:
         with pytest.raises(InvalidInputError, match=re.escape(f"got {item}")):
             make()
 
-    def test_classical_refuses_decorations(self):
+    def test_json_kind_must_match_the_parts(self):
+        # A pattern takes no kind: its parts decide it.  JSON names one, and
+        # a kind that disagrees with the parts is refused.
         with pytest.raises(InvalidInputError):
-            from permpat import Pattern
-            Pattern(kind="classical", perm=P((2, 1)), shade=(Box(0, 0),))
+            parse_pattern('{"kind":"classical","perm":[2,1],"shade":[[0,0]]}', "json")
+        assert parse_pattern('{"kind":"mesh","perm":[2,1],"shade":[[0,0]]}', "json") == mesh("21", [(0, 0)])
+
+    def test_parts_decide_the_kind(self):
+        assert mesh("21") == classical("21") and mesh("21").kind == "classical"
+        assert marked("21", [(0, 0)]) == mesh("21", [(0, 0)])
+        assert marked("21", [(0, 0)]).kind == "mesh"
+        assert decorated("21", []) == classical("21")
+        assert {mesh("21"), classical("21")} == {classical("21")}
+
+    @pytest.mark.parametrize("parts", [
+        {"shade": [(0, 0)], "barred_positions": (1,)},
+        {"marks": (Mark([(0, 0)]),), "barred_positions": (1,)},
+        {"decorations": decorated("21", [({(0, 0)}, "1")]).decorations, "barred_positions": (1,)},
+        {"decorations": decorated("21", [({(0, 0)}, "1")]).decorations, "shade": [(1, 1)]},
+        {"decorations": decorated("21", [({(0, 0)}, "1")]).decorations, "marks": (Mark([(1, 1)]),)},
+    ], ids=["bars-shade", "bars-marks", "bars-decorations", "decorations-shade", "decorations-marks"])
+    def test_parts_that_exclude_each_other_are_refused(self, parts):
+        with pytest.raises(InvalidInputError):
+            Pattern(P((2, 1)), **parts)
 
     def test_mark_region_may_not_touch_shade(self):
         with pytest.raises(InvalidInputError):

@@ -1,6 +1,8 @@
 """Permutation type, text forms, and the single-pass sorting operators."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from conftest import identity
 
@@ -141,3 +143,24 @@ class TestSortPower:
         assert OPERATOR_IDS == ("bubble", "stack")
         assert operator_fn("stack")((2, 3, 1)) == stack_sort(P((2, 3, 1))).values
         assert operator_fn("bubble")((3, 2, 1)) == bubble_sort(P((3, 2, 1))).values
+
+    @pytest.mark.parametrize("op_id", OPERATOR_IDS)
+    def test_passes_past_n_minus_one_change_nothing(self, op_id):
+        # sort_power applies at most n - 1 passes; the images of every
+        # permutation of length n <= 7 after n - 1 up to n + 1 passes, and
+        # after a huge count, equal those of passes applied one by one, and
+        # n - 2 passes do not sort every permutation.
+        step = operator_fn(op_id)
+        for n in range(1, 8):
+            unsorted = 0
+            for values in itertools.permutations(range(1, n + 1)):
+                pi = P(values)
+                images = [values]
+                for _ in range(n + 1):
+                    images.append(step(images[-1]))
+                assert images[max(n - 1, 0)] == identity(n).values
+                for k in (n - 1, n, n + 1):
+                    assert sort_power(op_id, k, pi).values == images[k]
+                assert sort_power(op_id, 10**9, pi) == identity(n)
+                unsorted += n >= 2 and images[n - 2] != identity(n).values
+            assert unsorted or n == 1

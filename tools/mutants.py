@@ -1,14 +1,17 @@
 """A standing mutation check for the search compiler, its lowering of
 barred patterns, decorations and marks and its occurrence records, box
-normalization, the oracle's scan, shading and its result type, mark
-expansion, basis pruning, the fixture table and the pattern parsers.
+normalization, the pattern kind its parts decide, the oracle's scan, the
+pass count of a sorting power, shading and its result type, mark
+expansion, basis pruning, the fixture table, the pattern parsers and the
+command line's work check.
 
 Each fault in ``MUTANTS`` is a one-line textual change to a file under
 ``src/``.  For each one in turn the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` to a temporary directory, applies the fault there, runs
 
-    tests/test_reference_matcher.py tests/test_patterns.py tests/test_oracle.py
-    tests/test_preimage.py tests/test_formats.py
+    tests/test_patterns.py tests/test_formats.py tests/test_permutation.py
+    tests/test_cli.py tests/test_preimage.py tests/test_oracle.py
+    tests/test_reference_matcher.py
 
 against the copy, and prints whether a test failed (killed) or none did
 (survived).  It exits 1 if a fault survives that ``EQUIVALENT`` does not
@@ -32,18 +35,23 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+# Quick files first, as -x stops a run at its first failure.
 TESTS = [
-    "tests/test_reference_matcher.py",
     "tests/test_patterns.py",
-    "tests/test_oracle.py",
-    "tests/test_preimage.py",
     "tests/test_formats.py",
+    "tests/test_permutation.py",
+    "tests/test_cli.py",
+    "tests/test_preimage.py",
+    "tests/test_oracle.py",
+    "tests/test_reference_matcher.py",
 ]
 PATTERNS = "src/permpat/patterns.py"
 ORACLE = "src/permpat/oracle.py"
 PREIMAGE = "src/permpat/preimage.py"
 FIXTURES = "src/permpat/fixtures.py"
 FORMATS = "src/permpat/formats.py"
+PERMUTATION = "src/permpat/permutation.py"
+CLI = "src/permpat/cli.py"
 
 
 class Mutant(NamedTuple):
@@ -115,6 +123,29 @@ MUTANTS = [
     # as_boxes: a box is a pair.
     Mutant("box arity check dropped", PATTERNS,
            "c, r = box\n        except", "c, r = box[:2]\n        except"),
+    # Pattern: the parts decide the kind, and refuse parts that exclude
+    # each other.
+    Mutant("a shaded pattern called classical", PATTERNS,
+           'else "mesh" if shade else "classical"', 'else "classical"'),
+    Mutant("marks outranked by shading", PATTERNS,
+           '"marked" if marks\n                else "mesh" if shade',
+           '"mesh" if shade\n                else "marked" if marks'),
+    Mutant("bars beside shading accepted", PATTERNS,
+           "if bars and (shade or marks or decorations):", "if bars and (marks or decorations):"),
+    Mutant("decorations beside marks accepted", PATTERNS,
+           "if decorations and (shade or marks):", "if decorations and shade:"),
+    Mutant("barred pattern without bars accepted", PATTERNS, "if not pat.barred_positions:", "if False:"),
+    # The JSON parser refuses a kind its parts do not make, and nesting
+    # deeper than the recursion limit is a syntax error.
+    Mutant("JSON kind check dropped", FORMATS, "if kind != pat.kind:", "if False:"),
+    Mutant("deep nesting not caught", FORMATS,
+           'except RecursionError:\n            raise PatternSyntaxError("nested too deeply") from None',
+           'except ZeroDivisionError:\n            raise PatternSyntaxError("nested too deeply") from None'),
+    # _sort_power: n - 1 passes sort a permutation of length n.
+    Mutant("pass count capped at n - 2", PERMUTATION,
+           "min(k, len(values) - 1)", "min(k, len(values) - 2)"),
+    # _check_work: a huge bound's order of magnitude.
+    Mutant("order of magnitude of (bound - 1)!", CLI, "math.lgamma(bound + 1)", "math.lgamma(bound)"),
     # _scan: a negative pass count is refused.
     Mutant("pass-count check loosened", ORACLE, "if passes < 0:", "if passes < -1:"),
     # _image_test: one verdict per first-pass image.
@@ -188,7 +219,7 @@ MUTANTS = [
            "start + lead + exc.position", "lead + exc.position"),
     # parse_pattern_list: an array element's error points at the element.
     Mutant("element offset dropped from an array position", FORMATS,
-           "lead + _element_start(body, index)", "lead"),
+           "exc.args[0], lead + _element_start(body, index)", "exc.args[0], lead"),
 ]
 
 # Faults that cannot change any result, by name, with the reason.
