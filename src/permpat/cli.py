@@ -29,14 +29,9 @@ from .formats import (
     render_grid,
 )
 from .oracle import census, verify_preimage
-from .patterns import occurrences
+from .patterns import canonical, occurrences
 from .permutation import OPERATOR_IDS, Permutation, sort_power
-from .preimage import (
-    MarkedBasis,
-    candidate_outcomes,
-    expand_basis,
-    prune_basis,
-)
+from .preimage import candidate_outcomes, expand_basis, prune_basis
 
 
 # Built once per process: parse_args keeps no state between calls, and
@@ -182,17 +177,15 @@ def _cmd_preimage(args) -> tuple[list[str], int]:
         for lam, outcome in outcomes:
             if outcome is None:
                 lines.append(f"# rejected: {lam.to_text()}")
-    basis = MarkedBasis.from_patterns(
-        outcome.to_pattern() for _, outcome in outcomes if outcome is not None
-    )
-    patterns = expand_basis(basis) if args.expand else basis.patterns
+    patterns = canonical(outcome.pattern for _, outcome in outcomes if outcome is not None)
+    if args.expand:
+        patterns = expand_basis(patterns)
     if args.prune is not None:
         _check_work(args, "--prune", args.prune, len(patterns))
-        basis = prune_basis(patterns, args.prune)
-        patterns = basis.patterns
+        patterns = prune_basis(patterns, args.prune)
     lines.extend(_format_any(p) for p in patterns)
     if args.prune is not None:
-        lines.append(f"# pruned: verified up to n={basis.verified_upto}")
+        lines.append(f"# pruned: verified up to n={args.prune}")
     return lines, 0
 
 

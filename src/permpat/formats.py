@@ -28,7 +28,7 @@ from .errors import (
     PatternSyntaxError,
     UnsupportedFormatError,
 )
-from .patterns import Box, Decoration, Mark, Pattern
+from .patterns import _MAX_NESTING, Box, Decoration, Mark, Pattern
 from .permutation import Permutation
 
 FORMATS = ("line", "json")
@@ -122,9 +122,13 @@ def _boxes_from_obj(items) -> tuple[Box, ...]:
     return tuple(Box(_int(c, "box coordinate"), _int(r, "box coordinate")) for c, r in items)
 
 
-def _pattern_from_obj(obj) -> Pattern:
+def _pattern_from_obj(obj, depth: int = 0) -> Pattern:
+    """The pattern of a JSON object ``depth`` decorations deep, refused as
+    a syntax error past the nesting bound that :class:`Decoration` keeps."""
     if not isinstance(obj, dict):
         raise PatternSyntaxError("pattern JSON must be an object")
+    if depth > _MAX_NESTING:
+        raise PatternSyntaxError("nested too deeply")
     try:
         kind = obj["kind"]
         perm = Permutation(tuple(_int(v, "perm entry") for v in obj["perm"]))
@@ -134,7 +138,7 @@ def _pattern_from_obj(obj) -> Pattern:
             for m in obj.get("marks", ())
         )
         decor = tuple(
-            Decoration(_boxes_from_obj(d["boxes"]), _pattern_from_obj(d["avoid"]))
+            Decoration(_boxes_from_obj(d["boxes"]), _pattern_from_obj(d["avoid"], depth + 1))
             for d in obj.get("decor", ())
         )
         bars = tuple(_int(b, "barred position") for b in obj.get("bars", ()))
@@ -159,8 +163,7 @@ def parse_pattern(text: str, fmt: str = "line") -> Pattern:
     if not text.strip():
         raise PatternSyntaxError("empty pattern text")
     if fmt == "json":
-        # Python's recursion limit stops json.loads on deeply nested arrays,
-        # and the hashing of deeply nested decorations.
+        # Python's recursion limit stops json.loads on deeply nested arrays.
         try:
             return _pattern_from_obj(json.loads(text))
         except json.JSONDecodeError as exc:
@@ -215,8 +218,6 @@ def parse_pattern_list(text: str) -> list[Pattern]:
                 out.append(_pattern_from_obj(item))
             except PatternSyntaxError as exc:
                 raise PatternSyntaxError(exc.args[0], lead + _element_start(body, index)) from None
-            except RecursionError:
-                raise PatternSyntaxError("nested too deeply", lead + _element_start(body, index)) from None
         return out
     out = []
     start = 0  # the index in ``text`` of the line's first character

@@ -105,12 +105,26 @@ class Mark:
         return (self.region, self.min_count)
 
 
+# The most levels a pattern may nest decorations within decorations.
+# Comparing two equal patterns recurses through every level, at about 7 of
+# CPython 3.11's default limit of 1,000 frames each, so 50 levels take some
+# 350 and leave the rest to the caller's own stack; 120 levels already
+# failed ``==`` when called from 200 frames deep.
+_MAX_NESTING = 50
+
+
+def _nesting(pat: "Pattern") -> int:
+    """How many levels of decorations ``pat`` nests: 0 without any."""
+    return max((1 + _nesting(d.avoid) for d in pat.decorations), default=0)
+
+
 @dataclass(frozen=True)
 class Decoration:
     """A region whose contents, read as a subpermutation, must avoid
     ``avoid``.  Only classical and decorated avoid-patterns are accepted;
     the geometry of shaded or marked boxes inside a scattered region is not
-    defined here."""
+    defined here.  A pattern nests at most ``_MAX_NESTING`` levels of
+    decorations."""
 
     region: Region
     avoid: "Pattern"
@@ -122,6 +136,10 @@ class Decoration:
         if self.avoid.kind not in ("classical", "decorated"):
             raise UnsupportedPatternError(
                 f"decoration avoid-pattern must be classical or decorated, got {self.avoid.kind}"
+            )
+        if _nesting(self.avoid) >= _MAX_NESTING:
+            raise UnsupportedPatternError(
+                f"decorations nested too deeply: at most {_MAX_NESTING} levels are supported"
             )
 
     def sort_key(self) -> tuple:
@@ -346,31 +364,24 @@ _occurrence = functools.partial(tuple.__new__, Occurrence)
 
 
 class Diagram:
-    """A host permutation's point set, with a lazily built two-dimensional
-    prefix-count table giving rectangle point counts in constant time.
+    """A host permutation's point set, with a two-dimensional prefix-count
+    table giving rectangle point counts in constant time.
 
     No search reads it: box and mark tests read column slices of the host's
     values.  It stays because the benchmark's layer probe
     ``patterns.prefix_us`` times ``Diagram(values).prefix()``, and goes with
     the benchmark change that retires that probe."""
 
-    __slots__ = ("values", "n", "_prefix")
-
     def __init__(self, values: Sequence[int]):
         self.values: Values = tuple(values)
-        self.n = len(self.values)
-        self._prefix: list[list[int]] | None = None
 
     def prefix(self) -> list[list[int]]:
         """prefix()[i][j] counts points (x, y) with x <= i and y <= j."""
-        if self._prefix is None:
-            n = self.n
-            rows = [[0] * (n + 1)]
-            for v in self.values:
-                prev = rows[-1]
-                rows.append(prev[:v] + [c + 1 for c in prev[v:]])
-            self._prefix = rows
-        return self._prefix
+        rows = [[0] * (len(self.values) + 1)]
+        for v in self.values:
+            prev = rows[-1]
+            rows.append(prev[:v] + [c + 1 for c in prev[v:]])
+        return rows
 
 
 _POINT = Pattern(Permutation((1,)))

@@ -10,9 +10,10 @@ The pipeline has three stages:
    candidate is mapped by the sorting pass onto an occurrence of the image
    pattern; candidates whose required region is entirely shaded are
    rejected.
-3. ``stack_preimage_basis`` packages the accepted candidates as a basis of
-   marked mesh patterns: a permutation is mapped into the avoidance class of
-   the image pattern exactly when it avoids every basis pattern.
+3. ``stack_preimage_basis`` collects the accepted candidates' patterns
+   into a basis of marked mesh patterns: a permutation is mapped into the
+   avoidance class of the image pattern exactly when it avoids every basis
+   pattern.  A basis is a canonical tuple (:func:`patterns.canonical`).
 
 ``expand_basis`` trades marks for more patterns by inserting an explicit
 witness point into each box of a marked region.  It branches on plain
@@ -28,9 +29,8 @@ one enumeration, ``oracle._scan``.
 from __future__ import annotations
 
 import functools
-import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import (
     InvalidBoundError,
@@ -41,6 +41,7 @@ from .patterns import (
     Box,
     Mark,
     Pattern,
+    Region,
     _expand,
     _insert,
     _plain,
@@ -83,31 +84,27 @@ def un_s(word: Iterable[int]) -> frozenset[Permutation]:
 
 @dataclass(frozen=True)
 class ShadeMarkResult:
-    """Outcome of shading and marking one accepted candidate: the candidate
-    permutation, the shaded boxes, and the marked regions, each of which
-    needs at least one point.  Construction builds the pattern they denote
-    once, which normalizes the boxes and checks them against the grid and
-    the marks against the shading; ``shades`` and ``marks`` are read back
-    from it.  The regions must also be pairwise incomparable under
-    inclusion, so equal or nested regions are refused."""
+    """Outcome of shading and marking one accepted candidate: the marked
+    mesh pattern it denotes.  Its parts are the candidate permutation, the
+    shaded boxes, and the marked regions, each of which needs at least one
+    point; no region of one outcome lies inside another."""
 
-    candidate: Permutation
-    shades: tuple[Box, ...]
-    marks: tuple[tuple[Box, ...], ...]
-    _pattern: Pattern = field(init=False, repr=False, compare=False)
+    pattern: Pattern
 
-    def __post_init__(self) -> None:
-        marks = [Mark(region) for region in self.marks]
-        for a, b in itertools.permutations(marks, 2):
-            if set(a.region) <= set(b.region):
-                raise InvalidInputError(f"mark regions {a.region} and {b.region} are nested")
-        pattern = Pattern(self.candidate, self.shades, marks)
-        object.__setattr__(self, "_pattern", pattern)
-        object.__setattr__(self, "shades", pattern.shade)
-        object.__setattr__(self, "marks", tuple(m.region for m in pattern.marks))
+    @property
+    def candidate(self) -> Permutation:
+        return self.pattern.perm
+
+    @property
+    def shades(self) -> Region:
+        return self.pattern.shade
+
+    @property
+    def marks(self) -> tuple[Region, ...]:
+        return tuple(m.region for m in self.pattern.marks)
 
     def to_pattern(self) -> Pattern:
-        return self._pattern
+        return self.pattern
 
 
 def _shade_and_mark_impl(
@@ -130,6 +127,7 @@ def _shade_and_mark_impl(
             floor[c] = min(floor[c], v)
     shades = [(c, r) for c in range(n + 1) for r in range(floor[c], n + 1)]
 
+    # Only the least regions are kept, so no region lies inside another.
     marks: list[frozenset[tuple[int, int]]] = []
     for u, v in inv_pairs:
         i, j = pos[u], pos[v]
@@ -141,7 +139,7 @@ def _shade_and_mark_impl(
                 marks = [m for m in marks if not region <= m]
                 marks.append(region)
 
-    return ShadeMarkResult(candidate, tuple(shades), tuple(marks))
+    return ShadeMarkResult(Pattern(candidate, shades, [Mark(region) for region in marks]))
 
 
 def shade_and_mark(candidate: Permutation, image: Permutation) -> ShadeMarkResult | None:
@@ -180,37 +178,15 @@ def candidate_outcomes(image: Permutation) -> list[tuple[Permutation, ShadeMarkR
     return [(lam, _shade_and_mark_impl(lam, ninv, inv)) for lam in sorted(un_s(image.values))]
 
 
-@dataclass(frozen=True)
 class MarkedBasis:
-    """A basis of classical, mesh and marked patterns.  Construction
-    normalizes ``patterns`` through :func:`canonical`, as a pattern
-    normalizes its own parts: any iterable is accepted, and the field holds
-    the distinct patterns in :func:`pattern_sort_key` order.
-    ``verified_upto`` records the bound of an exhaustive pruning check, if
-    one was performed."""
+    """Kept for the benchmark under ``perfbench/``, which builds bases
+    through ``MarkedBasis.from_patterns``.  A basis is the canonical tuple
+    that :func:`patterns.canonical` returns, and so is what this returns."""
 
-    patterns: tuple[Pattern, ...]
-    verified_upto: int | None = None
-
-    def __post_init__(self) -> None:
-        patterns = canonical(self.patterns)
-        for pat in patterns:
-            if pat.kind not in ("classical", "mesh", "marked"):
-                raise InvalidInputError(f"basis patterns must be classical, mesh or marked, got {pat.kind}")
-        object.__setattr__(self, "patterns", patterns)
-
-    @classmethod
-    def from_patterns(cls, patterns: Iterable[Pattern], verified_upto: int | None = None) -> "MarkedBasis":
-        return cls(patterns, verified_upto)
-
-    def __iter__(self) -> Iterator[Pattern]:
-        return iter(self.patterns)
-
-    def __len__(self) -> int:
-        return len(self.patterns)
+    from_patterns = staticmethod(canonical)
 
 
-def stack_preimage_basis(image: Permutation) -> MarkedBasis:
+def stack_preimage_basis(image: Permutation) -> tuple[Pattern, ...]:
     """Basis of marked mesh patterns characterizing the stack-sort preimage
     of the avoidance class of ``image``: for every n, the permutations whose
     sorting pass lands in Av_n(image) are exactly Av_n of this basis.
@@ -218,8 +194,7 @@ def stack_preimage_basis(image: Permutation) -> MarkedBasis:
     >>> [str(p.perm) for p in stack_preimage_basis(Permutation.from_text("231"))]
     ['231', '321']
     """
-    pats = [outcome.to_pattern() for _, outcome in candidate_outcomes(image) if outcome is not None]
-    return MarkedBasis.from_patterns(pats)
+    return canonical(outcome.pattern for _, outcome in candidate_outcomes(image) if outcome is not None)
 
 
 def insert_point(pat: Pattern, box: Box | tuple[int, int]) -> Pattern:
@@ -247,7 +222,7 @@ def insert_point(pat: Pattern, box: Box | tuple[int, int]) -> Pattern:
     return Pattern(Permutation(values), shade, tuple(Mark(region, count) for region, count in marks))
 
 
-def expand_basis(basis: MarkedBasis | Iterable[Pattern]) -> tuple[Pattern, ...]:
+def expand_basis(basis: Iterable[Pattern]) -> tuple[Pattern, ...]:
     """Replace each marked pattern of a basis by the equivalent set of mesh
     patterns and return the deduplicated union, sorted once: while marks
     are left, branch on each box of the first mark's region, inserting a
@@ -263,10 +238,11 @@ def expand_basis(basis: MarkedBasis | Iterable[Pattern]) -> tuple[Pattern, ...]:
     return canonical(p for pat in basis for p in _expand(pat))
 
 
-def prune_basis(basis: MarkedBasis | Iterable[Pattern], n_max: int) -> MarkedBasis:
+def prune_basis(basis: Iterable[Pattern], n_max: int) -> tuple[Pattern, ...]:
     """Greedily drop basis patterns implied by the rest, keeping avoidance
-    sets identical for every length up to ``n_max``.  The result is only
-    verified up to that bound, which it records.
+    sets identical for every length up to ``n_max``, and return the
+    canonical tuple of the patterns kept.  The result is only verified up
+    to that bound.  Patterns of every kind are accepted.
 
     One scan per length (:func:`oracle._scan`) collects the distinct
     bitmasks of basis patterns that some permutation contains.  In basis
@@ -278,7 +254,7 @@ def prune_basis(basis: MarkedBasis | Iterable[Pattern], n_max: int) -> MarkedBas
     >>> [str(p.perm) for p in prune_basis([classical("2341"), classical("23451")], 5)]
     ['2341']
     """
-    patterns = MarkedBasis(basis).patterns
+    patterns = canonical(basis)
     if patterns:
         longest = max(len(p.perm) for p in patterns)
         if n_max < longest:
@@ -294,4 +270,4 @@ def prune_basis(basis: MarkedBasis | Iterable[Pattern], n_max: int) -> MarkedBas
         q = 1 << i
         if all(mask & kept & ~q for mask in masks if mask & q):
             kept &= ~q
-    return MarkedBasis((p for i, p in enumerate(patterns) if kept >> i & 1), verified_upto=n_max)
+    return tuple(p for i, p in enumerate(patterns) if kept >> i & 1)

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import permpat
-from permpat import MarkedBasis, VerificationReport, classical, mesh, parse_pattern_list
+from permpat import VerificationReport, classical, mesh, parse_pattern_list
 from permpat import cli, permutation
 from permpat.cli import main
+from permpat.patterns import _MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -222,7 +223,7 @@ class TestWorkLimit:
 
         stub("verify_preimage", VerificationReport("stack", 1, ((1, 1, 1, True),)))
         stub("census", 1)
-        stub("prune_basis", MarkedBasis.from_patterns([classical("21")], verified_upto=2))
+        stub("prune_basis", (classical("21"),))
         return ran
 
     # west2 searches its two patterns and the image basis 21; the expanded
@@ -431,6 +432,16 @@ def test_deep_nesting_is_a_usage_error(capsys, tmp_path, argv, text):
     f = tmp_path / "deep.txt"
     f.write_text(text)
     code, out, err = run(capsys, *argv, str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_one_level_past_the_nesting_bound_is_a_usage_error(capsys, tmp_path):
+    f = tmp_path / "deep.json"
+    f.write_text(_nested_decorations(_MAX_NESTING))
+    assert run(capsys, "match", "1", "--pattern", str(f)) == (0, "1\n", "")
+    f.write_text(_nested_decorations(_MAX_NESTING + 1))
+    code, out, err = run(capsys, "match", "1", "--pattern", str(f))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "nested too deeply" in err
 

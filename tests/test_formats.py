@@ -23,6 +23,7 @@ from permpat import (
     render_grid,
 )
 from permpat.formats import detect_format
+from permpat.patterns import _MAX_NESTING
 
 
 class TestParseLine:
@@ -241,6 +242,17 @@ class TestJson:
             parse_pattern(deep, "json")
         with pytest.raises(PatternSyntaxError, match="nested too deeply"):
             parse_pattern_list("[" * 100000)
+
+    def test_deep_arrays_in_one_pattern_are_a_syntax_error(self):
+        with pytest.raises(PatternSyntaxError, match="nested too deeply"):
+            parse_pattern('{"kind": "classical", "perm": ' + "[" * 100000, "json")
+
+    def test_decorations_past_the_nesting_bound_are_a_syntax_error(self):
+        head = '{"kind": "decorated", "perm": [1], "decor": [{"boxes": [[0, 0]], "avoid": '
+        nested = lambda depth: head * depth + '{"kind": "classical", "perm": [1]}' + "}]}" * depth
+        assert len(parse_pattern_list(f"[{nested(_MAX_NESTING)}]")) == 1
+        with pytest.raises(PatternSyntaxError, match="nested too deeply"):
+            parse_pattern_list(f"[{nested(_MAX_NESTING + 1)}]")
 
 
 class TestDetectFormat:

@@ -23,16 +23,18 @@ from permpat import (
     contains,
     decorated,
     expand_basis,
+    format_pattern,
     marked,
     mesh,
     occurrences,
     parse_pattern,
     pattern_sort_key,
+    render_grid,
     stack_preimage_basis,
 )
 from permpat import patterns
 from permpat.fixtures import FIXTURE_NAMES
-from permpat.patterns import _search, _witnesses, canonical
+from permpat.patterns import _MAX_NESTING, _search, _witnesses, canonical
 
 P = Permutation
 PI = P((5, 2, 6, 4, 1, 3))
@@ -237,6 +239,55 @@ class TestDecoratedMatching:
         pat = decorated("12", [(((1, 0), (2, 0)), inner)])
         assert pat.decorations[0].avoid == inner
         assert isinstance(occurrences(P((1, 4, 3, 2, 5)), pat), list)
+
+
+def nest(depth):
+    """classical("1") wrapped ``depth`` times in a decoration of box (0, 0)."""
+    pat = classical("1")
+    for _ in range(depth):
+        pat = decorated("1", [({(0, 0)}, pat)])
+    return pat
+
+
+def deep_call(frames, fn):
+    return deep_call(frames - 1, fn) if frames else fn()
+
+
+class TestDecorationNesting:
+    """Comparing, hashing and searching recurse through every level of
+    decorations, so a pattern nests at most ``_MAX_NESTING`` levels."""
+
+    @staticmethod
+    def results(depth):
+        # Two patterns built apart, so the search cache compares equal keys
+        # that are not the same object.
+        a, b = nest(depth), nest(depth)
+        return (a == b, hash(a) == hash(b), canonical([a, b]) == (b,), contains(P((2, 4, 1, 3)), a),
+                len(occurrences(P((3, 1, 2)), b)), parse_pattern(format_pattern(a, "json"), "json") == b)
+
+    def test_results_do_not_depend_on_what_the_cache_holds(self):
+        depths = range(1, _MAX_NESTING + 1)
+        rising = [self.results(d) for d in depths]
+        falling = [self.results(d) for d in reversed(depths)]
+        assert rising == falling[::-1]
+        assert all(r[:4] == (True, True, True, True) and r[5] for r in rising)
+
+    def test_the_bound_works_from_200_frames_deep(self):
+        a, b = nest(_MAX_NESTING), nest(_MAX_NESTING)
+        calls = [
+            lambda: a == b,
+            lambda: hash(a) == hash(b),
+            lambda: canonical([a, b]) == (a,),
+            lambda: (_search.cache_clear(), contains(P((2, 1)), a))[1],
+            lambda: contains(P((2, 1)), b),
+            lambda: parse_pattern(format_pattern(a, "json"), "json") == b,
+            lambda: bool(render_grid(a)),
+        ]
+        assert [deep_call(200, fn) for fn in calls] == [True] * len(calls)
+
+    def test_one_level_past_the_bound_is_refused(self):
+        with pytest.raises(UnsupportedPatternError, match="nested too deeply"):
+            nest(_MAX_NESTING + 1)
 
 
 class TestBarredMatching:

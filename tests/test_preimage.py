@@ -17,6 +17,7 @@ from permpat import (
     Pattern,
     Permutation,
     UnsupportedPatternError,
+    av_set,
     barred,
     classical,
     contains,
@@ -32,6 +33,7 @@ from permpat import (
 )
 from permpat import patterns, preimage
 from permpat.cli import main
+from permpat.patterns import canonical
 from permpat.preimage import MarkedBasis, ShadeMarkResult, candidate_outcomes
 
 P = Permutation
@@ -177,32 +179,25 @@ class TestShadeMarkResult:
         assert shade_and_mark(P((1, 2)), P((1, 2))).to_pattern().kind == "classical"
         assert shade_and_mark(P((2, 3, 1)), P((2, 3, 1))).to_pattern().kind == "marked"
 
-    def test_marks_disjoint_from_shades_enforced(self):
-        with pytest.raises(InvalidInputError):
-            ShadeMarkResult(P((2, 1)), shades=(Box(1, 2),), marks=((Box(1, 2),),))
-
-    @pytest.mark.parametrize("marks", [
-        ((Box(1, 2),), (Box(1, 2), Box(1, 1))),
-        ((Box(1, 2),), (Box(1, 2),)),
-    ], ids=["nested", "equal"])
-    def test_marks_must_be_incomparable(self, marks):
-        with pytest.raises(InvalidInputError, match="nested"):
-            ShadeMarkResult(P((2, 1)), shades=(), marks=marks)
-
-    @pytest.mark.parametrize("shades,marks", [
-        ((Box(3, 0),), ()),
-        ((), ((Box(0, 3),),)),
-    ], ids=["shaded", "marked"])
-    def test_box_outside_the_grid_refused(self, shades, marks):
-        with pytest.raises(InvalidInputError, match="outside grid"):
-            ShadeMarkResult(P((2, 1)), shades=shades, marks=marks)
-
     def test_parts_read_back_from_the_pattern(self):
-        res = ShadeMarkResult(P((2, 1)), shades=[(0, 2), (0, 1), (0, 2)],
-                              marks=[{(2, 0), (1, 2)}])
+        pat = marked("21", shade=[(0, 2), (0, 1), (0, 2)], marks=[{(2, 0), (1, 2)}])
+        res = ShadeMarkResult(pat)
+        assert res.candidate == P((2, 1))
         assert res.shades == (Box(0, 1), Box(0, 2))
         assert res.marks == ((Box(1, 2), Box(2, 0)),)
-        assert res.to_pattern() == marked("21", shade=[(0, 1), (0, 2)], marks=[{(1, 2), (2, 0)}])
+        assert res.to_pattern() is pat
+
+    def test_marks_are_incomparable_and_off_the_shading_through_length_6(self):
+        # _shade_and_mark_impl keeps only the least regions; no check at
+        # construction enforces it.
+        for image in perms_through(6):
+            for lam, outcome in candidate_outcomes(image):
+                if outcome is None:
+                    continue
+                regions = [set(region) for region in outcome.marks]
+                assert all(a.isdisjoint(outcome.shades) for a in regions), (lam, image)
+                assert not any(i != j and a <= b for i, a in enumerate(regions)
+                               for j, b in enumerate(regions)), (lam, image)
 
 
 class TestStackPreimageBasis:
@@ -233,16 +228,10 @@ class TestMarkedBasis:
         basis = MarkedBasis.from_patterns([a, b, a])
         assert list(basis) == sorted({a, b}, key=lambda p: (p.perm.n, p.perm.values))
 
-    def test_constructor_normalizes(self):
-        a = marked("21", marks=[((Box(1, 2),), 1)])
-        b = classical("123")
-        basis = MarkedBasis((b, a, b))
-        assert basis.patterns == (a, b)
-        assert basis == MarkedBasis.from_patterns([a, b])
-
-    def test_rejects_unorderable_kinds(self):
-        with pytest.raises(InvalidInputError):
-            MarkedBasis.from_patterns([classical("21"), __import__("permpat").barred("231", [1])])
+    def test_bases_are_canonical_tuples(self):
+        b, a = classical("123"), marked("21", marks=[((Box(1, 2),), 1)])
+        assert MarkedBasis.from_patterns((b, a, b)) == (a, b)
+        assert stack_preimage_basis(P((2, 3, 1))) == canonical(stack_preimage_basis(P((2, 3, 1))))
 
 
 class TestInsertPoint:
@@ -391,9 +380,7 @@ class TestExpandBasis:
 class TestPruneBasis:
     def test_implied_longer_pattern_removed(self):
         basis = MarkedBasis.from_patterns([classical("2341"), classical("23451")])
-        pruned = prune_basis(basis, 6)
-        assert list(pruned) == [classical("2341")]
-        assert pruned.verified_upto == 6
+        assert prune_basis(basis, 6) == (classical("2341"),)
 
     def test_containment_equivalent_pair_leaves_one(self):
         basis = MarkedBasis.from_patterns(
@@ -410,6 +397,18 @@ class TestPruneBasis:
         # and 21 together; once 1 is kept, it implies both.
         pruned = prune_basis([classical("21"), classical("1"), classical("12")], 3)
         assert list(pruned) == [classical("1")]
+
+    def test_any_iterable_gives_the_canonical_tuple(self):
+        given = iter([mesh("3241", [(1, 4)]), classical("2341"), classical("2341")])
+        assert prune_basis(given, 6) == (classical("2341"), mesh("3241", [(1, 4)]))
+
+    def test_barred_and_decorated_bases_keep_their_avoiders(self):
+        basis = (classical("2341"), classical("23451"), barred("35241", [2]), mesh("3241", [(1, 4)]),
+                 decorated("3241", [({(1, 4)}, "1")]), decorated("132", [({(1, 0), (1, 1)}, "21")]))
+        pruned = prune_basis(basis, 7)
+        assert set(pruned) < set(basis) and {p.kind for p in pruned} == {"classical", "barred", "decorated"}
+        for n in range(1, 8):
+            assert av_set(n, pruned) == av_set(n, basis), n
 
     def test_bound_below_longest_pattern_rejected(self):
         basis = MarkedBasis.from_patterns([classical("2341")])

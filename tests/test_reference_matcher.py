@@ -236,7 +236,7 @@ def test_derived_bases_match_reference_through_length_7():
     # The first-hit and mask searches test some marks through their
     # expansions, and one pattern's expansions may share loops with
     # another pattern's.
-    bases = [stack_preimage_basis(Permutation(image)).patterns
+    bases = [stack_preimage_basis(Permutation(image))
              for k in range(5) for image in permutations(range(1, k + 1))]
     assert len(bases) == 34
     assert_bases_search_match_reference(bases, hosts_through(7))

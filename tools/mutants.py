@@ -1,9 +1,9 @@
 """A standing mutation check for the search compiler, its lowering of
 barred patterns, decorations and marks and its occurrence records, box
-normalization, the pattern kind its parts decide, the oracle's scan, the
-pass count of a sorting power, shading and its result type, mark
-expansion, basis pruning, the fixture table, the pattern parsers and the
-command line's work check.
+normalization, the pattern kind its parts decide, the nesting bound of
+decorations, the oracle's scan, the pass count of a sorting power,
+shading and marking, mark expansion, basis pruning and its trailer, the
+fixture table, the pattern parsers and the command line's work check.
 
 Each fault in ``MUTANTS`` is a one-line textual change to a file under
 ``src/``.  For each one in turn the script copies ``src/``, ``tests/`` and
@@ -162,11 +162,13 @@ MUTANTS = [
            "REASON_BAD_IMAGE if in_av else REASON_CONTAINS_BASIS",
            "REASON_CONTAINS_BASIS if in_av else REASON_BAD_IMAGE"),
     Mutant("image count from the candidate side", ORACLE, "good_count += good", "good_count += in_av"),
-    # ShadeMarkResult: equal or nested mark regions are refused.
-    Mutant("nested-region check dropped", PREIMAGE,
-           "if set(a.region) <= set(b.region):", "if False:"),
-    # _shade_and_mark_impl: column c is shaded from floor[c] up.
+    # _shade_and_mark_impl: column c is shaded from floor[c] up, and only
+    # the least mark regions are kept.
     Mutant("shade floor starts at n", PREIMAGE, "floor = [n + 1] * (n + 1)", "floor = [n] * (n + 1)"),
+    Mutant("antichain filter dropped", PREIMAGE,
+           "if not any(existing <= region for existing in marks):\n"
+           "                marks = [m for m in marks if not region <= m]\n",
+           "if True:\n"),
     # _insert and _expansions: one witness per branch, counted once per mark.
     Mutant("witness deletes the mark whatever its count", PATTERNS,
            "count -= box in region", "count = 0 if box in region else count"),
@@ -207,6 +209,13 @@ MUTANTS = [
     Mutant("pruning ignores the kept bits", PREIMAGE, "mask & kept & ~q", "mask & ~q"),
     Mutant("pruning keeps only the last length's masks", PREIMAGE,
            "for n in range(1, n_max + 1)", "for n in (n_max,)"),
+    Mutant("pruning skips canonical", PREIMAGE, "patterns = canonical(basis)", "patterns = tuple(basis)"),
+    # The pruning trailer names the bound the CLI pruned with.
+    Mutant("trailer names another bound", CLI,
+           'f"# pruned: verified up to n={args.prune}"', 'f"# pruned: verified up to n={args.prune + 1}"'),
+    # Decoration: a pattern nests at most _MAX_NESTING levels.
+    Mutant("nesting bound off by one", PATTERNS,
+           "if _nesting(self.avoid) >= _MAX_NESTING:", "if _nesting(self.avoid) > _MAX_NESTING:"),
     # The fixture table: each basis is exact for its operator and passes.
     Mutant("a fixture's pass count off by one", FIXTURES,
            '"west2": ("stack", 2,', '"west2": ("stack", 3,'),
