@@ -26,6 +26,7 @@ from .oracle import (
     av_set,
     census,
     preimage_av_set,
+    prune_basis,
     verify_preimage,
 )
 from .patterns import (
@@ -39,6 +40,8 @@ from .patterns import (
     classical,
     contains,
     decorated,
+    expand_basis,
+    insert_point,
     marked,
     mesh,
     occurrences,
@@ -59,9 +62,6 @@ from .preimage import (
     MarkedBasis,
     ShadeMarkResult,
     candidate_outcomes,
-    expand_basis,
-    insert_point,
-    prune_basis,
     shade_and_mark,
     stack_preimage_basis,
     un_s,

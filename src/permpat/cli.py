@@ -28,10 +28,10 @@ from .formats import (
     parse_pattern_list,
     render_grid,
 )
-from .oracle import census, verify_preimage
-from .patterns import canonical, occurrences
+from .oracle import census, prune_basis, verify_preimage
+from .patterns import canonical, expand_basis, occurrences
 from .permutation import OPERATOR_IDS, Permutation, sort_power
-from .preimage import candidate_outcomes, expand_basis, prune_basis
+from .preimage import candidate_outcomes
 
 
 # Built once per process: parse_args keeps no state between calls, and

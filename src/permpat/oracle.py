@@ -1,8 +1,10 @@
 """Brute-force oracles: avoidance sets, sorting censuses, verification.
 
-Everything here enumerates symmetric groups exhaustively, which keeps the
-results independent of the pattern machinery's cleverer paths and makes the
-module the referee for the rest of the package.  ``_scan`` is its one
+Everything here enumerates symmetric groups exhaustively: each answer up
+to a bound looks at every permutation of every length up to it.  Pattern
+tests run the compiled search (``patterns._search``), which
+``tests/test_reference_matcher.py`` checks against a definition-level
+matcher.  ``_scan`` is the module's one
 enumeration of S_n, in lexicographic order: it runs a worker on the whole
 of S_n, or with ``jobs > 1`` on one block per first letter in parallel,
 and merges the blocks' results in order, so worker count never changes a
@@ -12,7 +14,7 @@ whether its image after the sorting passes avoids the image basis; each
 basis is one compiled search that stops at its first hit.  ``census``
 counts identity images on the same blocks, and ``_mask_block`` collects
 the distinct pattern bitmasks of its block, from one compiled search of
-all the patterns, for implication pruning (``preimage.prune_basis``).
+all the patterns, for implication pruning (:func:`prune_basis`).
 
 The image side of a scan depends on a permutation only through its image
 after the first pass, and that pass is many-to-one (1,780 stack-sort
@@ -33,16 +35,6 @@ from typing import Callable, Iterable, Iterator
 from .errors import InvalidBoundError, InvalidInputError
 from .patterns import Pattern, _search, canonical
 from .permutation import Permutation, Values, _sort_power, operator_fn
-
-__all__ = [
-    "VerificationReport",
-    "REASON_BAD_IMAGE",
-    "REASON_CONTAINS_BASIS",
-    "av_set",
-    "census",
-    "preimage_av_set",
-    "verify_preimage",
-]
 
 REASON_BAD_IMAGE = "in-Av-but-bad-image"
 REASON_CONTAINS_BASIS = "image-good-but-contains-basis"
@@ -184,6 +176,43 @@ def _mask_block(args) -> set[int]:
     # contains patterns[i]: what implication pruning needs of S_n.
     n, first, _, _, patterns = args
     return set(map(_search(patterns, "mask"), _perm_stream(n, first)))
+
+
+def prune_basis(basis: Iterable[Pattern], n_max: int) -> tuple[Pattern, ...]:
+    """Greedily drop basis patterns implied by the rest, keeping avoidance
+    sets identical for every length up to ``n_max``, and return the
+    canonical tuple of the patterns kept.  The result is only verified up
+    to that bound.  Patterns of every kind are accepted.
+
+    One scan per length (:func:`_scan`) collects the distinct bitmasks of
+    basis patterns that some permutation contains.  In basis order, a
+    pattern q is dropped when some mask has q's bit and every such mask
+    also has the bit of another pattern still kept: every permutation
+    containing q then contains one of them, so the avoidance sets do not
+    change.  A pattern that no permutation up to the bound contains is
+    kept, because the scan shows nothing that implies it.
+
+    >>> from .patterns import classical
+    >>> [str(p.perm) for p in prune_basis([classical("2341"), classical("23451")], 5)]
+    ['2341']
+    """
+    patterns = canonical(basis)
+    if patterns:
+        longest = max(len(p.perm) for p in patterns)
+        if n_max < longest:
+            raise InvalidBoundError(
+                f"pruning bound {n_max} is below the longest basis pattern ({longest})"
+            )
+
+    masks = set().union(*(
+        block for n in range(1, n_max + 1) for block in _scan(_mask_block, n, "stack", 0, 1, patterns)
+    ))
+    kept = (1 << len(patterns)) - 1
+    for i in range(len(patterns)):
+        q = 1 << i
+        if any(mask & q for mask in masks) and all(mask & kept & ~q for mask in masks if mask & q):
+            kept &= ~q
+    return tuple(p for i, p in enumerate(patterns) if kept >> i & 1)
 
 
 @dataclass(frozen=True)

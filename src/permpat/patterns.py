@@ -36,11 +36,6 @@ pattern is the tuple of one.  The search that lists occurrences yields
 each occurrence's whole record, (alpha, beta, omega), written out from its
 loop variables, and :func:`occurrences` turns the records into
 :class:`Occurrence` objects without running Python code per record.
-
-Expansion itself runs here on plain ``(values, shade, marks)`` triples
-(:func:`_insert`, :func:`_expansions`, :func:`_expand`), shared with
-``preimage.insert_point`` and ``preimage.expand_basis``; lowering reads
-it for small marks.
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .errors import InvalidInputError, UnsupportedPatternError
+from .errors import InvalidInputError, InvalidInsertionError, UnsupportedPatternError
 from .permutation import Permutation, Values, _standardize
 
 
@@ -341,9 +336,44 @@ def _expansions(pat: Pattern) -> Iterator[tuple[Values, frozenset]]:
         todo.extend(_insert(values, shade, marks, b) for b in region)
 
 
-def _expand(pat: Pattern) -> set[Pattern]:
-    """The distinct expansions of ``pat``, each built as a pattern once."""
-    return {Pattern(Permutation(values), shade) for values, shade in set(_expansions(pat))}
+def insert_point(pat: Pattern, box: BoxLike) -> Pattern:
+    """Insert an explicit point into a box: the new pattern has one more
+    letter, at column ``box.col + 1`` and value ``box.row + 1``.  Shaded
+    boxes and marked regions split with the grid.  The new point counts
+    once towards every mark whose region contains the target box: such a
+    mark keeps its region with ``min_count`` one lower, and disappears when
+    that count reaches 0.  Any other mark keeps its count.  The insertion
+    itself runs on plain data, in the helper that expansion shares.
+
+    >>> p = insert_point(marked("2341", marks=[{(3, 4)}]), (3, 4))
+    >>> p.kind, str(p.perm)
+    ('classical', '23451')
+    """
+    (box,) = as_boxes([box])
+    values, shade, marks = _plain(pat, "insert a point into")
+    k = len(values)
+    if not (0 <= box.col <= k and 0 <= box.row <= k):
+        raise InvalidInsertionError(f"box {tuple(box)} outside grid 0..{k}")
+    if box in shade:
+        raise InvalidInsertionError(f"box {tuple(box)} is shaded")
+    values, shade, marks = _insert(values, shade, marks, box)
+    return Pattern(Permutation(values), shade, tuple(Mark(region, count) for region, count in marks))
+
+
+def expand_basis(basis: Iterable[Pattern]) -> tuple[Pattern, ...]:
+    """Replace each marked pattern of a basis by the equivalent set of mesh
+    patterns and return the deduplicated union, sorted once: while marks
+    are left, branch on each box of the first mark's region, inserting a
+    witness point there that counts towards every mark holding the box, so
+    any ``min_count`` is accepted.  The branching runs on plain data and
+    builds each distinct finished pattern once.  Containment in a marked
+    pattern equals containment in some expansion.
+
+    >>> [str(p.perm) for p in expand_basis([marked("21", marks=[{(1, 2)}])])]
+    ['231']
+    """
+    return canonical(Pattern(Permutation(values), shade)
+                     for pat in basis for values, shade in set(_expansions(pat)))
 
 
 class Occurrence(NamedTuple):

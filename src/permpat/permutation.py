@@ -86,16 +86,6 @@ def _sort_power(op_id: str, k: int, values: Values) -> Values:
     return values
 
 
-def _value_pairs(values: Values) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]:
-    """(inversions, noninversions) as ordered value pairs (u, v), u before v."""
-    inv = set()
-    ninv = set()
-    for i, u in enumerate(values):
-        for v in values[i + 1 :]:
-            (inv if u > v else ninv).add((u, v))
-    return frozenset(inv), frozenset(ninv)
-
-
 @dataclass(frozen=True, order=True)
 class Permutation:
     """A permutation of 1..n in one-line notation.

@@ -14,16 +14,6 @@ The pipeline has three stages:
    into a basis of marked mesh patterns: a permutation is mapped into the
    avoidance class of the image pattern exactly when it avoids every basis
    pattern.  A basis is a canonical tuple (:func:`patterns.canonical`).
-
-``expand_basis`` trades marks for more patterns by inserting an explicit
-witness point into each box of a marked region.  It branches on plain
-``(values, shade, marks)`` triples and builds one validated pattern per
-distinct finished expansion.  The expansion helpers (``_plain``,
-``_insert``, ``_expand``) live in ``patterns``, whose
-compiled search also tests small marks through their expansions; this
-module imports them.  ``prune_basis`` drops basis elements that are
-implied by the rest, verified exhaustively up to a bound by the oracle's
-one enumeration, ``oracle._scan``.
 """
 
 from __future__ import annotations
@@ -32,23 +22,9 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    InvalidBoundError,
-    InvalidInputError,
-    InvalidInsertionError,
-)
-from .patterns import (
-    Box,
-    Mark,
-    Pattern,
-    Region,
-    _expand,
-    _insert,
-    _plain,
-    canonical,
-)
-from .oracle import _mask_block, _scan
-from .permutation import Permutation, Values, _standardize, _value_pairs, as_word
+from .errors import InvalidInputError
+from .patterns import Mark, Pattern, Region, canonical
+from .permutation import Permutation, Values, _standardize, as_word
 
 
 # Bounded so that a long-lived process cannot grow it without limit; all 720
@@ -105,6 +81,16 @@ class ShadeMarkResult:
 
     def to_pattern(self) -> Pattern:
         return self.pattern
+
+
+def _value_pairs(values: Values) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]:
+    """(inversions, noninversions) as ordered value pairs (u, v), u before v."""
+    inv = set()
+    ninv = set()
+    for i, u in enumerate(values):
+        for v in values[i + 1 :]:
+            (inv if u > v else ninv).add((u, v))
+    return frozenset(inv), frozenset(ninv)
 
 
 def _shade_and_mark_impl(
@@ -195,79 +181,3 @@ def stack_preimage_basis(image: Permutation) -> tuple[Pattern, ...]:
     ['231', '321']
     """
     return canonical(outcome.pattern for _, outcome in candidate_outcomes(image) if outcome is not None)
-
-
-def insert_point(pat: Pattern, box: Box | tuple[int, int]) -> Pattern:
-    """Insert an explicit point into a box: the new pattern has one more
-    letter, at column ``box.col + 1`` and value ``box.row + 1``.  Shaded
-    boxes and marked regions split with the grid.  The new point counts
-    once towards every mark whose region contains the target box: such a
-    mark keeps its region with ``min_count`` one lower, and disappears when
-    that count reaches 0.  Any other mark keeps its count.  The insertion
-    itself runs on plain data, in the helper that expansion shares.
-
-    >>> from .patterns import marked
-    >>> p = insert_point(marked("2341", marks=[{(3, 4)}]), (3, 4))
-    >>> p.kind, str(p.perm)
-    ('classical', '23451')
-    """
-    box = Box(*box)
-    values, shade, marks = _plain(pat, "insert a point into")
-    k = len(values)
-    if not (0 <= box.col <= k and 0 <= box.row <= k):
-        raise InvalidInsertionError(f"box {tuple(box)} outside grid 0..{k}")
-    if box in shade:
-        raise InvalidInsertionError(f"box {tuple(box)} is shaded")
-    values, shade, marks = _insert(values, shade, marks, box)
-    return Pattern(Permutation(values), shade, tuple(Mark(region, count) for region, count in marks))
-
-
-def expand_basis(basis: Iterable[Pattern]) -> tuple[Pattern, ...]:
-    """Replace each marked pattern of a basis by the equivalent set of mesh
-    patterns and return the deduplicated union, sorted once: while marks
-    are left, branch on each box of the first mark's region, inserting a
-    witness point there that counts towards every mark holding the box, so
-    any ``min_count`` is accepted.  The branching runs on plain data and
-    builds each distinct finished pattern once.  Containment in a marked
-    pattern equals containment in some expansion.
-
-    >>> from .patterns import marked
-    >>> [str(p.perm) for p in expand_basis([marked("21", marks=[{(1, 2)}])])]
-    ['231']
-    """
-    return canonical(p for pat in basis for p in _expand(pat))
-
-
-def prune_basis(basis: Iterable[Pattern], n_max: int) -> tuple[Pattern, ...]:
-    """Greedily drop basis patterns implied by the rest, keeping avoidance
-    sets identical for every length up to ``n_max``, and return the
-    canonical tuple of the patterns kept.  The result is only verified up
-    to that bound.  Patterns of every kind are accepted.
-
-    One scan per length (:func:`oracle._scan`) collects the distinct
-    bitmasks of basis patterns that some permutation contains.  In basis
-    order, a pattern q is dropped when every mask with q's bit also has the
-    bit of another pattern still kept: every permutation containing q then
-    contains one of them, so the avoidance sets do not change.
-
-    >>> from .patterns import classical
-    >>> [str(p.perm) for p in prune_basis([classical("2341"), classical("23451")], 5)]
-    ['2341']
-    """
-    patterns = canonical(basis)
-    if patterns:
-        longest = max(len(p.perm) for p in patterns)
-        if n_max < longest:
-            raise InvalidBoundError(
-                f"pruning bound {n_max} is below the longest basis pattern ({longest})"
-            )
-
-    masks = set().union(*(
-        block for n in range(1, n_max + 1) for block in _scan(_mask_block, n, "stack", 0, 1, patterns)
-    ))
-    kept = (1 << len(patterns)) - 1
-    for i in range(len(patterns)):
-        q = 1 << i
-        if all(mask & kept & ~q for mask in masks if mask & q):
-            kept &= ~q
-    return tuple(p for i, p in enumerate(patterns) if kept >> i & 1)

@@ -107,6 +107,14 @@ class TestPreimage:
         assert out.splitlines() == [
             "34251", "35241", "45231", "# pruned: verified up to n=6"]
 
+    def test_prune_keeps_a_pattern_no_permutation_up_to_the_bound_contains(self, capsys):
+        # 321's one pattern needs 5 points, so no permutation of length 4
+        # or less contains it.
+        code, out, _ = run(capsys, "preimage", "321", "--prune", "4")
+        assert code == 0
+        assert out.splitlines() == [
+            "321 | mark: {(1,3)} >= 1 | mark: {(2,2),(2,3)} >= 1", "# pruned: verified up to n=4"]
+
     def test_expand_without_prune_keeps_all(self, capsys):
         code, out, _ = run(capsys, "preimage", "21", "--expand")
         assert (code, out) == (0, "231\n")

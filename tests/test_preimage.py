@@ -4,6 +4,7 @@ from __future__ import annotations
 import contextlib
 import io
 from itertools import permutations
+from math import factorial
 
 import pytest
 from conftest import inversions, perms_through
@@ -33,7 +34,7 @@ from permpat import (
 )
 from permpat import patterns, preimage
 from permpat.cli import main
-from permpat.patterns import canonical
+from permpat.patterns import as_boxes, canonical
 from permpat.preimage import MarkedBasis, ShadeMarkResult, candidate_outcomes
 
 P = Permutation
@@ -255,6 +256,15 @@ class TestInsertPoint:
         with pytest.raises(InvalidInsertionError):
             insert_point(classical("21"), Box(3, 0))
 
+    @pytest.mark.parametrize("box", [(1.5, 1), (1,), "ab", None, (True, 1)],
+                             ids=["float", "single", "string", "none", "bool"])
+    def test_malformed_box_is_refused_as_every_box_input_is(self, box):
+        with pytest.raises(InvalidInputError) as want:
+            as_boxes([box])
+        with pytest.raises(InvalidInputError) as got:
+            insert_point(classical("21"), box)
+        assert type(got.value) is InvalidInputError and str(got.value) == str(want.value)
+
     def test_shade_splitting_on_the_insertion_lines(self):
         # a shaded box sharing the insertion column splits into two
         out = insert_point(mesh("21", [(1, 0)]), Box(1, 2))
@@ -414,3 +424,16 @@ class TestPruneBasis:
         basis = MarkedBasis.from_patterns([classical("2341")])
         with pytest.raises(InvalidBoundError):
             prune_basis(basis, 3)
+
+    @pytest.mark.parametrize("image", ["123", "132", "213", "231", "312", "321", "2413", "3241", "23451"])
+    def test_patterns_no_permutation_up_to_the_bound_contains_are_kept(self, image):
+        # A mark needs points beyond the pattern's letters, so the shortest
+        # bound the guard allows can be too short for any permutation to
+        # contain the pattern; nothing then shows that the rest implies it.
+        basis = stack_preimage_basis(P.from_text(image))
+        for n_max in range(max(len(p.perm) for p in basis), 7):
+            pruned = prune_basis(basis, n_max)
+            unseen = [q for q in basis if all(len(av_set(n, [q])) == factorial(n) for n in range(1, n_max + 1))]
+            assert set(unseen) <= set(pruned), n_max
+            for n in range(1, n_max + 1):
+                assert av_set(n, pruned) == av_set(n, basis), (n_max, n)

@@ -2,8 +2,10 @@
 barred patterns, decorations and marks and its occurrence records, box
 normalization, the pattern kind its parts decide, the nesting bound of
 decorations, the oracle's scan, the pass count of a sorting power,
-shading and marking, mark expansion, basis pruning and its trailer, the
-fixture table, the pattern parsers and the command line's work check.
+shading and marking, mark expansion and point insertion (in
+``patterns``), basis pruning (in ``oracle``) and the command line's
+pruning trailer, the fixture table, the pattern parsers and the command
+line's work check.
 
 Each fault in ``MUTANTS`` is a one-line textual change to a file under
 ``src/``.  For each one in turn the script copies ``src/``, ``tests/`` and
@@ -205,11 +207,16 @@ MUTANTS = [
     # The root's bits only decide whether a loop at the top is skipped once
     # its patterns are found.
     Mutant("root carries no bits", PATTERNS, "root = _Node(full)", "root = _Node()"),
-    # prune_basis: a pattern goes only if patterns still kept imply it.
-    Mutant("pruning ignores the kept bits", PREIMAGE, "mask & kept & ~q", "mask & ~q"),
-    Mutant("pruning keeps only the last length's masks", PREIMAGE,
-           "for n in range(1, n_max + 1)", "for n in (n_max,)"),
-    Mutant("pruning skips canonical", PREIMAGE, "patterns = canonical(basis)", "patterns = tuple(basis)"),
+    # prune_basis: a pattern goes only if some permutation contains it and
+    # patterns still kept imply it.
+    Mutant("pruning ignores the kept bits", ORACLE, "mask & kept & ~q", "mask & ~q"),
+    Mutant("pruning keeps only the last length's masks", ORACLE,
+           "block for n in range(1, n_max + 1)", "block for n in (n_max,)"),
+    Mutant("pruning skips canonical", ORACLE, "patterns = canonical(basis)", "patterns = tuple(basis)"),
+    Mutant("pruning drops a pattern no permutation contains", ORACLE,
+           "if any(mask & q for mask in masks) and all(", "if all("),
+    # insert_point reads its box as every box input is read.
+    Mutant("insert_point skips as_boxes", PATTERNS, "(box,) = as_boxes([box])", "box = Box(*box)"),
     # The pruning trailer names the bound the CLI pruned with.
     Mutant("trailer names another bound", CLI,
            'f"# pruned: verified up to n={args.prune}"', 'f"# pruned: verified up to n={args.prune + 1}"'),
