@@ -3,7 +3,8 @@
 Verbs: sort, match, preimage, verify, census, builtin, render.  Exit codes:
 0 for success (including a passing verification), 1 for a failing
 verification, 2 for usage and parse errors.  Output is buffered and written
-once, so worker count never interleaves it.
+once, so worker count never interleaves it; a reader that closes the pipe
+early does not change the exit code.
 
 ``verify``, ``census`` and ``preimage --prune`` scan every permutation up to
 their bound, so they first estimate their work and refuse, with exit code
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -258,7 +260,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if lines:
-        print("\n".join(lines))
+        try:
+            print("\n".join(lines))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader left early; the command's verdict still stands.
+            # With stdout on the null device, the flush at exit stays quiet.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

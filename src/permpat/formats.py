@@ -28,7 +28,7 @@ from .errors import (
     PatternSyntaxError,
     UnsupportedFormatError,
 )
-from .patterns import _MAX_NESTING, Box, Decoration, Mark, Pattern
+from .patterns import _MAX_NESTING, _POINT, Box, Decoration, Mark, Pattern
 from .permutation import Permutation
 
 FORMATS = ("line", "json")
@@ -118,8 +118,16 @@ def _int(value, what: str) -> int:
     return value
 
 
-def _boxes_from_obj(items) -> tuple[Box, ...]:
-    return tuple(Box(_int(c, "box coordinate"), _int(r, "box coordinate")) for c, r in items)
+def _array(value, what: str) -> list:
+    # Iterating a JSON object or string would read it as a list of keys or
+    # of characters, so {} and "" would pass as empty parts.
+    if not isinstance(value, list):
+        raise PatternSyntaxError(f"{what} must be an array, got {json.dumps(value)}")
+    return value
+
+
+def _boxes_from_obj(items, what: str) -> tuple[Box, ...]:
+    return tuple(Box(_int(c, "box coordinate"), _int(r, "box coordinate")) for c, r in _array(items, what))
 
 
 def _pattern_from_obj(obj, depth: int = 0) -> Pattern:
@@ -131,17 +139,18 @@ def _pattern_from_obj(obj, depth: int = 0) -> Pattern:
         raise PatternSyntaxError("nested too deeply")
     try:
         kind = obj["kind"]
-        perm = Permutation(tuple(_int(v, "perm entry") for v in obj["perm"]))
-        shade = _boxes_from_obj(obj.get("shade", ()))
+        perm = Permutation(tuple(_int(v, "perm entry") for v in _array(obj["perm"], "perm")))
+        shade = _boxes_from_obj(obj.get("shade", []), "shade")
         marks = tuple(
-            Mark(_boxes_from_obj(m["boxes"]), _int(m.get("min", 1), "mark min"))
-            for m in obj.get("marks", ())
+            Mark(_boxes_from_obj(m["boxes"], "mark boxes"), _int(m.get("min", 1), "mark min"))
+            for m in _array(obj.get("marks", []), "marks")
         )
         decor = tuple(
-            Decoration(_boxes_from_obj(d["boxes"]), _pattern_from_obj(d["avoid"], depth + 1))
-            for d in obj.get("decor", ())
+            Decoration(_boxes_from_obj(d["boxes"], "decoration boxes"),
+                       _pattern_from_obj(d["avoid"], depth + 1))
+            for d in _array(obj.get("decor", []), "decor")
         )
-        bars = tuple(_int(b, "barred position") for b in obj.get("bars", ()))
+        bars = tuple(_int(b, "barred position") for b in _array(obj.get("bars", []), "bars"))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InvalidInputError):
             raise
@@ -210,8 +219,6 @@ def parse_pattern_list(text: str) -> list[Pattern]:
             raise PatternSyntaxError(f"invalid JSON: {exc.msg}", lead + exc.pos) from None
         except RecursionError:
             raise PatternSyntaxError("nested too deeply", lead) from None
-        if not isinstance(items, list):
-            raise PatternSyntaxError("expected a JSON array of patterns")
         out = []
         for index, item in enumerate(items):
             try:
@@ -295,7 +302,7 @@ def render_grid(pat: Pattern, unicode_glyphs: bool = False) -> str:
             grid[r][c] = glyph
     footnotes = []
     for d in pat.decorations:
-        empty = d.avoid.kind == "classical" and len(d.avoid.perm) == 1
+        empty = d.avoid == _POINT
         glyph = "#" if empty else "d"
         for b in d.region:
             r, c = box_cell(b)

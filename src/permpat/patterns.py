@@ -45,7 +45,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import InvalidInputError, InvalidInsertionError, UnsupportedPatternError
 from .permutation import Permutation, Values, _standardize
@@ -322,28 +322,33 @@ def _insert(values: Values, shade: frozenset, marks: tuple, box: tuple[int, int]
     return shifted[:col] + (row + 1,) + shifted[col:], split(shade), tuple(grown)
 
 
-def _expansions(pat: Pattern) -> Iterator[tuple[Values, frozenset]]:
-    """The plain ``(values, shade)`` pair of every finished expansion of
-    ``pat``, depth first and with repeats: while marks are left, branch on
-    every box of the least mark in :meth:`Mark.sort_key` order."""
+def _expansions(pat: Pattern, cap: int | None = None) -> set[tuple[Values, frozenset]] | None:
+    """The plain ``(values, shade)`` pairs of the distinct finished
+    expansions of ``pat``, or None once there are more than ``cap``.  While
+    marks are left, branch on every box of the least mark in
+    :meth:`Mark.sort_key` order, inserting a witness there (:func:`_insert`);
+    branches that finish equal count once.  A mark of c points has at least
+    c! expansions, its witnesses' orders in one box, so a pattern with such
+    a mark over ``cap`` is refused before any point is inserted."""
+    if cap is not None and any(math.factorial(min(m.min_count, cap + 1)) > cap for m in pat.marks):
+        return None
+    found = set()
     todo = [_plain(pat, "expand")]
     while todo:
         values, shade, marks = todo.pop()
-        if not marks:
-            yield values, shade
+        if marks:
+            region = min(marks, key=lambda m: (sorted(m[0]), m[1]))[0]
+            todo.extend(_insert(values, shade, marks, b) for b in region)
             continue
-        region = min(marks, key=lambda m: (sorted(m[0]), m[1]))[0]
-        todo.extend(_insert(values, shade, marks, b) for b in region)
+        found.add((values, shade))
+        if cap is not None and len(found) > cap:
+            return None
+    return found
 
 
 def insert_point(pat: Pattern, box: BoxLike) -> Pattern:
-    """Insert an explicit point into a box: the new pattern has one more
-    letter, at column ``box.col + 1`` and value ``box.row + 1``.  Shaded
-    boxes and marked regions split with the grid.  The new point counts
-    once towards every mark whose region contains the target box: such a
-    mark keeps its region with ``min_count`` one lower, and disappears when
-    that count reaches 0.  Any other mark keeps its count.  The insertion
-    itself runs on plain data, in the helper that expansion shares.
+    """Insert an explicit point into a box by the rule of :func:`_insert`,
+    after checking that the box lies in the grid and is not shaded.
 
     >>> p = insert_point(marked("2341", marks=[{(3, 4)}]), (3, 4))
     >>> p.kind, str(p.perm)
@@ -361,19 +366,15 @@ def insert_point(pat: Pattern, box: BoxLike) -> Pattern:
 
 
 def expand_basis(basis: Iterable[Pattern]) -> tuple[Pattern, ...]:
-    """Replace each marked pattern of a basis by the equivalent set of mesh
-    patterns and return the deduplicated union, sorted once: while marks
-    are left, branch on each box of the first mark's region, inserting a
-    witness point there that counts towards every mark holding the box, so
-    any ``min_count`` is accepted.  The branching runs on plain data and
-    builds each distinct finished pattern once.  Containment in a marked
-    pattern equals containment in some expansion.
+    """Replace each marked pattern of a basis by its expansions
+    (:func:`_expansions`), the mesh patterns containment in some of which
+    equals containment in it, and return the union, sorted once.
 
     >>> [str(p.perm) for p in expand_basis([marked("21", marks=[{(1, 2)}])])]
     ['231']
     """
     return canonical(Pattern(Permutation(values), shade)
-                     for pat in basis for values, shade in set(_expansions(pat)))
+                     for pat in basis for values, shade in _expansions(pat))
 
 
 class Occurrence(NamedTuple):
@@ -498,29 +499,13 @@ def _rectangles(region: Region, letters: Values) -> list[list[Box]]:
 
 
 # The first-hit and mask searches test a marked pattern with at most this
-# many expansions as those expansions.  Over every host of length up to 8,
-# summed over the 29 fixture and derived length-4 bases that have marks,
-# the bound 3 took 0.56 of the time of the mark tests, 2 took 0.61 and 1
-# took 0.64.  No bound took 0.52 but only 0.93 on bubble1243, whose 1243
-# has a mark of four boxes in one band: one slice tests it, where its
-# four expansions cost a loop each.
+# many expansions (the cap of :func:`_expansions`) as those expansions.
+# Over every host of length up to 8, summed over the 29 fixture and derived
+# length-4 bases that have marks, the bound 3 took 0.56 of the time of the
+# mark tests, 2 took 0.61 and 1 took 0.64.  No bound took 0.52 but only
+# 0.93 on bubble1243, whose 1243 has a mark of four boxes in one band: one
+# slice tests it, where its four expansions cost a loop each.
 _MAX_EXPANSIONS = 3
-
-
-def _witnesses(pat: Pattern) -> list[tuple[Values, Region]] | None:
-    """The distinct expansions of marked ``pat`` as sorted ``(letters,
-    shade)`` pairs, or None if there are more than ``_MAX_EXPANSIONS``.
-    A mark of c points has at least c! expansions, its witnesses' orders in
-    one box, so such a pattern over the bound is refused before any is
-    built; a refusal only keeps the mark tests, never changing a result."""
-    if any(math.factorial(min(m.min_count, _MAX_EXPANSIONS + 1)) > _MAX_EXPANSIONS for m in pat.marks):
-        return None
-    found: set[tuple[Values, Region]] = set()
-    for values, shade in _expansions(pat):
-        found.add((values, as_boxes(shade)))
-        if len(found) > _MAX_EXPANSIONS:
-            return None
-    return sorted(found)
 
 
 def _lower(
@@ -533,17 +518,17 @@ def _lower(
     occurrence of the unbarred part extends exactly when the box the barred
     letter vacated holds a point.  A decoration whose region must avoid the
     pattern 1 becomes shaded boxes; the decorations left avoid a longer
-    pattern.  With ``"first"`` and ``"mask"``, a marked pattern with at most
-    ``_MAX_EXPANSIONS`` distinct expansions (:func:`_witnesses`) becomes
-    those expansions, one path each with no marks: a host contains the
-    pattern exactly when it contains one of them.  A pattern with more
-    expansions keeps its mark tests, and so does every pattern under
-    ``"yield"``, because an expansion's occurrences have an extra letter."""
+    pattern.  With ``"first"`` and ``"mask"``, a marked pattern whose
+    expansions :func:`_expansions` lists under the cap ``_MAX_EXPANSIONS``
+    becomes those expansions, one path each with no marks: a host contains
+    the pattern exactly when it contains one of them.  A refused pattern
+    keeps its mark tests, and so does every pattern under ``"yield"``,
+    because an expansion's occurrences have an extra letter."""
     if pat.kind == "barred":
         pat = barred_to_mesh(pat)
-    witnesses = _witnesses(pat) if action != "yield" and pat.marks else None
-    if witnesses is not None:
-        return [(values, shade, (), ()) for values, shade in witnesses]
+    expansions = _expansions(pat, _MAX_EXPANSIONS) if action != "yield" and pat.marks else None
+    if expansions is not None:
+        return sorted((values, as_boxes(shade), (), ()) for values, shade in expansions)
     shade = set(pat.shade)
     decors = []
     for d in pat.decorations:

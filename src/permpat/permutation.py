@@ -20,12 +20,16 @@ Values = tuple[int, ...]
 
 
 def as_word(letters: Iterable[int]) -> Values:
-    """Return ``letters`` as a tuple, requiring pairwise distinct entries.
+    """Return ``letters`` as a tuple, requiring pairwise distinct integers.
 
     >>> as_word([5, 3, 7])
     (5, 3, 7)
     """
     word = tuple(letters)
+    # By the rule of Permutation: a bool or a float is not a letter, and an
+    # unhashable letter must not reach the set below.
+    if not set(map(type, word)) <= {int}:
+        raise InvalidInputError(f"letters are not all integers: {word!r}")
     if len(set(word)) != len(word):
         raise InvalidInputError(f"letters are not pairwise distinct: {word}")
     return word

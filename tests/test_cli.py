@@ -393,6 +393,12 @@ class TestUsageErrors:
                              '{"kind": "classical", "perm": [2, true]}')
         assert code == 2 and out == "" and "perm entry must be an integer, got true" in err
 
+    def test_json_part_that_is_not_an_array_is_a_usage_error(self, capsys):
+        # An empty object is not the empty permutation.
+        code, out, err = run(capsys, "match", "21", "--inline", '{"kind": "classical", "perm": {}}')
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "perm must be an array, got {}" in err
+
     def test_trailing_comma_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "match", "21", "--inline", "21 | shade: (0,0),")
         assert code == 2 and out == "" and "trailing ','" in err and "offset 17" in err
@@ -454,23 +460,44 @@ def test_one_level_past_the_nesting_bound_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error:") and "nested too deeply" in err
 
 
-def test_python_dash_m_runs_the_cli():
+def _fresh_env():
     src = str(Path(permpat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_python_dash_m_runs_the_cli():
     done = subprocess.run(
         [sys.executable, "-m", "permpat", "sort", "--op", "stack", "231"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_fresh_env(), timeout=60,
     )
     assert (done.returncode, done.stdout) == (0, "213\n")
 
 
 def fresh(*argv):
     """Exit code, output and error output of the CLI in a new interpreter."""
-    src = str(Path(permpat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "permpat", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_fresh_env(), timeout=60)
     return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("verify", "--builtin", "west2", "--upto", "6"), 0),
+    (("verify", "--pattern", "21", "--basis", "{basis}", "--upto", "5"), 1),
+    (("preimage", "654321", "--expand"), 0),
+], ids=["verify-pass", "verify-fail", "preimage-expand"])
+def test_a_reader_closing_the_pipe_keeps_the_exit_code(tmp_path, argv, code):
+    # The pipe's read end is closed before the child starts, so its first
+    # write to stdout fails with a broken pipe.
+    basis = tmp_path / "basis.txt"
+    basis.write_text("231\n312\n")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "permpat", *(a.format(basis=basis) for a in argv)],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env=_fresh_env(), timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (code, "")
 
 
 def test_calls_in_one_process_answer_as_fresh_calls(capsys):

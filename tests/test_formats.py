@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -220,6 +221,21 @@ class TestJson:
         with pytest.raises(PatternSyntaxError, match="barred position"):
             parse_pattern('{"kind": "barred", "perm": [1, 2], "bars": [true]}', "json")
 
+    # Iterated as they are, {} and "" would read as empty arrays.
+    @pytest.mark.parametrize("value", ["{}", '""'], ids=["object", "string"])
+    @pytest.mark.parametrize("field, text", [pytest.param(field, text, id=field) for field, text in [
+        ("perm", '{"kind": "classical", "perm": %s}'),
+        ("shade", '{"kind": "mesh", "perm": [1], "shade": %s}'),
+        ("marks", '{"kind": "marked", "perm": [1], "marks": %s}'),
+        ("decor", '{"kind": "decorated", "perm": [1], "decor": %s}'),
+        ("bars", '{"kind": "barred", "perm": [1, 2], "bars": %s}'),
+        ("mark boxes", '{"kind": "marked", "perm": [1], "marks": [{"boxes": %s}]}'),
+        ("decoration boxes", '{"kind": "decorated", "perm": [1], '
+         '"decor": [{"boxes": %s, "avoid": {"kind": "classical", "perm": [1, 2]}}]}'),
+    ]])
+    def test_parts_must_be_arrays(self, field, text, value):
+        with pytest.raises(PatternSyntaxError, match=f"^{field} must be an array, got {re.escape(value)} "):
+            parse_pattern(text % value, "json")
 
     # A pattern's parts decide its kind, and the kind JSON names must agree.
     @pytest.mark.parametrize("text", [

@@ -14,6 +14,7 @@ from permpat import (
     sort_power,
     stack_sort,
     standardize,
+    un_s,
 )
 from permpat.permutation import OPERATOR_IDS, operator_fn
 
@@ -82,6 +83,15 @@ class TestStandardize:
     def test_as_word_rejects_duplicates(self):
         with pytest.raises(InvalidInputError):
             as_word((1, 3, 1))
+
+    # By the rule of Permutation, a bool or a float is not a letter.
+    def test_words_refuse_letters_that_are_not_integers(self):
+        with pytest.raises(InvalidInputError, match="not all integers"):
+            un_s([1.5, 2])
+        with pytest.raises(InvalidInputError, match="not all integers"):
+            standardize([True, 5])
+        with pytest.raises(InvalidInputError, match="not all integers"):
+            as_word([[1]])
 
 
 class TestStackSort:

@@ -2,9 +2,10 @@
 barred patterns, decorations and marks and its occurrence records, box
 normalization, the pattern kind its parts decide, the nesting bound of
 decorations, the oracle's scan, the pass count of a sorting power,
-shading and marking, mark expansion and point insertion (in
+shading and marking, mark expansion, its cap and point insertion (in
 ``patterns``), basis pruning (in ``oracle``) and the command line's
-pruning trailer, the fixture table, the pattern parsers and the command
+pruning trailer, the fixture table, the pattern parsers and their check
+that JSON parts are arrays, the integer check of words and the command
 line's work check.
 
 Each fault in ``MUTANTS`` is a one-line textual change to a file under
@@ -21,7 +22,7 @@ list with the reason it cannot change a result, and 2 if a fault's text no
 longer occurs exactly once in its file, so the list is stale.
 
 Run from the root of a checkout; it needs only the standard library and
-pytest, and takes a few minutes on one core:
+pytest, and takes about ten minutes on one core:
 
     python3 tools/mutants.py
 """
@@ -137,12 +138,17 @@ MUTANTS = [
     Mutant("decorations beside marks accepted", PATTERNS,
            "if decorations and (shade or marks):", "if decorations and shade:"),
     Mutant("barred pattern without bars accepted", PATTERNS, "if not pat.barred_positions:", "if False:"),
-    # The JSON parser refuses a kind its parts do not make, and nesting
-    # deeper than the recursion limit is a syntax error.
+    # The JSON parser refuses a kind its parts do not make and a part that
+    # is not an array, and nesting deeper than the recursion limit is a
+    # syntax error.
     Mutant("JSON kind check dropped", FORMATS, "if kind != pat.kind:", "if False:"),
+    Mutant("JSON part not checked as an array", FORMATS, "if not isinstance(value, list):", "if False:"),
     Mutant("deep nesting not caught", FORMATS,
            'except RecursionError:\n            raise PatternSyntaxError("nested too deeply") from None',
            'except ZeroDivisionError:\n            raise PatternSyntaxError("nested too deeply") from None'),
+    # as_word: a word's letters are integers, by the rule of Permutation.
+    Mutant("word letters not checked as integers", PERMUTATION,
+           "if not set(map(type, word)) <= {int}:", "if False:"),
     # _sort_power: n - 1 passes sort a permutation of length n.
     Mutant("pass count capped at n - 2", PERMUTATION,
            "min(k, len(values) - 1)", "min(k, len(values) - 2)"),
@@ -180,17 +186,18 @@ MUTANTS = [
            "split(shade), tuple(grown)", "shade, tuple(grown)"),
     Mutant("expansion branches on the first box only", PATTERNS,
            "for b in region)", "for b in sorted(region)[:1])"),
-    # _lower and _witnesses: first-hit and mask searches test a mark with
-    # few expansions through them, and a mark of c points has c! or more.
+    # _lower and the cap of _expansions: first-hit and mask searches test a
+    # mark with few expansions through them, and a mark of c points has c!
+    # or more.
     Mutant("marks lowered when listing occurrences", PATTERNS,
            'if action != "yield" and pat.marks else None', "if pat.marks else None"),
     Mutant("one expansion dropped", PATTERNS,
-           "for values, shade in witnesses]", "for values, shade in witnesses[1:]]"),
-    Mutant("expansion bound one lower", PATTERNS,
-           "if len(found) > _MAX_EXPANSIONS:", "if len(found) >= _MAX_EXPANSIONS:"),
+           "for values, shade in expansions)", "for values, shade in expansions)[1:]"),
+    Mutant("expansion cap one lower", PATTERNS,
+           "if cap is not None and len(found) > cap:", "if cap is not None and len(found) >= cap:"),
+    Mutant("expansion cap ignored", PATTERNS, "if cap is not None and len(found) > cap:", "if False:"),
     Mutant("marks of 2 points refused unexpanded", PATTERNS,
-           "math.factorial(min(m.min_count, _MAX_EXPANSIONS + 1)) > _MAX_EXPANSIONS",
-           "m.min_count >= 2"),
+           "math.factorial(min(m.min_count, cap + 1)) > cap", "m.min_count >= 2"),
     Mutant("decorations left after lowering dropped", PATTERNS,
            "pat.marks, tuple(decors))]", "pat.marks, ())]"),
     # _search: each path's leaf sets its own pattern's bit, and its hit runs
