@@ -21,9 +21,10 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import InvalidBoundError, InvalidInputError, UnsupportedFormatError
+from .errors import InvalidBoundError, InvalidInputError
 from .fixtures import FIXTURE_NAMES, FIXTURES, builtin_basis
 from .formats import (
+    _text_form,
     detect_format,
     format_pattern,
     parse_pattern,
@@ -31,9 +32,9 @@ from .formats import (
     render_grid,
 )
 from .oracle import census, prune_basis, verify_preimage
-from .patterns import canonical, expand_basis, occurrences
+from .patterns import expand_basis, occurrences
 from .permutation import OPERATOR_IDS, Permutation, sort_power
-from .preimage import candidate_outcomes
+from .preimage import candidate_outcomes, stack_preimage_basis
 
 
 # Built once per process: parse_args keeps no state between calls, and
@@ -100,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # The most pattern searches (one per permutation of each length up to the
 # bound, per pattern searched) a scan runs without --force.  The documented
 # headline checks stay well below it: the largest, ``verify --builtin west2
-# --upto 9``, is 1.2 million and takes about 6 s on one core.  ``--upto 10``
+# --upto 9``, is 1.2 million and takes about 3 s on one core.  ``--upto 10``
 # there is 12.1 million and is refused; ``--upto 12`` would run for hours.
 WORK_LIMIT = 10_000_000
 
@@ -138,18 +139,15 @@ def _patterns_from_file(path: str):
     return parse_pattern_list(text)
 
 
-def _one_pattern_from_file(path: str):
+def _one_pattern(spec: str | None, path: str):
+    """The pattern given inline as ``spec``, else the one pattern in the
+    file ``path``."""
+    if spec is not None:
+        return _parse_inline(spec)
     found = _patterns_from_file(path)
     if len(found) != 1:
         raise InvalidInputError(f"expected exactly one pattern in {path}, found {len(found)}")
     return found[0]
-
-
-def _format_any(pat) -> str:
-    try:
-        return format_pattern(pat, "line")
-    except UnsupportedFormatError:
-        return format_pattern(pat, "json")
 
 
 def _cmd_sort(args) -> tuple[list[str], int]:
@@ -159,11 +157,7 @@ def _cmd_sort(args) -> tuple[list[str], int]:
 
 def _cmd_match(args) -> tuple[list[str], int]:
     pi = Permutation.from_text(args.perm)
-    if args.inline is not None:
-        pat = _parse_inline(args.inline)
-    else:
-        pat = _one_pattern_from_file(args.pattern)
-    occs = occurrences(pi, pat)
+    occs = occurrences(pi, _one_pattern(args.inline, args.pattern))
     if args.list:
         return ["(" + ",".join(str(a) for a in occ.alpha) + ")" for occ in occs], 0
     return [str(len(occs))], 0
@@ -174,18 +168,17 @@ def _cmd_preimage(args) -> tuple[list[str], int]:
     if pat.kind != "classical":
         raise InvalidInputError(f"preimage needs a classical pattern, got {pat.kind}")
     lines: list[str] = []
-    outcomes = candidate_outcomes(pat.perm)
     if args.show_rejected:
-        for lam, outcome in outcomes:
+        for lam, outcome in candidate_outcomes(pat.perm):
             if outcome is None:
                 lines.append(f"# rejected: {lam.to_text()}")
-    patterns = canonical(outcome.pattern for _, outcome in outcomes if outcome is not None)
+    patterns = stack_preimage_basis(pat.perm)
     if args.expand:
         patterns = expand_basis(patterns)
     if args.prune is not None:
         _check_work(args, "--prune", args.prune, len(patterns))
         patterns = prune_basis(patterns, args.prune)
-    lines.extend(_format_any(p) for p in patterns)
+    lines.extend(format_pattern(p, _text_form(p)) for p in patterns)
     if args.prune is not None:
         lines.append(f"# pruned: verified up to n={args.prune}")
     return lines, 0
@@ -224,16 +217,13 @@ def _cmd_builtin(args) -> tuple[list[str], int]:
     basis = builtin_basis(args.name)
     if args.json:
         return ["[" + ",".join(format_pattern(p, "json") for p in basis) + "]"], 0
-    return [_format_any(p) for p in basis], 0
+    return [format_pattern(p, _text_form(p)) for p in basis], 0
 
 
 def _cmd_render(args) -> tuple[list[str], int]:
     if (args.pattern is None) == (args.file is None):
         raise InvalidInputError("render needs a pattern argument or --file, not both")
-    if args.pattern is not None:
-        pat = _parse_inline(args.pattern)
-    else:
-        pat = _one_pattern_from_file(args.file)
+    pat = _one_pattern(args.pattern, args.file)
     return render_grid(pat, unicode_glyphs=args.unicode).splitlines(), 0
 
 
@@ -248,6 +238,16 @@ _COMMANDS = {
 }
 
 
+def _write(stream, text: str) -> None:
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # The reader left early; the command's exit code still stands.
+        # With the stream on the null device, the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -257,16 +257,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         lines, code = _COMMANDS[args.command](args)
     except (InvalidInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"error: {exc}")
         return 2
     if lines:
-        try:
-            print("\n".join(lines))
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader left early; the command's verdict still stands.
-            # With stdout on the null device, the flush at exit stays quiet.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _write(sys.stdout, "\n".join(lines))
     return code
 
 

@@ -32,9 +32,20 @@ from .patterns import _MAX_NESTING, _POINT, Box, Decoration, Mark, Pattern
 from .permutation import Permutation
 
 FORMATS = ("line", "json")
+_JSON_ONLY = ("barred", "decorated")  # kinds with no line form, so printed as JSON
 
-_BOX_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
-_MARK_RE = re.compile(r"mark:\s*\{(.*)\}\s*>=\s*(\d+)")
+# [0-9], not \d, which would also match every other Unicode digit.
+_BOX_RE = re.compile(r"\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)")
+_MARK_RE = re.compile(r"mark:\s*\{(.*)\}\s*>=\s*([0-9]+)")
+
+
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
+        raise UnsupportedFormatError(f"unknown format {fmt!r}; expected one of {', '.join(FORMATS)}")
+
+
+def _text_form(pat: Pattern) -> str:
+    return "json" if pat.kind in _JSON_ONLY else "line"
 
 
 def _parse_boxes(text: str, offset: int) -> tuple[Box, ...]:
@@ -95,18 +106,14 @@ def _parse_line(text: str) -> Pattern:
 
 
 def _pattern_to_obj(pat: Pattern) -> dict:
+    # json.dumps writes tuples, Box included, as arrays.
     return {
         "kind": pat.kind,
-        "perm": list(pat.perm.values),
-        "shade": [[b.col, b.row] for b in pat.shade],
-        "marks": [
-            {"boxes": [[b.col, b.row] for b in m.region], "min": m.min_count} for m in pat.marks
-        ],
-        "decor": [
-            {"boxes": [[b.col, b.row] for b in d.region], "avoid": _pattern_to_obj(d.avoid)}
-            for d in pat.decorations
-        ],
-        "bars": list(pat.barred_positions),
+        "perm": pat.perm.values,
+        "shade": pat.shade,
+        "marks": [{"boxes": m.region, "min": m.min_count} for m in pat.marks],
+        "decor": [{"boxes": d.region, "avoid": _pattern_to_obj(d.avoid)} for d in pat.decorations],
+        "bars": pat.barred_positions,
     }
 
 
@@ -126,8 +133,15 @@ def _array(value, what: str) -> list:
     return value
 
 
+def _box_from_obj(item) -> Box:
+    if not isinstance(item, list) or len(item) != 2:
+        raise PatternSyntaxError(f"box must be an array of two integers, got {json.dumps(item)}")
+    c, r = item
+    return Box(_int(c, "box coordinate"), _int(r, "box coordinate"))
+
+
 def _boxes_from_obj(items, what: str) -> tuple[Box, ...]:
-    return tuple(Box(_int(c, "box coordinate"), _int(r, "box coordinate")) for c, r in _array(items, what))
+    return tuple(map(_box_from_obj, _array(items, what)))
 
 
 def _pattern_from_obj(obj, depth: int = 0) -> Pattern:
@@ -161,24 +175,30 @@ def _pattern_from_obj(obj, depth: int = 0) -> Pattern:
     return pat
 
 
+def _from_json(text: str, lead: int, build):
+    """``build`` of the value of the JSON ``text``, which starts at index
+    ``lead`` of the text that error positions index.  Python's recursion
+    limit stops json.loads on deeply nested arrays, and json.dumps when an
+    error message quotes one."""
+    try:
+        return build(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise PatternSyntaxError(f"invalid JSON: {exc.msg}", lead + exc.pos) from None
+    except RecursionError:
+        raise PatternSyntaxError("nested too deeply", lead) from None
+
+
 def parse_pattern(text: str, fmt: str = "line") -> Pattern:
     """Parse a pattern from its line or JSON form.
 
     >>> parse_pattern("3241 | shade: (1,4)").kind
     'mesh'
     """
-    if fmt not in FORMATS:
-        raise UnsupportedFormatError(f"unknown format {fmt!r}; expected one of {', '.join(FORMATS)}")
+    _check_format(fmt)
     if not text.strip():
         raise PatternSyntaxError("empty pattern text")
     if fmt == "json":
-        # Python's recursion limit stops json.loads on deeply nested arrays.
-        try:
-            return _pattern_from_obj(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise PatternSyntaxError(f"invalid JSON: {exc.msg}", exc.pos) from None
-        except RecursionError:
-            raise PatternSyntaxError("nested too deeply") from None
+        return _from_json(text, 0, _pattern_from_obj)
     return _parse_line(text)
 
 
@@ -213,19 +233,17 @@ def parse_pattern_list(text: str) -> list[Pattern]:
         # str.strip also drops whitespace that JSON refuses, such as a form
         # feed, so the stripped body is parsed and its offset added.
         lead = len(text) - len(text.lstrip())
-        try:
-            items = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise PatternSyntaxError(f"invalid JSON: {exc.msg}", lead + exc.pos) from None
-        except RecursionError:
-            raise PatternSyntaxError("nested too deeply", lead) from None
-        out = []
-        for index, item in enumerate(items):
-            try:
-                out.append(_pattern_from_obj(item))
-            except PatternSyntaxError as exc:
-                raise PatternSyntaxError(exc.args[0], lead + _element_start(body, index)) from None
-        return out
+
+        def patterns(items: list) -> list[Pattern]:
+            out = []
+            for index, item in enumerate(items):
+                try:
+                    out.append(_pattern_from_obj(item))
+                except PatternSyntaxError as exc:
+                    raise PatternSyntaxError(exc.args[0], lead + _element_start(body, index)) from None
+            return out
+
+        return _from_json(body, lead, patterns)
     out = []
     start = 0  # the index in ``text`` of the line's first character
     for line in text.splitlines(keepends=True):
@@ -240,6 +258,10 @@ def parse_pattern_list(text: str) -> list[Pattern]:
     return out
 
 
+def _boxes_text(boxes) -> str:
+    return ",".join(f"({b.col},{b.row})" for b in boxes)
+
+
 def format_pattern(pat: Pattern, fmt: str = "line") -> str:
     """Canonical text for a pattern; parsing it back yields an equal
     pattern.  Decorated and barred patterns require JSON.
@@ -247,25 +269,17 @@ def format_pattern(pat: Pattern, fmt: str = "line") -> str:
     >>> format_pattern(Pattern(Permutation.from_text("3241"), [(1, 4)]))
     '3241 | shade: (1,4)'
     """
-    if fmt not in FORMATS:
-        raise UnsupportedFormatError(f"unknown format {fmt!r}; expected one of {', '.join(FORMATS)}")
+    _check_format(fmt)
     if fmt == "json":
         return json.dumps(_pattern_to_obj(pat), separators=(",", ":"))
-    if pat.kind in ("barred", "decorated"):
+    if _text_form(pat) != "line":
         raise UnsupportedFormatError(f"{pat.kind} patterns have no line form; use the json format")
     parts = [pat.perm.to_text()]
     if pat.shade:
-        parts.append("shade: " + ",".join(f"({b.col},{b.row})" for b in pat.shade))
+        parts.append("shade: " + _boxes_text(pat.shade))
     for m in pat.marks:
-        boxes = ",".join(f"({b.col},{b.row})" for b in m.region)
-        parts.append(f"mark: {{{boxes}}} >= {m.min_count}")
+        parts.append(f"mark: {{{_boxes_text(m.region)}}} >= {m.min_count}")
     return " | ".join(parts)
-
-
-def _avoid_footnote(pat: Pattern) -> str:
-    if pat.kind == "classical":
-        return pat.perm.to_text()
-    return format_pattern(pat, "json")
 
 
 def render_grid(pat: Pattern, unicode_glyphs: bool = False) -> str:
@@ -308,8 +322,8 @@ def render_grid(pat: Pattern, unicode_glyphs: bool = False) -> str:
             r, c = box_cell(b)
             grid[r][c] = glyph
         if not empty:
-            region = ",".join(f"({b.col},{b.row})" for b in d.region)
-            footnotes.append(f"d: {region} avoids {_avoid_footnote(d.avoid)}")
+            avoid = format_pattern(d.avoid, _text_form(d.avoid))
+            footnotes.append(f"d: {_boxes_text(d.region)} avoids {avoid}")
     bars = set(pat.barred_positions)
     for position, value in enumerate(pat.perm.values, 1):
         r, c = point_cell(position, value)

@@ -115,23 +115,10 @@ def _census_block(args) -> int:
     return sum(1 for vals in _perm_stream(n, first) if _sort_power(op_id, passes, vals) == ident)
 
 
-def _run_blocks(worker, argslist: list, jobs: int) -> list:
-    if jobs <= 1 or len(argslist) <= 1:
-        return [worker(a) for a in argslist]
-    # Imported here, so that a process that never fans out does not load it.
-    import multiprocessing
-
-    # Fork starts workers fastest; spawn works everywhere, because the
-    # workers are module-level functions and their arguments pickle.
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    with multiprocessing.get_context(method).Pool(min(jobs, len(argslist))) as pool:
-        return pool.map(worker, argslist)
-
-
 def _scan(worker, n: int, op_id: str, passes: int, jobs: int, *bases) -> list:
     """Validate the arguments every scan shares, then run ``worker`` on one
-    block of S_n per first letter (one block when ``jobs`` is 1) and return
-    the blocks' results in lexicographic order."""
+    block of S_n per first letter (one block when ``jobs`` is 1 or n < 2)
+    and return the blocks' results in lexicographic order."""
     if n < 0:
         raise InvalidInputError(f"length must be nonnegative, got {n}")
     if jobs < 1:
@@ -139,8 +126,16 @@ def _scan(worker, n: int, op_id: str, passes: int, jobs: int, *bases) -> list:
     if passes < 0:
         raise InvalidInputError(f"pass count must be nonnegative, got {passes}")
     operator_fn(op_id)
-    firsts = [None] if jobs <= 1 or n < 2 else range(1, n + 1)
-    return _run_blocks(worker, [(n, first, op_id, passes, *bases) for first in firsts], jobs)
+    if jobs <= 1 or n < 2:
+        return [worker((n, None, op_id, passes, *bases))]
+    # Imported here, so that a process that never fans out does not load it.
+    import multiprocessing
+
+    # Fork starts workers fastest; spawn works everywhere, because the
+    # workers are module-level functions and their arguments pickle.
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    with multiprocessing.get_context(method).Pool(min(jobs, n)) as pool:
+        return pool.map(worker, [(n, first, op_id, passes, *bases) for first in range(1, n + 1)])
 
 
 def av_set(n: int, basis: Iterable[Pattern], *, jobs: int = 1) -> list[Permutation]:
@@ -151,9 +146,8 @@ def av_set(n: int, basis: Iterable[Pattern], *, jobs: int = 1) -> list[Permutati
     >>> len(av_set(4, [classical("231")]))
     14
     """
-    # The image basis is empty, so no sorting pass is ever applied.
-    blocks = _scan(_kept_block, n, "stack", 0, jobs, canonical(basis), ())
-    return [Permutation(v) for block in blocks for v in block]
+    # With no pass, a permutation is its own image.
+    return preimage_av_set(n, "stack", 0, basis, jobs=jobs)
 
 
 def preimage_av_set(

@@ -11,12 +11,17 @@ tuples so that exhaustive enumeration loops avoid object overhead.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError
 
 Values = tuple[int, ...]
+
+# int() alone would also read other Unicode digits, a sign, and underscores
+# between digits; text that passes this reads as ASCII digits only.
+_TEXT_RE = re.compile(r"[0-9,\s]+")
 
 
 def as_word(letters: Iterable[int]) -> Values:
@@ -135,10 +140,9 @@ class Permutation:
         if not s:
             raise InvalidInputError("empty permutation text")
         try:
-            if "," in s:
-                vals = tuple(int(part) for part in s.split(","))
-            else:
-                vals = tuple(int(ch) for ch in s)
+            if not _TEXT_RE.fullmatch(s):
+                raise ValueError(s)
+            vals = tuple(map(int, s.split(",") if "," in s else s))
         except ValueError:
             raise InvalidInputError(f"cannot parse permutation text {text!r}") from None
         return cls(vals)

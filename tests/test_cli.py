@@ -399,6 +399,23 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "perm must be an array, got {}" in err
 
+    def test_json_box_that_is_not_a_pair_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "match", "21", "--inline",
+                             '{"kind": "mesh", "perm": [2, 1], "shade": [[0, 0, 5]]}')
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "box must be an array of two integers, got [0, 0, 5]" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("sort", "--op", "stack", "\u0662\u0661"),
+        ("sort", "--op", "stack", "+2,1"),
+        ("sort", "--op", "stack", "1_0,2,3,4,5,6,7,8,9,1"),
+        ("match", "21", "--inline", "21 | shade: (\u0661,\u0662)"),
+        ("match", "21", "--inline", "21 | mark: {(\u0661,\u0662)} >= \u0661"),
+    ], ids=["arabic-indic", "sign", "underscore", "shade", "mark"])
+    def test_digits_other_than_ascii_are_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_trailing_comma_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "match", "21", "--inline", "21 | shade: (0,0),")
         assert code == 2 and out == "" and "trailing ','" in err and "offset 17" in err
@@ -498,6 +515,23 @@ def test_a_reader_closing_the_pipe_keeps_the_exit_code(tmp_path, argv, code):
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (code, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sort", "--op", "stack", "13x2"),
+    ("match", "21", "--inline", '{"kind": "mesh", "perm": [2, 1], "shade": [[0, 0, 5]]}'),
+], ids=["sort", "match"])
+def test_a_usage_error_exits_2_when_the_reader_of_stderr_has_gone(argv):
+    # The pipe's read end is closed before the child starts, so writing the
+    # error message fails with a broken pipe; a traceback would exit 1.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "permpat", *argv],
+                              stdout=subprocess.PIPE, stderr=write, text=True, env=_fresh_env(), timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stdout) == (2, "")
 
 
 def test_calls_in_one_process_answer_as_fresh_calls(capsys):

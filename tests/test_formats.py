@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -121,6 +122,17 @@ class TestParseLineErrors:
         with pytest.raises(UnsupportedFormatError):
             parse_pattern("21", fmt="yaml")
 
+    # \d would also match these Arabic-Indic digits.
+    @pytest.mark.parametrize("text", [
+        "21 | shade: (\u0661,\u0662)",
+        "21 | mark: {(\u0661,\u0662)} >= \u0661",
+        "21 | mark: {(1,2)} >= \u0661",
+        "\u0662\u0661 | shade: (0,0)",
+    ], ids=["shade", "mark", "mark-count", "perm"])
+    def test_only_ascii_digits_are_read(self, text):
+        with pytest.raises(PatternSyntaxError):
+            parse_pattern(text)
+
 
 class TestFormatLine:
     def test_canonical_doc_example(self):
@@ -237,6 +249,21 @@ class TestJson:
         with pytest.raises(PatternSyntaxError, match=f"^{field} must be an array, got {re.escape(value)} "):
             parse_pattern(text % value, "json")
 
+    # Unpacked as pairs, an object would read as its two keys, and three
+    # numbers as an error about unpacking.
+    @pytest.mark.parametrize("box", ['{"c": 0, "r": 0}', "[0, 0, 5]", "[0]", "7"],
+                             ids=["object", "triple", "single", "number"])
+    @pytest.mark.parametrize("text", [
+        '{"kind": "mesh", "perm": [1], "shade": [%s]}',
+        '{"kind": "marked", "perm": [1], "marks": [{"boxes": [%s]}]}',
+        '{"kind": "decorated", "perm": [1], '
+        '"decor": [{"boxes": [%s], "avoid": {"kind": "classical", "perm": [1, 2]}}]}',
+    ], ids=["shade", "mark", "decoration"])
+    def test_boxes_must_be_pairs(self, text, box):
+        message = f"^box must be an array of two integers, got {re.escape(box)} "
+        with pytest.raises(PatternSyntaxError, match=message):
+            parse_pattern(text % box, "json")
+
     # A pattern's parts decide its kind, and the kind JSON names must agree.
     @pytest.mark.parametrize("text", [
         '{"kind": "mesh", "perm": [1, 2]}',
@@ -262,6 +289,15 @@ class TestJson:
     def test_deep_arrays_in_one_pattern_are_a_syntax_error(self):
         with pytest.raises(PatternSyntaxError, match="nested too deeply"):
             parse_pattern('{"kind": "classical", "perm": ' + "[" * 100000, "json")
+
+    def test_arrays_nested_near_the_recursion_limit_are_a_syntax_error(self):
+        # Near the limit, json.loads can read an array that json.dumps, when
+        # an error message quotes it, cannot write.
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 100, limit + 5):
+            text = '{"kind": "classical", "perm": [' + "[" * depth + "]" * depth + "]}"
+            with pytest.raises(PatternSyntaxError):
+                parse_pattern(text, "json")
 
     def test_decorations_past_the_nesting_bound_are_a_syntax_error(self):
         head = '{"kind": "decorated", "perm": [1], "decor": [{"boxes": [[0, 0]], "avoid": '

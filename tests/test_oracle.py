@@ -18,7 +18,6 @@ from permpat import (
     REASON_BAD_IMAGE,
     REASON_CONTAINS_BASIS,
     InvalidInputError,
-    MarkedBasis,
     Permutation,
     VerificationReport,
     av_set,
@@ -394,7 +393,7 @@ class TestOneScanPerLength:
         assert streams == [(n, None) for n in range(1, 6)]
 
     def test_prune_opens_one_stream_per_length(self, streams):
-        basis = MarkedBasis.from_patterns(
+        basis = canonical(
             [classical("2341"), classical("23451"), mesh("3241", [(1, 4)])])
         pruned = prune_basis(basis, 6)
         assert list(pruned) == [classical("2341"), mesh("3241", [(1, 4)])]

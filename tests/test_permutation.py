@@ -70,6 +70,19 @@ class TestTextForms:
         with pytest.raises(InvalidInputError):
             P.from_text(text)
 
+    # int() alone would read these: other Unicode digits, a sign, and an
+    # underscore between digits.
+    @pytest.mark.parametrize("text", [
+        "\u0662\u0661", "\uff12\uff11", "+2,1", "2,+1", "1_0,2,3,4,5,6,7,8,9,1",
+    ], ids=["arabic-indic", "fullwidth", "sign", "sign-after-comma", "underscore"])
+    def test_only_ascii_digits_are_read(self, text):
+        with pytest.raises(InvalidInputError, match="cannot parse permutation text"):
+            P.from_text(text)
+
+    @pytest.mark.parametrize("text", ["3, 1, 2", "3 ,1,2", " 3 , 1 ,2 "])
+    def test_spaces_around_commas_are_accepted(self, text):
+        assert P.from_text(text) == P((3, 1, 2))
+
 
 class TestStandardize:
     def test_relabels_order_preservingly(self):

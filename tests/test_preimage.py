@@ -110,7 +110,7 @@ class TestShadeAndMark:
     def test_identity_candidate_gives_bare_pattern(self):
         res = shade_and_mark(P((1, 2, 3)), P((1, 2, 3)))
         assert res.shades == () and res.marks == ()
-        assert res.to_pattern() == classical("123")
+        assert res.pattern == classical("123")
 
     def test_shading_and_marks_match_their_definition(self):
         # Shaded: the union, over the image's non-inversions (u, v), of the
@@ -177,8 +177,8 @@ class TestShadeAndMark:
 
 class TestShadeMarkResult:
     def test_to_pattern_kind_by_content(self):
-        assert shade_and_mark(P((1, 2)), P((1, 2))).to_pattern().kind == "classical"
-        assert shade_and_mark(P((2, 3, 1)), P((2, 3, 1))).to_pattern().kind == "marked"
+        assert shade_and_mark(P((1, 2)), P((1, 2))).pattern.kind == "classical"
+        assert shade_and_mark(P((2, 3, 1)), P((2, 3, 1))).pattern.kind == "marked"
 
     def test_parts_read_back_from_the_pattern(self):
         pat = marked("21", shade=[(0, 2), (0, 1), (0, 2)], marks=[{(2, 0), (1, 2)}])
@@ -389,11 +389,11 @@ class TestExpandBasis:
 
 class TestPruneBasis:
     def test_implied_longer_pattern_removed(self):
-        basis = MarkedBasis.from_patterns([classical("2341"), classical("23451")])
+        basis = canonical([classical("2341"), classical("23451")])
         assert prune_basis(basis, 6) == (classical("2341"),)
 
     def test_containment_equivalent_pair_leaves_one(self):
-        basis = MarkedBasis.from_patterns(
+        basis = canonical(
             [classical("231"), marked("21", marks=[((Box(1, 2),), 1)])])
         pruned = prune_basis(basis, 7)
         assert len(pruned) == 1
@@ -421,7 +421,7 @@ class TestPruneBasis:
             assert av_set(n, pruned) == av_set(n, basis), n
 
     def test_bound_below_longest_pattern_rejected(self):
-        basis = MarkedBasis.from_patterns([classical("2341")])
+        basis = canonical([classical("2341")])
         with pytest.raises(InvalidBoundError):
             prune_basis(basis, 3)
 

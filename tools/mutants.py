@@ -4,9 +4,11 @@ normalization, the pattern kind its parts decide, the nesting bound of
 decorations, the oracle's scan, the pass count of a sorting power,
 shading and marking, mark expansion, its cap and point insertion (in
 ``patterns``), basis pruning (in ``oracle``) and the command line's
-pruning trailer, the fixture table, the pattern parsers and their check
-that JSON parts are arrays, the integer check of words and the command
-line's work check.
+pruning trailer, the fixture table, the pattern parsers and their checks
+that JSON parts are arrays, that a JSON box is a pair of integers and that
+text forms use ASCII digits only, the choice of the form a pattern is
+printed in, the integer check of words, and the command line's work check
+and its exit code when the reader of stderr has gone.
 
 Each fault in ``MUTANTS`` is a one-line textual change to a file under
 ``src/``.  For each one in turn the script copies ``src/``, ``tests/`` and
@@ -143,15 +145,31 @@ MUTANTS = [
     # syntax error.
     Mutant("JSON kind check dropped", FORMATS, "if kind != pat.kind:", "if False:"),
     Mutant("JSON part not checked as an array", FORMATS, "if not isinstance(value, list):", "if False:"),
-    Mutant("deep nesting not caught", FORMATS,
-           'except RecursionError:\n            raise PatternSyntaxError("nested too deeply") from None',
-           'except ZeroDivisionError:\n            raise PatternSyntaxError("nested too deeply") from None'),
+    Mutant("deep nesting not caught", FORMATS, "except RecursionError:", "except ZeroDivisionError:"),
+    # A JSON box is an array of exactly two integers.
+    Mutant("two-integer box check dropped", FORMATS,
+           "if not isinstance(item, list) or len(item) != 2:", "if not isinstance(item, list):"),
+    # Text forms read ASCII digits only.
+    Mutant("permutation text reads any Unicode digit", PERMUTATION,
+           r'r"[0-9,\s]+"', r'r"[\d,\s]+"'),
+    Mutant("box text reads any Unicode digit", FORMATS,
+           r'r"\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)"', r'r"\(\s*(\d+)\s*,\s*(\d+)\s*\)"'),
+    Mutant("mark count reads any Unicode digit", FORMATS, r'>=\s*([0-9]+)"', r'>=\s*(\d+)"'),
+    # A pattern is printed in its line form where its kind has one.
+    Mutant("text form picked the wrong way round", FORMATS,
+           'return "json" if pat.kind in _JSON_ONLY else "line"',
+           'return "line" if pat.kind in _JSON_ONLY else "json"'),
+    Mutant("decorated patterns given a line form", FORMATS,
+           '_JSON_ONLY = ("barred", "decorated")', '_JSON_ONLY = ("barred",)'),
     # as_word: a word's letters are integers, by the rule of Permutation.
     Mutant("word letters not checked as integers", PERMUTATION,
            "if not set(map(type, word)) <= {int}:", "if False:"),
     # _sort_power: n - 1 passes sort a permutation of length n.
     Mutant("pass count capped at n - 2", PERMUTATION,
            "min(k, len(values) - 1)", "min(k, len(values) - 2)"),
+    # main: a usage error exits 2 even when the reader of stderr has gone.
+    Mutant("usage error's message unguarded", CLI,
+           '_write(sys.stderr, f"error: {exc}")', 'print(f"error: {exc}", file=sys.stderr)'),
     # _check_work: a huge bound's order of magnitude.
     Mutant("order of magnitude of (bound - 1)!", CLI, "math.lgamma(bound + 1)", "math.lgamma(bound)"),
     # _scan: a negative pass count is refused.
