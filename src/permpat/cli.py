@@ -34,7 +34,7 @@ from .formats import (
 from .oracle import census, prune_basis, verify_preimage
 from .patterns import expand_basis, occurrences
 from .permutation import OPERATOR_IDS, Permutation, sort_power
-from .preimage import candidate_outcomes, stack_preimage_basis
+from .preimage import stack_preimage_basis, un_s
 
 
 # Built once per process: parse_args keeps no state between calls, and
@@ -167,12 +167,13 @@ def _cmd_preimage(args) -> tuple[list[str], int]:
     pat = _parse_inline(args.pattern)
     if pat.kind != "classical":
         raise InvalidInputError(f"preimage needs a classical pattern, got {pat.kind}")
+    patterns = stack_preimage_basis(pat.perm)
     lines: list[str] = []
     if args.show_rejected:
-        for lam, outcome in candidate_outcomes(pat.perm):
-            if outcome is None:
-                lines.append(f"# rejected: {lam.to_text()}")
-    patterns = stack_preimage_basis(pat.perm)
+        # un_s lists each candidate once, and each accepted candidate gives
+        # the one basis pattern on its permutation.
+        kept = {p.perm for p in patterns}
+        lines = [f"# rejected: {lam.to_text()}" for lam in sorted(un_s(pat.perm)) if lam not in kept]
     if args.expand:
         patterns = expand_basis(patterns)
     if args.prune is not None:

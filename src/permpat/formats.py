@@ -64,7 +64,7 @@ def _parse_boxes(text: str, offset: int) -> tuple[Box, ...]:
             if s[pos] != ",":
                 raise PatternSyntaxError("expected ',' between boxes", offset + pos)
             pos += 1
-            while pos < len(s) and s[pos] == " ":
+            while pos < len(s) and s[pos].isspace():
                 pos += 1
             if pos == len(s):
                 raise PatternSyntaxError("trailing ',' after the last box", offset + m.end())

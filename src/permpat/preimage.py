@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InvalidInputError
-from .patterns import Mark, Pattern, Region, canonical
+from .patterns import Mark, Pattern, canonical
 from .permutation import Permutation, Values, _standardize, as_word
 
 
@@ -61,23 +61,12 @@ def un_s(word: Iterable[int]) -> frozenset[Permutation]:
 @dataclass(frozen=True)
 class ShadeMarkResult:
     """Outcome of shading and marking one accepted candidate: the marked
-    mesh pattern it denotes.  Its parts are the candidate permutation, the
-    shaded boxes, and the marked regions, each of which needs at least one
-    point; no region of one outcome lies inside another."""
+    mesh pattern it denotes, whose permutation is the candidate.  Each of
+    its marked regions needs at least one point, and no region of one
+    outcome lies inside another.  ``to_pattern`` is kept for the benchmark
+    under ``perfbench/``, which reads outcomes through it."""
 
     pattern: Pattern
-
-    @property
-    def candidate(self) -> Permutation:
-        return self.pattern.perm
-
-    @property
-    def shades(self) -> Region:
-        return self.pattern.shade
-
-    @property
-    def marks(self) -> tuple[Region, ...]:
-        return tuple(m.region for m in self.pattern.marks)
 
     def to_pattern(self) -> Pattern:
         return self.pattern
@@ -136,9 +125,9 @@ def shade_and_mark(candidate: Permutation, image: Permutation) -> ShadeMarkResul
     of the image must be an inversion of the candidate.
 
     >>> r = shade_and_mark(Permutation.from_text("4321"), Permutation.from_text("3241"))
-    >>> r.shades
+    >>> r.pattern.shade
     (Box(col=1, row=4), Box(col=2, row=4))
-    >>> r.marks
+    >>> tuple(m.region for m in r.pattern.marks)
     ((Box(col=2, row=3),), (Box(col=3, row=4),))
     """
     if candidate.n != image.n:

@@ -112,8 +112,8 @@ def test_candidate_generation_and_shading_worked_examples():
     assert {p.to_text() for p in un_s((1, 3, 2))} == {"321", "312", "132"}
     assert {p.to_text() for p in un_s((3, 2, 4, 1))} == {"4321", "3421", "3241"}
     result = shade_and_mark(P.from_text("4321"), P.from_text("3241"))
-    assert {(b.col, b.row) for b in result.shades} == {(1, 4), (2, 4)}
-    assert {tuple((b.col, b.row) for b in m) for m in result.marks} == \
+    assert {(b.col, b.row) for b in result.pattern.shade} == {(1, 4), (2, 4)}
+    assert {tuple((b.col, b.row) for b in m.region) for m in result.pattern.marks} == \
         {((2, 3),), ((3, 4),)}
     assert shade_and_mark(P.from_text("321"), P.from_text("132")) is None
 
@@ -285,12 +285,13 @@ def test_property_suites(tmp_path, capsys):
                     failures.append(f"shade_and_mark({lam}, {image}) depends on inversion order")
             if outcome is None:
                 continue
-            shade_set = set(outcome.shades)
-            for region in outcome.marks:
+            shade_set = set(outcome.pattern.shade)
+            regions = tuple(m.region for m in outcome.pattern.marks)
+            for region in regions:
                 if shade_set.intersection(region):
                     failures.append(f"mark overlaps shading for {lam}/{image}")
             if any(a is not b and set(a) <= set(b)
-                   for a in outcome.marks for b in outcome.marks):
+                   for a in regions for b in regions):
                 failures.append(f"nested mark regions for {lam}/{image}")
 
     # --- the preimage pipeline is exact for every image through length 4 ---

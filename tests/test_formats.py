@@ -51,6 +51,10 @@ class TestParseLine:
     def test_whitespace_tolerated(self):
         assert parse_pattern("  21 | shade: ( 1 , 0 )  ") == mesh("21", {(1, 0)})
 
+    def test_any_whitespace_after_the_comma_between_boxes(self):
+        assert parse_pattern("21 | shade: (0,0),\t(1,1)") == mesh("21", {(0, 0), (1, 1)})
+        assert parse_pattern("21 | mark: {(1,1),\t (2,2)} >= 1") == marked("21", marks=[{(1, 1), (2, 2)}])
+
     def test_empty_shade_section_is_classical(self):
         # A pattern's parts decide its kind, and no shaded box leaves none.
         pat = parse_pattern("21 | shade: ")

@@ -44,6 +44,11 @@ def names(perms):
     return {str(p) for p in perms}
 
 
+def _regions(outcome):
+    """The marked regions of a shade-and-mark outcome, in pattern order."""
+    return tuple(m.region for m in outcome.pattern.marks)
+
+
 class TestUnS:
     @pytest.mark.parametrize("word,expected", [
         ((1, 3, 2), {"321", "312", "132"}),
@@ -84,8 +89,8 @@ class TestUnS:
 class TestShadeAndMark:
     def test_worked_4321_to_3241(self):
         res = shade_and_mark(P((4, 3, 2, 1)), P((3, 2, 4, 1)))
-        assert set(res.shades) == {Box(1, 4), Box(2, 4)}
-        assert {frozenset(m) for m in res.marks} == \
+        assert set(res.pattern.shade) == {Box(1, 4), Box(2, 4)}
+        assert {frozenset(m) for m in _regions(res)} == \
                {frozenset({Box(2, 3)}), frozenset({Box(3, 4)})}
 
     def test_rejection_321_to_132(self):
@@ -93,23 +98,23 @@ class TestShadeAndMark:
 
     def test_321_to_231(self):
         res = shade_and_mark(P((3, 2, 1)), P((2, 3, 1)))
-        assert set(res.shades) == {Box(1, 3)}
-        assert {frozenset(m) for m in res.marks} == {frozenset({Box(2, 3)})}
+        assert set(res.pattern.shade) == {Box(1, 3)}
+        assert {frozenset(m) for m in _regions(res)} == {frozenset({Box(2, 3)})}
 
     def test_231_to_231(self):
         res = shade_and_mark(P((2, 3, 1)), P((2, 3, 1)))
-        assert res.shades == ()
-        assert {frozenset(m) for m in res.marks} == {frozenset({Box(2, 3)})}
+        assert res.pattern.shade == ()
+        assert {frozenset(m) for m in _regions(res)} == {frozenset({Box(2, 3)})}
 
     def test_321_to_321_double_mark(self):
         res = shade_and_mark(P((3, 2, 1)), P((3, 2, 1)))
-        assert res.shades == ()
-        assert {frozenset(m) for m in res.marks} == \
+        assert res.pattern.shade == ()
+        assert {frozenset(m) for m in _regions(res)} == \
                {frozenset({Box(1, 3)}), frozenset({Box(2, 2), Box(2, 3)})}
 
     def test_identity_candidate_gives_bare_pattern(self):
         res = shade_and_mark(P((1, 2, 3)), P((1, 2, 3)))
-        assert res.shades == () and res.marks == ()
+        assert res.pattern.shade == () and res.pattern.marks == ()
         assert res.pattern == classical("123")
 
     def test_shading_and_marks_match_their_definition(self):
@@ -132,8 +137,8 @@ class TestShadeAndMark:
                     if not all(regions):
                         assert res is None, (lam, image)
                         continue
-                    assert set(res.shades) == shaded, (lam, image)
-                    assert {frozenset(m) for m in res.marks} == \
+                    assert set(res.pattern.shade) == shaded, (lam, image)
+                    assert {frozenset(m) for m in _regions(res)} == \
                            {r for r in regions if not any(o < r for o in regions)}, (lam, image)
 
     def test_image_pairs_built_once_per_image(self, monkeypatch):
@@ -180,13 +185,10 @@ class TestShadeMarkResult:
         assert shade_and_mark(P((1, 2)), P((1, 2))).pattern.kind == "classical"
         assert shade_and_mark(P((2, 3, 1)), P((2, 3, 1))).pattern.kind == "marked"
 
-    def test_parts_read_back_from_the_pattern(self):
+    def test_to_pattern_returns_the_pattern(self):
+        # perfbench/layers.py reads outcomes through to_pattern.
         pat = marked("21", shade=[(0, 2), (0, 1), (0, 2)], marks=[{(2, 0), (1, 2)}])
-        res = ShadeMarkResult(pat)
-        assert res.candidate == P((2, 1))
-        assert res.shades == (Box(0, 1), Box(0, 2))
-        assert res.marks == ((Box(1, 2), Box(2, 0)),)
-        assert res.to_pattern() is pat
+        assert ShadeMarkResult(pat).to_pattern() is pat
 
     def test_marks_are_incomparable_and_off_the_shading_through_length_6(self):
         # _shade_and_mark_impl keeps only the least regions; no check at
@@ -195,10 +197,38 @@ class TestShadeMarkResult:
             for lam, outcome in candidate_outcomes(image):
                 if outcome is None:
                     continue
-                regions = [set(region) for region in outcome.marks]
-                assert all(a.isdisjoint(outcome.shades) for a in regions), (lam, image)
+                regions = [set(region) for region in _regions(outcome)]
+                assert all(a.isdisjoint(outcome.pattern.shade) for a in regions), (lam, image)
                 assert not any(i != j and a <= b for i, a in enumerate(regions)
                                for j, b in enumerate(regions)), (lam, image)
+
+
+class TestShowRejected:
+    """``preimage --show-rejected`` reads its rejects off un_s and the basis."""
+
+    @pytest.mark.parametrize("word", ["132", "2341", "654321"])
+    def test_each_candidate_shaded_and_marked_once(self, monkeypatch, word):
+        calls = 0
+        impl = preimage._shade_and_mark_impl
+
+        def counting_impl(*args):
+            nonlocal calls
+            calls += 1
+            return impl(*args)
+
+        monkeypatch.setattr(preimage, "_shade_and_mark_impl", counting_impl)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["preimage", word, "--show-rejected"]) == 0
+        assert calls == len(un_s(P.from_text(word)))
+
+    def test_rejected_lines_are_the_rejected_outcomes_through_length_5(self):
+        for image in perms_through(5):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["preimage", image.to_text(), "--show-rejected"]) == 0
+            listed = [line for line in out.getvalue().splitlines() if line.startswith("# rejected:")]
+            assert listed == [f"# rejected: {lam.to_text()}"
+                              for lam, outcome in candidate_outcomes(image) if outcome is None], image
 
 
 class TestStackPreimageBasis:

@@ -149,11 +149,12 @@ class TestPreimageProperties:
         for _, outcome in candidate_outcomes(image):
             if outcome is None:
                 continue
-            shade_set = set(outcome.shades)
-            for region in outcome.marks:
+            shade_set = set(outcome.pattern.shade)
+            regions = tuple(m.region for m in outcome.pattern.marks)
+            for region in regions:
                 assert not shade_set.intersection(region)
-            for a in outcome.marks:
-                for b in outcome.marks:
+            for a in regions:
+                for b in regions:
                     assert a is b or not set(a) <= set(b)
 
     @settings(max_examples=20, deadline=None)

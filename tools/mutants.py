@@ -4,8 +4,9 @@ normalization, the pattern kind its parts decide, the nesting bound of
 decorations, the oracle's scan, the pass count of a sorting power,
 shading and marking, mark expansion, its cap and point insertion (in
 ``patterns``), basis pruning (in ``oracle``) and the command line's
-pruning trailer, the fixture table, the pattern parsers and their checks
-that JSON parts are arrays, that a JSON box is a pair of integers and that
+pruning trailer and rejected listing, the fixture table, the pattern
+parsers, the whitespace they take between boxes and their checks that
+JSON parts are arrays, that a JSON box is a pair of integers and that
 text forms use ASCII digits only, the choice of the form a pattern is
 printed in, the integer check of words, and the command line's work check
 and its exit code when the reader of stderr has gone.
@@ -245,16 +246,21 @@ MUTANTS = [
     # The pruning trailer names the bound the CLI pruned with.
     Mutant("trailer names another bound", CLI,
            'f"# pruned: verified up to n={args.prune}"', 'f"# pruned: verified up to n={args.prune + 1}"'),
+    # --show-rejected lists the candidates that gave no basis pattern.
+    Mutant("rejected listing inverted", CLI, "if lam not in kept]", "if lam in kept]"),
     # Decoration: a pattern nests at most _MAX_NESTING levels.
     Mutant("nesting bound off by one", PATTERNS,
            "if _nesting(self.avoid) >= _MAX_NESTING:", "if _nesting(self.avoid) > _MAX_NESTING:"),
     # The fixture table: each basis is exact for its operator and passes.
     Mutant("a fixture's pass count off by one", FIXTURES,
            '"west2": ("stack", 2,', '"west2": ("stack", 3,'),
-    # The line parser: positions index the text passed, and no trailing comma.
+    # The line parser: positions index the text passed, no trailing comma,
+    # and any whitespace after the comma between boxes.
     Mutant("box offset counted from the section start", FORMATS,
            'label + len("shade:"))', "offset)"),
     Mutant("trailing comma accepted", FORMATS, "if pos == len(s):", "if pos > len(s):"),
+    Mutant("box separator skips spaces only", FORMATS,
+           "while pos < len(s) and s[pos].isspace():", 'while pos < len(s) and s[pos] == " ":'),
     # parse_pattern_list: a line's error position counts from the text's start.
     Mutant("line offset dropped from a list position", FORMATS,
            "start + lead + exc.position", "lead + exc.position"),
