@@ -259,7 +259,7 @@ def parse_pattern_list(text: str) -> list[Pattern]:
 
 
 def _boxes_text(boxes) -> str:
-    return ",".join(f"({b.col},{b.row})" for b in boxes)
+    return ",".join(map("(%d,%d)".__mod__, boxes))
 
 
 def format_pattern(pat: Pattern, fmt: str = "line") -> str:
@@ -269,10 +269,10 @@ def format_pattern(pat: Pattern, fmt: str = "line") -> str:
     >>> format_pattern(Pattern(Permutation.from_text("3241"), [(1, 4)]))
     '3241 | shade: (1,4)'
     """
-    _check_format(fmt)
-    if fmt == "json":
+    if fmt != "line":
+        _check_format(fmt)
         return json.dumps(_pattern_to_obj(pat), separators=(",", ":"))
-    if _text_form(pat) != "line":
+    if pat.kind in _JSON_ONLY:
         raise UnsupportedFormatError(f"{pat.kind} patterns have no line form; use the json format")
     parts = [pat.perm.to_text()]
     if pat.shade:

@@ -76,9 +76,9 @@ def as_boxes(boxes: Iterable[BoxLike]) -> Region:
 
 
 def _check_boxes(boxes: Iterable[Box], k: int, what: str) -> None:
-    for b in boxes:
-        if not (0 <= b.col <= k and 0 <= b.row <= k):
-            raise InvalidInputError(f"{what} box {tuple(b)} outside grid 0..{k}")
+    for c, r in boxes:
+        if not (0 <= c <= k and 0 <= r <= k):
+            raise InvalidInputError(f"{what} box {(c, r)} outside grid 0..{k}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,8 @@ class Decoration:
         object.__setattr__(self, "region", as_boxes(self.region))
         if not self.region:
             raise InvalidInputError("decoration region is empty")
+        if not isinstance(self.avoid, Pattern):
+            raise InvalidInputError(f"decoration avoid-pattern must be a Pattern, got {self.avoid!r}")
         if self.avoid.kind not in ("classical", "decorated"):
             raise UnsupportedPatternError(
                 f"decoration avoid-pattern must be classical or decorated, got {self.avoid.kind}"
@@ -154,6 +156,7 @@ class Pattern:
 
     Construction normalizes every component (sorted, deduplicated tuples),
     so two patterns are syntactically equal exactly when they compare equal.
+    A part left at its default ``()`` is already normal and is not read.
     """
 
     perm: Permutation
@@ -164,20 +167,30 @@ class Pattern:
     kind: str = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        k = len(self.perm)
+        if not isinstance(self.perm, Permutation):
+            raise InvalidInputError(f"a pattern's perm must be a Permutation, got {self.perm!r}")
+        k = len(self.perm.values)
         shade = as_boxes(self.shade)
-        marks = tuple(sorted(set(self.marks), key=Mark.sort_key))
-        decorations = tuple(sorted(set(self.decorations), key=Decoration.sort_key))
-        bars = set(self.barred_positions)
-        if not set(map(type, bars)) <= {int}:
-            raise InvalidInputError(f"barred positions must be integers, got {self.barred_positions!r}")
-        bars = tuple(sorted(bars))
-        if bars and (shade or marks or decorations):
-            raise InvalidInputError("barred patterns carry only barred positions")
+        object.__setattr__(self, "shade", shade)
+        marks = decorations = bars = ()
+        if self.marks != ():
+            marks = tuple(sorted(set(self.marks), key=Mark.sort_key))
+            object.__setattr__(self, "marks", marks)
+        if self.decorations != ():
+            decorations = tuple(sorted(set(self.decorations), key=Decoration.sort_key))
+            object.__setattr__(self, "decorations", decorations)
+        if self.barred_positions != ():
+            bars = set(self.barred_positions)
+            if not set(map(type, bars)) <= {int}:
+                raise InvalidInputError(f"barred positions must be integers, got {self.barred_positions!r}")
+            bars = tuple(sorted(bars))
+            object.__setattr__(self, "barred_positions", bars)
+            if bars and (shade or marks or decorations):
+                raise InvalidInputError("barred patterns carry only barred positions")
+            if not all(1 <= b <= k for b in bars):
+                raise InvalidInputError(f"barred positions {bars} outside 1..{k}")
         if decorations and (shade or marks):
             raise InvalidInputError("decorated patterns carry only decorations")
-        if not all(1 <= b <= k for b in bars):
-            raise InvalidInputError(f"barred positions {bars} outside 1..{k}")
         _check_boxes(shade, k, "shaded")
         for m in marks:
             _check_boxes(m.region, k, "marked")
@@ -187,10 +200,6 @@ class Pattern:
             _check_boxes(d.region, k, "decorated")
         kind = ("barred" if bars else "decorated" if decorations else "marked" if marks
                 else "mesh" if shade else "classical")
-        object.__setattr__(self, "shade", shade)
-        object.__setattr__(self, "marks", marks)
-        object.__setattr__(self, "decorations", decorations)
-        object.__setattr__(self, "barred_positions", bars)
         object.__setattr__(self, "kind", kind)
 
     def __len__(self) -> int:
@@ -278,8 +287,8 @@ def pattern_sort_key(pat: Pattern) -> tuple:
         pat.perm.values,
         _KIND_RANK[pat.kind],
         pat.shade,
-        tuple(m.sort_key() for m in pat.marks),
-        tuple(d.sort_key() for d in pat.decorations),
+        tuple(map(Mark.sort_key, pat.marks)),
+        tuple(map(Decoration.sort_key, pat.decorations)),
         pat.barred_positions,
     )
 
@@ -309,17 +318,26 @@ def _insert(values: Values, shade: frozenset, marks: tuple, box: tuple[int, int]
     col, row = box
 
     def split(boxes) -> frozenset:
-        return frozenset([(c2, r2) for c, r in boxes
-                          for c2 in ((c, c + 1) if c == col else (c if c < col else c + 1,))
-                          for r2 in ((r, r + 1) if r == row else (r if r < row else r + 1,))])
+        out = []
+        for c, r in boxes:
+            c2, r2 = c + (c > col), r + (r > row)
+            out.append((c2, r2))
+            if c == col:
+                out.append((c2 + 1, r2))
+                if r == row:
+                    out += (c2, r2 + 1), (c2 + 1, r2 + 1)
+            elif r == row:
+                out.append((c2, r2 + 1))
+        return frozenset(out)
 
-    shifted = tuple(v + 1 if v > row else v for v in values)
     grown = []
     for region, count in marks:
         count -= box in region
         if count:
             grown.append((split(region), count))
-    return shifted[:col] + (row + 1,) + shifted[col:], split(shade), tuple(grown)
+    shifted = [v + 1 if v > row else v for v in values]
+    shifted.insert(col, row + 1)
+    return tuple(shifted), split(shade), tuple(grown)
 
 
 def _expansions(pat: Pattern, cap: int | None = None) -> set[tuple[Values, frozenset]] | None:
@@ -337,7 +355,7 @@ def _expansions(pat: Pattern, cap: int | None = None) -> set[tuple[Values, froze
     while todo:
         values, shade, marks = todo.pop()
         if marks:
-            region = min(marks, key=lambda m: (sorted(m[0]), m[1]))[0]
+            region = marks[0][0] if len(marks) == 1 else min(marks, key=lambda m: (sorted(m[0]), m[1]))[0]
             todo.extend(_insert(values, shade, marks, b) for b in region)
             continue
         found.add((values, shade))

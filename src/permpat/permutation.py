@@ -150,8 +150,8 @@ class Permutation:
     def to_text(self) -> str:
         """Inverse of :meth:`from_text`; digits for n <= 9, commas beyond."""
         if len(self.values) <= 9:
-            return "".join(str(v) for v in self.values)
-        return ",".join(str(v) for v in self.values)
+            return "".join(map(str, self.values))
+        return ",".join(map(str, self.values))
 
 
 def standardize(word: Iterable[int]) -> Permutation:

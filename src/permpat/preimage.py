@@ -19,6 +19,7 @@ The pipeline has three stages:
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -106,7 +107,8 @@ def _shade_and_mark_impl(
     marks: list[frozenset[tuple[int, int]]] = []
     for u, v in inv_pairs:
         i, j = pos[u], pos[v]
-        if all(lam[l - 1] < u for l in range(i + 1, j + 1)):
+        # i < j, as every candidate keeps the image's inversions.
+        if max(lam[i:j]) < u:
             region = frozenset((c, r) for c in range(i, j) for r in range(u, floor[c]))
             if not region:
                 return None
@@ -150,7 +152,8 @@ def candidate_outcomes(image: Permutation) -> list[tuple[Permutation, ShadeMarkR
     candidate keeps the image's inversions, so the image's value pairs are
     read once and :func:`shade_and_mark`'s checks are not repeated."""
     inv, ninv = _value_pairs(image.values)
-    return [(lam, _shade_and_mark_impl(lam, ninv, inv)) for lam in sorted(un_s(image.values))]
+    return [(lam, _shade_and_mark_impl(lam, ninv, inv))
+            for lam in sorted(un_s(image.values), key=operator.attrgetter("values"))]
 
 
 class MarkedBasis:

@@ -11,6 +11,7 @@ from test_reference_matcher import COUNTED_MARKS, assert_record, reference_alpha
 
 from permpat import (
     Box,
+    Decoration,
     InvalidInputError,
     Mark,
     Pattern,
@@ -100,6 +101,33 @@ class TestConstruction:
     def test_parts_that_exclude_each_other_are_refused(self, parts):
         with pytest.raises(InvalidInputError):
             Pattern(P((2, 1)), **parts)
+
+    @pytest.mark.parametrize("perm", [(5, 5), "21", None], ids=["tuple", "text", "none"])
+    def test_a_perm_that_is_not_a_permutation_is_named(self, perm):
+        # The helpers coerce text and sequences; the constructor does not.
+        with pytest.raises(InvalidInputError, match=re.escape(repr(perm))):
+            Pattern(perm)
+
+    def test_a_decoration_avoiding_a_non_pattern_is_named(self):
+        with pytest.raises(InvalidInputError, match="'12'"):
+            Decoration([(0, 0)], "12")
+
+    # Parts left at their default () skip normalization; any other value,
+    # even an empty or wrong one, is read and checked as before.
+    @pytest.mark.parametrize("parts, error", [
+        ({"marks": 0}, TypeError),
+        ({"decorations": 0}, TypeError),
+        ({"barred_positions": [0]}, InvalidInputError),
+        ({"barred_positions": (True,)}, InvalidInputError),
+    ], ids=["marks-0", "decorations-0", "bar-0", "bar-true"])
+    def test_parts_that_are_not_the_default_are_checked(self, parts, error):
+        with pytest.raises(error):
+            Pattern(P((2, 1)), **parts)
+
+    def test_parts_given_as_lists_are_normalized(self):
+        pat = Pattern(P((2, 1)), marks=[Mark([(1, 1)]), Mark([(0, 0)]), Mark([(1, 1)])], barred_positions=[])
+        assert pat.marks == (Mark([(0, 0)]), Mark([(1, 1)]))
+        assert pat.barred_positions == () and pat.kind == "marked"
 
     def test_mark_region_may_not_touch_shade(self):
         with pytest.raises(InvalidInputError):

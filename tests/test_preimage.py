@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 from itertools import permutations
 from math import factorial
@@ -415,6 +416,23 @@ class TestExpandBasis:
             ("2341", frozenset()),
             ("3241", frozenset({Box(1, 3), Box(1, 4)})),
         }
+
+
+def test_preimage_expand_output_is_pinned_for_every_image_up_to_length_5():
+    # The exit code and stdout of `preimage W --expand` for the 153 images
+    # W of length 1 to 5, in order, hashed: any change to un_s, shading and
+    # marking, expansion or printing that moves one byte shows here.
+    digest = hashlib.sha256()
+    count = 0
+    for k in range(1, 6):
+        for image in permutations("12345"[:k]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["preimage", "".join(image), "--expand"])
+            digest.update(f"{code}\n{out.getvalue()}".encode())
+            count += 1
+    assert count == 153
+    assert digest.hexdigest() == "e097332c2b372f6e09b4a7bf5feb403842fe6ee79d56520ed85b470777a247d1"
 
 
 class TestPruneBasis:

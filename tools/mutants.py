@@ -1,7 +1,8 @@
 """A standing mutation check for the search compiler, its lowering of
 barred patterns, decorations and marks and its occurrence records, box
-normalization, the pattern kind its parts decide, the nesting bound of
-decorations, the oracle's scan, the pass count of a sorting power,
+normalization, the pattern kind its parts decide, the type checks of a
+pattern's permutation and a decoration's avoid-pattern, the nesting bound
+of decorations, the oracle's scan, the pass count of a sorting power,
 shading and marking, mark expansion, its cap and point insertion (in
 ``patterns``), basis pruning (in ``oracle``) and the command line's
 pruning trailer and rejected listing, the fixture table, the pattern
@@ -141,6 +142,9 @@ MUTANTS = [
     Mutant("decorations beside marks accepted", PATTERNS,
            "if decorations and (shade or marks):", "if decorations and shade:"),
     Mutant("barred pattern without bars accepted", PATTERNS, "if not pat.barred_positions:", "if False:"),
+    # A pattern's permutation and a decoration's avoid-pattern are type-checked.
+    Mutant("perm type check dropped", PATTERNS, "if not isinstance(self.perm, Permutation):", "if False:"),
+    Mutant("decoration avoid check dropped", PATTERNS, "if not isinstance(self.avoid, Pattern):", "if False:"),
     # The JSON parser refuses a kind its parts do not make and a part that
     # is not an array, and nesting deeper than the recursion limit is a
     # syntax error.
@@ -192,6 +196,7 @@ MUTANTS = [
     # _shade_and_mark_impl: column c is shaded from floor[c] up, and only
     # the least mark regions are kept.
     Mutant("shade floor starts at n", PREIMAGE, "floor = [n + 1] * (n + 1)", "floor = [n] * (n + 1)"),
+    Mutant("mark test reads one letter too few", PREIMAGE, "max(lam[i:j])", "max(lam[i:j - 1])"),
     Mutant("antichain filter dropped", PREIMAGE,
            "if not any(existing <= region for existing in marks):\n"
            "                marks = [m for m in marks if not region <= m]\n",
@@ -199,8 +204,8 @@ MUTANTS = [
     # _insert and _expansions: one witness per branch, counted once per mark.
     Mutant("witness deletes the mark whatever its count", PATTERNS,
            "count -= box in region", "count = 0 if box in region else count"),
-    Mutant("box's column not split", PATTERNS,
-           "for c2 in ((c, c + 1) if c == col", "for c2 in ((c,) if c == col"),
+    Mutant("box's column not split", PATTERNS, "out.append((c2 + 1, r2))", "pass"),
+    Mutant("split skips the upper box on the inserted row", PATTERNS, "out.append((c2, r2 + 1))", "pass"),
     Mutant("finished expansion keeps its parent's shade", PATTERNS,
            "split(shade), tuple(grown)", "shade, tuple(grown)"),
     Mutant("expansion branches on the first box only", PATTERNS,
