@@ -8,7 +8,8 @@ early does not change the exit code.
 
 ``verify``, ``census`` and ``preimage --prune`` scan every permutation up to
 their bound, so they first estimate their work and refuse, with exit code
-2, a bound above :data:`WORK_LIMIT` unless ``--force`` is given.  The
+2, a bound above :data:`WORK_LIMIT` unless ``--force`` is given, as
+``preimage --expand`` does past :data:`EXPAND_LIMIT` patterns.  The
 library functions themselves take any bound.
 """
 
@@ -32,9 +33,9 @@ from .formats import (
     render_grid,
 )
 from .oracle import census, prune_basis, verify_preimage
-from .patterns import expand_basis, occurrences
+from .patterns import _expansions, _mesh_patterns, occurrences
 from .permutation import OPERATOR_IDS, Permutation, sort_power
-from .preimage import stack_preimage_basis, un_s
+from .preimage import _marked_basis, _outcomes
 
 
 # Built once per process: parse_args keeps no state between calls, and
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expand", action="store_true", help="expand marks into mesh patterns")
     p.add_argument("--prune", type=int, metavar="N", help="drop implied patterns, checked up to length N")
     p.add_argument("--show-rejected", action="store_true", help="also list rejected candidates")
-    p.add_argument("--force", action="store_true", help="prune even above the work limit")
+    p.add_argument("--force", action="store_true", help="expand and prune even above their limits")
 
     p = sub.add_parser("verify", help="compare a candidate basis against a sorting preimage")
     src = p.add_mutually_exclusive_group(required=True)
@@ -104,6 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
 # --upto 9``, is 1.2 million and takes about 3 s on one core.  ``--upto 10``
 # there is 12.1 million and is refused; ``--upto 12`` would run for hours.
 WORK_LIMIT = 10_000_000
+
+# The most distinct patterns ``preimage --expand`` lists without --force:
+# 87654321 has 135,135; 987654321 has 2,027,025 and stops a tenth of the way.
+EXPAND_LIMIT = 200_000
 
 
 def _check_work(args, flag: str, bound: int, patterns: int) -> None:
@@ -167,15 +172,19 @@ def _cmd_preimage(args) -> tuple[list[str], int]:
     pat = _parse_inline(args.pattern)
     if pat.kind != "classical":
         raise InvalidInputError(f"preimage needs a classical pattern, got {pat.kind}")
-    patterns = stack_preimage_basis(pat.perm)
-    lines: list[str] = []
-    if args.show_rejected:
-        # un_s lists each candidate once, and each accepted candidate gives
-        # the one basis pattern on its permutation.
-        kept = {p.perm for p in patterns}
-        lines = [f"# rejected: {lam.to_text()}" for lam in sorted(un_s(pat.perm)) if lam not in kept]
+    outcomes = _outcomes(pat.perm.values)
+    lines = [f"# rejected: {Permutation(lam).to_text()}"
+             for lam, plain in outcomes if plain is None] if args.show_rejected else []
     if args.expand:
-        patterns = expand_basis(patterns)
+        # One name for both, so that the plain pairs are freed before printing.
+        patterns = _expansions([plain for _, plain in outcomes if plain is not None],
+                               None if args.force else EXPAND_LIMIT)
+        if patterns is None:
+            raise InvalidBoundError(f"--expand lists more than the limit of {EXPAND_LIMIT:,} "
+                                    "patterns; pass --force to run it anyway")
+        patterns = _mesh_patterns(patterns)
+    else:
+        patterns = _marked_basis(outcomes)
     if args.prune is not None:
         _check_work(args, "--prune", args.prune, len(patterns))
         patterns = prune_basis(patterns, args.prune)

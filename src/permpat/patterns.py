@@ -340,18 +340,19 @@ def _insert(values: Values, shade: frozenset, marks: tuple, box: tuple[int, int]
     return tuple(shifted), split(shade), tuple(grown)
 
 
-def _expansions(pat: Pattern, cap: int | None = None) -> set[tuple[Values, frozenset]] | None:
+def _expansions(plains: Iterable[tuple], cap: int | None = None) -> set[tuple[Values, frozenset]] | None:
     """The plain ``(values, shade)`` pairs of the distinct finished
-    expansions of ``pat``, or None once there are more than ``cap``.  While
-    marks are left, branch on every box of the least mark in
-    :meth:`Mark.sort_key` order, inserting a witness there (:func:`_insert`);
-    branches that finish equal count once.  A mark of c points has at least
-    c! expansions, its witnesses' orders in one box, so a pattern with such
-    a mark over ``cap`` is refused before any point is inserted."""
-    if cap is not None and any(math.factorial(min(m.min_count, cap + 1)) > cap for m in pat.marks):
+    expansions of all the plain triples ``plains`` (:func:`_plain`), or None
+    once there are more than ``cap``.  While marks are left, branch on every
+    box of the least mark by sorted region, inserting a witness there
+    (:func:`_insert`); branches that finish equal count once.  A mark of c
+    points has at least c! expansions, its witnesses' orders in one box, so
+    a triple with such a mark over ``cap`` is refused before any insertion."""
+    todo = list(plains)
+    if cap is not None and any(math.factorial(min(count, cap + 1)) > cap
+                               for _, _, marks in todo for _, count in marks):
         return None
     found = set()
-    todo = [_plain(pat, "expand")]
     while todo:
         values, shade, marks = todo.pop()
         if marks:
@@ -362,6 +363,18 @@ def _expansions(pat: Pattern, cap: int | None = None) -> set[tuple[Values, froze
         if cap is not None and len(found) > cap:
             return None
     return found
+
+
+def _pattern(values: Values, shade: Iterable[BoxLike], marks: tuple = ()) -> Pattern:
+    """The pattern of a plain triple, checked as every pattern is."""
+    return Pattern(Permutation(values), shade, tuple(Mark(region, count) for region, count in marks))
+
+
+def _mesh_patterns(pairs: set[tuple[Values, frozenset]]) -> tuple[Pattern, ...]:
+    """The distinct plain ``(values, shade)`` pairs ``pairs`` as patterns,
+    each built once, sorted by the plain form of :func:`pattern_sort_key`."""
+    key = lambda pair: (len(pair[0]), pair[0], bool(pair[1]), sorted(pair[1]))
+    return tuple(_pattern(values, shade) for values, shade in sorted(pairs, key=key))
 
 
 def insert_point(pat: Pattern, box: BoxLike) -> Pattern:
@@ -379,8 +392,7 @@ def insert_point(pat: Pattern, box: BoxLike) -> Pattern:
         raise InvalidInsertionError(f"box {tuple(box)} outside grid 0..{k}")
     if box in shade:
         raise InvalidInsertionError(f"box {tuple(box)} is shaded")
-    values, shade, marks = _insert(values, shade, marks, box)
-    return Pattern(Permutation(values), shade, tuple(Mark(region, count) for region, count in marks))
+    return _pattern(*_insert(values, shade, marks, box))
 
 
 def expand_basis(basis: Iterable[Pattern]) -> tuple[Pattern, ...]:
@@ -391,8 +403,7 @@ def expand_basis(basis: Iterable[Pattern]) -> tuple[Pattern, ...]:
     >>> [str(p.perm) for p in expand_basis([marked("21", marks=[{(1, 2)}])])]
     ['231']
     """
-    return canonical(Pattern(Permutation(values), shade)
-                     for pat in basis for values, shade in _expansions(pat))
+    return _mesh_patterns(_expansions(_plain(pat, "expand") for pat in basis))
 
 
 class Occurrence(NamedTuple):
@@ -544,7 +555,8 @@ def _lower(
     because an expansion's occurrences have an extra letter."""
     if pat.kind == "barred":
         pat = barred_to_mesh(pat)
-    expansions = _expansions(pat, _MAX_EXPANSIONS) if action != "yield" and pat.marks else None
+    expansions = (_expansions([_plain(pat, "expand")], _MAX_EXPANSIONS)
+                  if action != "yield" and pat.marks else None)
     if expansions is not None:
         return sorted((values, as_boxes(shade), (), ()) for values, shade in expansions)
     shade = set(pat.shade)

@@ -10,21 +10,25 @@ The pipeline has three stages:
    candidate is mapped by the sorting pass onto an occurrence of the image
    pattern; candidates whose required region is entirely shaded are
    rejected.
-3. ``stack_preimage_basis`` collects the accepted candidates' patterns
-   into a basis of marked mesh patterns: a permutation is mapped into the
-   avoidance class of the image pattern exactly when it avoids every basis
-   pattern.  A basis is a canonical tuple (:func:`patterns.canonical`).
+3. ``stack_preimage_basis`` returns the accepted candidates' marked mesh
+   patterns as a basis: a permutation is mapped into the avoidance class of
+   the image pattern exactly when it avoids every basis pattern.  A basis
+   is a canonical tuple (:func:`patterns.canonical`).
+
+The stages run on plain ``(values, shade, marks)`` triples, which mark
+expansion (:func:`patterns.expand_basis`) grows too: ``_outcomes`` shades
+and marks each candidate once, and objects are built at the end, only for
+the patterns returned or printed.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InvalidInputError
-from .patterns import Mark, Pattern, canonical
+from .patterns import Pattern, _pattern, canonical
 from .permutation import Permutation, Values, _standardize, as_word
 
 
@@ -83,15 +87,15 @@ def _value_pairs(values: Values) -> tuple[frozenset[tuple[int, int]], frozenset[
     return frozenset(inv), frozenset(ninv)
 
 
-def _shade_and_mark_impl(
-    candidate: Permutation,
+def _shade_and_mark_plain(
+    lam: Values,
     ninv: Iterable[tuple[int, int]],
     inv_pairs: Iterable[tuple[int, int]],
-) -> ShadeMarkResult | None:
-    """Core of shade_and_mark, given the image's non-inversions and its
-    inversions; the result does not depend on the order of either."""
-    n = candidate.n
-    lam = candidate.values
+) -> tuple | None:
+    """The plain triple (:func:`patterns._insert`) of the candidate ``lam``,
+    or None if it is rejected, given the image's non-inversions and its
+    inversions; the pattern it denotes does not depend on their order."""
+    n = len(lam)
     pos = {v: i for i, v in enumerate(lam, 1)}
 
     # u before v with u < v in the image: the candidate must not let a later
@@ -101,7 +105,7 @@ def _shade_and_mark_impl(
     for u, v in ninv:
         for c in range(pos[v], pos[u]):
             floor[c] = min(floor[c], v)
-    shades = [(c, r) for c in range(n + 1) for r in range(floor[c], n + 1)]
+    shade = frozenset((c, r) for c in range(n + 1) for r in range(floor[c], n + 1))
 
     # Only the least regions are kept, so no region lies inside another.
     marks: list[frozenset[tuple[int, int]]] = []
@@ -116,7 +120,21 @@ def _shade_and_mark_impl(
                 marks = [m for m in marks if not region <= m]
                 marks.append(region)
 
-    return ShadeMarkResult(Pattern(candidate, shades, [Mark(region) for region in marks]))
+    return lam, shade, tuple((region, 1) for region in marks)
+
+
+def _outcomes(image: Values) -> list[tuple[Values, tuple | None]]:
+    """Each candidate of the permutation ``image`` in value order, with its
+    plain outcome (None if rejected).  The candidates of a permutation are
+    permutations that keep its inversions, so none is standardized or checked."""
+    inv, ninv = _value_pairs(image)
+    return [(lam, _shade_and_mark_plain(lam, ninv, inv)) for lam in sorted(_un_s_raw(image))]
+
+
+def _marked_basis(outcomes: list[tuple[Values, tuple | None]]) -> tuple[Pattern, ...]:
+    """The patterns of the accepted outcomes.  Distinct candidates in value
+    order are in :func:`patterns.canonical` order already."""
+    return tuple(_pattern(*plain) for _, plain in outcomes if plain is not None)
 
 
 def shade_and_mark(candidate: Permutation, image: Permutation) -> ShadeMarkResult | None:
@@ -143,7 +161,8 @@ def shade_and_mark(candidate: Permutation, image: Permutation) -> ShadeMarkResul
             raise InvalidInputError(
                 f"candidate {candidate} does not preserve the inversion ({u}, {v}) of {image}"
             )
-    return _shade_and_mark_impl(candidate, ninv, inv)
+    plain = _shade_and_mark_plain(candidate.values, ninv, inv)
+    return None if plain is None else ShadeMarkResult(_pattern(*plain))
 
 
 def candidate_outcomes(image: Permutation) -> list[tuple[Permutation, ShadeMarkResult | None]]:
@@ -151,9 +170,8 @@ def candidate_outcomes(image: Permutation) -> list[tuple[Permutation, ShadeMarkR
     outcome (None for rejected candidates), in lexicographic order.  Every
     candidate keeps the image's inversions, so the image's value pairs are
     read once and :func:`shade_and_mark`'s checks are not repeated."""
-    inv, ninv = _value_pairs(image.values)
-    return [(lam, _shade_and_mark_impl(lam, ninv, inv))
-            for lam in sorted(un_s(image.values), key=operator.attrgetter("values"))]
+    return [(Permutation(lam), None if plain is None else ShadeMarkResult(_pattern(*plain)))
+            for lam, plain in _outcomes(image.values)]
 
 
 class MarkedBasis:
@@ -172,4 +190,4 @@ def stack_preimage_basis(image: Permutation) -> tuple[Pattern, ...]:
     >>> [str(p.perm) for p in stack_preimage_basis(Permutation.from_text("231"))]
     ['231', '321']
     """
-    return canonical(outcome.pattern for _, outcome in candidate_outcomes(image) if outcome is not None)
+    return _marked_basis(_outcomes(image.values))

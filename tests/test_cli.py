@@ -11,7 +11,7 @@ import pytest
 
 import permpat
 from permpat import VerificationReport, classical, mesh, parse_pattern_list
-from permpat import cli, permutation
+from permpat import cli, patterns, permutation
 from permpat.cli import main
 from permpat.patterns import _MAX_NESTING
 
@@ -290,6 +290,57 @@ class TestWorkLimit:
         monkeypatch.setattr(cli, "WORK_LIMIT", 152)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "153" in err
+
+
+class TestExpandLimit:
+    """preimage --expand stops once it has found more distinct patterns
+    than the limit.  Gated on the witness insertions made, never on time:
+    7654321 expands to 10,395 patterns by 11,464 insertions."""
+
+    @pytest.fixture
+    def inserts(self, monkeypatch):
+        calls = [0]
+        insert = patterns._insert
+
+        def counting_insert(*args):
+            calls[0] += 1
+            return insert(*args)
+
+        monkeypatch.setattr(patterns, "_insert", counting_insert)
+        return calls
+
+    def test_runaway_expansion_is_refused_early(self, capsys, monkeypatch, inserts):
+        monkeypatch.setattr(cli, "EXPAND_LIMIT", 1_000)
+        code, out, err = run(capsys, "preimage", "7654321", "--expand")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "1,000" in err and "--force" in err
+        assert inserts[0] == 1_123
+
+    def test_force_lifts_the_refusal(self, capsys, monkeypatch, inserts):
+        monkeypatch.setattr(cli, "EXPAND_LIMIT", 1_000)
+        code, out, err = run(capsys, "preimage", "7654321", "--expand", "--force")
+        assert (code, len(out.splitlines()), err) == (0, 10_395, "")
+        assert inserts[0] == 11_464
+
+    def test_limit_is_inclusive(self, capsys, monkeypatch):
+        # 654321 expands to 945 patterns.
+        monkeypatch.setattr(cli, "EXPAND_LIMIT", 945)
+        code, out, _ = run(capsys, "preimage", "654321", "--expand")
+        assert (code, len(out.splitlines())) == (0, 945)
+        monkeypatch.setattr(cli, "EXPAND_LIMIT", 944)
+        code, out, err = run(capsys, "preimage", "654321", "--expand")
+        assert code == 2 and out == "" and "944" in err
+
+    def test_987654321_is_refused_at_a_tenth_of_its_work(self, capsys, inserts):
+        # 2,027,025 expansions; the refusal comes after 214,504 insertions.
+        code, out, err = run(capsys, "preimage", "987654321", "--expand")
+        assert code == 2 and out == "" and "200,000" in err
+        assert inserts[0] == 214_504
+
+    def test_the_basis_without_expansion_is_not_limited(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "EXPAND_LIMIT", 0)
+        code, out, _ = run(capsys, "preimage", "654321")
+        assert (code, len(out.splitlines())) == (0, 1)
 
 
 class TestHugePassCount:

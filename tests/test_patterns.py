@@ -35,7 +35,7 @@ from permpat import (
 )
 from permpat import patterns
 from permpat.fixtures import FIXTURE_NAMES
-from permpat.patterns import _MAX_EXPANSIONS, _MAX_NESTING, _expansions, _search, canonical
+from permpat.patterns import _MAX_EXPANSIONS, _MAX_NESTING, _expansions, _plain, _search, canonical
 
 P = Permutation
 PI = P((5, 2, 6, 4, 1, 3))
@@ -381,6 +381,11 @@ def loop_count(search):
     return sum(line.lstrip().startswith("for ") for line in search.source.splitlines())
 
 
+def capped(pat):
+    """The expansions of ``pat`` under the cap of the compiled searches."""
+    return _expansions([_plain(pat, "expand")], _MAX_EXPANSIONS)
+
+
 def slice_count(search):
     return len(re.findall(r"values\[[^]]*:", search.source))
 
@@ -463,23 +468,23 @@ class TestCompiledSearch:
         # mark's band.
         basis = builtin_basis(name)
         assert sum(1 for p in basis if p.marks) == marked_patterns
-        assert sum(1 for p in basis if p.marks and _expansions(p, _MAX_EXPANSIONS) is not None) == lowered
+        assert sum(1 for p in basis if p.marks and capped(p) is not None) == lowered
         for p in basis:
             if p.marks:
-                assert (_expansions(p, _MAX_EXPANSIONS) is not None) == (len(expand_basis([p])) <= 3)
+                assert (capped(p) is not None) == (len(expand_basis([p])) <= 3)
 
     def test_counts_above_the_bound_keep_their_marks(self):
         # Three points in one box make its 3! orders: 6 expansions.
         pat = marked("21", shade=[(0, 0)], marks=[({(1, 1)}, 3)])
         assert len(expand_basis([pat])) == 6
-        assert _expansions(pat, _MAX_EXPANSIONS) is None
+        assert capped(pat) is None
         for action in ("first", "mask"):
             source = _search((pat,), action).source
             assert loop_count(_search((pat,), action)) == 2
             assert "len([w for w in values[" in source and ">= 3" in source
         two = marked("21", shade=[(0, 0)], marks=[({(1, 1)}, 2)])
         # Two points in the box between 2 and 1, in either order.
-        assert _expansions(two, _MAX_EXPANSIONS) == {
+        assert capped(two) == {
             ((4, 2, 3, 1), frozenset({(0, 0)})), ((4, 3, 2, 1), frozenset({(0, 0)})),
         }
 
@@ -503,13 +508,13 @@ class TestCompiledSearch:
 
     @pytest.mark.parametrize("pat", COUNTED_MARKS, ids=str)
     def test_refusal_agrees_with_the_expansion_count(self, pat):
-        assert (_expansions(pat, _MAX_EXPANSIONS) is not None) == (len(expand_basis([pat])) <= 3)
+        assert (capped(pat) is not None) == (len(expand_basis([pat])) <= 3)
 
     def test_yield_keeps_the_mark_test(self):
         # The occurrences of a marked pattern are not those of its
         # expansions, which have one more letter.
         pat = builtin_basis("bubble1243")[1]
-        assert str(pat.perm) == "1423" and _expansions(pat, _MAX_EXPANSIONS) is not None
+        assert str(pat.perm) == "1423" and capped(pat) is not None
         listed = _search((pat,), "yield")
         assert loop_count(listed) == 4
         assert " and ([w for w in values[x3 + 1:x2] if w > v0]):" in listed.source

@@ -210,17 +210,19 @@ class TestShowRejected:
     @pytest.mark.parametrize("word", ["132", "2341", "654321"])
     def test_each_candidate_shaded_and_marked_once(self, monkeypatch, word):
         calls = 0
-        impl = preimage._shade_and_mark_impl
+        plain = preimage._shade_and_mark_plain
 
-        def counting_impl(*args):
+        def counting_plain(*args):
             nonlocal calls
             calls += 1
-            return impl(*args)
+            return plain(*args)
 
-        monkeypatch.setattr(preimage, "_shade_and_mark_impl", counting_impl)
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["preimage", word, "--show-rejected"]) == 0
-        assert calls == len(un_s(P.from_text(word)))
+        monkeypatch.setattr(preimage, "_shade_and_mark_plain", counting_plain)
+        for flags in (["--show-rejected"], ["--expand"], ["--expand", "--show-rejected"]):
+            calls = 0
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["preimage", word, *flags]) == 0
+            assert calls == len(un_s(P.from_text(word))), flags
 
     def test_rejected_lines_are_the_rejected_outcomes_through_length_5(self):
         for image in perms_through(5):
@@ -264,6 +266,15 @@ class TestMarkedBasis:
         b, a = classical("123"), marked("21", marks=[((Box(1, 2),), 1)])
         assert MarkedBasis.from_patterns((b, a, b)) == (a, b)
         assert stack_preimage_basis(P((2, 3, 1))) == canonical(stack_preimage_basis(P((2, 3, 1))))
+
+    def test_bases_and_expansions_come_canonical_through_length_6(self):
+        # Neither calls canonical: the basis is in candidate order, and the
+        # expansions are sorted by the plain form of pattern_sort_key.
+        for image in perms_through(6):
+            basis = stack_preimage_basis(image)
+            assert basis == canonical(basis), image
+            expanded = expand_basis(basis)
+            assert expanded == canonical(expanded), image
 
 
 class TestInsertPoint:
@@ -379,7 +390,18 @@ class TestExpansionWork:
         for image in permutations("12345"):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["preimage", "".join(image), "--expand"]) == 0
-        assert counts == {"built": 3_710, "keyed": 3_590}
+        # 2,645 printed patterns and the 120 parsed images, sorted without
+        # pattern_sort_key.
+        assert counts == {"built": 2_765, "keyed": 0}
+
+    @pytest.mark.parametrize("word", ["132", "2341", "654321"])
+    def test_preimage_expand_builds_only_the_printed_patterns(self, counts, word):
+        # The marked basis and the candidates stay plain triples: one
+        # pattern is parsed and one built per printed line.
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["preimage", word, "--expand"]) == 0
+        assert counts["built"] == len(out.getvalue().splitlines()) + 1
 
 
 class TestExpansionKinds:
@@ -409,6 +431,10 @@ class TestExpandBasis:
             ("43251", frozenset({Box(1, 4), Box(1, 5), Box(2, 3), Box(2, 4), Box(2, 5)})),
         }
 
+    def test_an_expansion_two_basis_patterns_share_is_listed_once(self):
+        # 231 is the one expansion of 21 with a point marked above its gap.
+        assert expand_basis([classical("231"), marked("21", marks=[{(1, 2)}])]) == (classical("231"),)
+
     def test_231_expands_to_west_pair(self):
         got = expand_basis(stack_preimage_basis(P((2, 3, 1))))
         shapes = {(str(p.perm), frozenset(p.shade)) for p in got}
@@ -418,21 +444,32 @@ class TestExpandBasis:
         }
 
 
+def _expand_digest(images) -> tuple[int, str]:
+    """How many images there are, and the SHA-256 of the exit code and
+    stdout of `preimage W --expand` for each image W, in order."""
+    digest = hashlib.sha256()
+    count = 0
+    for image in images:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["preimage", "".join(image), "--expand"])
+        digest.update(f"{code}\n{out.getvalue()}".encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
 def test_preimage_expand_output_is_pinned_for_every_image_up_to_length_5():
     # The exit code and stdout of `preimage W --expand` for the 153 images
     # W of length 1 to 5, in order, hashed: any change to un_s, shading and
     # marking, expansion or printing that moves one byte shows here.
-    digest = hashlib.sha256()
-    count = 0
-    for k in range(1, 6):
-        for image in permutations("12345"[:k]):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(["preimage", "".join(image), "--expand"])
-            digest.update(f"{code}\n{out.getvalue()}".encode())
-            count += 1
-    assert count == 153
-    assert digest.hexdigest() == "e097332c2b372f6e09b4a7bf5feb403842fe6ee79d56520ed85b470777a247d1"
+    images = (image for k in range(1, 6) for image in permutations("12345"[:k]))
+    assert _expand_digest(images) == (153, "e097332c2b372f6e09b4a7bf5feb403842fe6ee79d56520ed85b470777a247d1")
+
+
+def test_preimage_expand_output_is_pinned_for_every_image_of_length_6():
+    # The 720 images of the benchmark's derive workload, 54,102 lines.
+    assert _expand_digest(permutations("123456")) == (
+        720, "253020cc6640ca3074ce4152f7eefa43d4ad96afd6d2557e5f5e6c2c28ef1bc5")
 
 
 class TestPruneBasis:

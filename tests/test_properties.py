@@ -22,7 +22,8 @@ from permpat import (
     standardize,
     un_s,
 )
-from permpat.preimage import _shade_and_mark_impl, candidate_outcomes, shade_and_mark
+from permpat.patterns import _pattern
+from permpat.preimage import _shade_and_mark_plain, candidate_outcomes, shade_and_mark
 
 P = Permutation
 
@@ -140,8 +141,9 @@ class TestPreimageProperties:
         for lam in sorted(un_s(image.values)):
             shuffled = list(inv)
             rng.shuffle(shuffled)
-            assert _shade_and_mark_impl(lam, ninv, shuffled) == \
-                shade_and_mark(lam, image)
+            plain = _shade_and_mark_plain(lam.values, ninv, shuffled)
+            outcome = shade_and_mark(lam, image)
+            assert (plain and _pattern(*plain)) == (outcome and outcome.pattern)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 4).flatmap(perm_of))

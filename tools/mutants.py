@@ -3,14 +3,15 @@ barred patterns, decorations and marks and its occurrence records, box
 normalization, the pattern kind its parts decide, the type checks of a
 pattern's permutation and a decoration's avoid-pattern, the nesting bound
 of decorations, the oracle's scan, the pass count of a sorting power,
-shading and marking, mark expansion, its cap and point insertion (in
-``patterns``), basis pruning (in ``oracle``) and the command line's
-pruning trailer and rejected listing, the fixture table, the pattern
-parsers, the whitespace they take between boxes and their checks that
-JSON parts are arrays, that a JSON box is a pair of integers and that
-text forms use ASCII digits only, the choice of the form a pattern is
-printed in, the integer check of words, and the command line's work check
-and its exit code when the reader of stderr has gone.
+shading and marking, mark expansion, its cap, the order and union of
+expanded bases and point insertion (in ``patterns``), basis pruning (in
+``oracle``) and the command line's pruning trailer, rejected listing and
+expansion limit, the fixture table, the pattern parsers, the whitespace
+they take between boxes and their checks that JSON parts are arrays, that
+a JSON box is a pair of integers and that text forms use ASCII digits
+only, the choice of the form a pattern is printed in, the integer check of
+words, and the command line's work check and its exit code when the reader
+of stderr has gone.
 
 Each fault in ``MUTANTS`` is a one-line textual change to a file under
 ``src/``.  For each one in turn the script copies ``src/``, ``tests/`` and
@@ -221,7 +222,7 @@ MUTANTS = [
            "if cap is not None and len(found) > cap:", "if cap is not None and len(found) >= cap:"),
     Mutant("expansion cap ignored", PATTERNS, "if cap is not None and len(found) > cap:", "if False:"),
     Mutant("marks of 2 points refused unexpanded", PATTERNS,
-           "math.factorial(min(m.min_count, cap + 1)) > cap", "m.min_count >= 2"),
+           "math.factorial(min(count, cap + 1)) > cap", "count >= 2"),
     Mutant("decorations left after lowering dropped", PATTERNS,
            "pat.marks, tuple(decors))]", "pat.marks, ())]"),
     # _search: each path's leaf sets its own pattern's bit, and its hit runs
@@ -246,13 +247,24 @@ MUTANTS = [
     Mutant("pruning skips canonical", ORACLE, "patterns = canonical(basis)", "patterns = tuple(basis)"),
     Mutant("pruning drops a pattern no permutation contains", ORACLE,
            "if any(mask & q for mask in masks) and all(", "if all("),
+    # _mesh_patterns sorts by the plain form of pattern_sort_key, and
+    # expand_basis lists an expansion that two basis patterns share once.
+    Mutant("plain sort key without bool(shade)", PATTERNS,
+           "pair[0], bool(pair[1]), sorted(pair[1])", "pair[0], sorted(pair[1])"),
+    Mutant("dedup across basis patterns dropped", PATTERNS,
+           '_mesh_patterns(_expansions(_plain(pat, "expand") for pat in basis))',
+           '_mesh_patterns([pair for pat in basis for pair in _expansions([_plain(pat, "expand")])])'),
+    # preimage --expand lists at most EXPAND_LIMIT patterns without --force.
+    Mutant("EXPAND_LIMIT off by one", CLI,
+           "None if args.force else EXPAND_LIMIT)", "None if args.force else EXPAND_LIMIT - 1)"),
     # insert_point reads its box as every box input is read.
     Mutant("insert_point skips as_boxes", PATTERNS, "(box,) = as_boxes([box])", "box = Box(*box)"),
     # The pruning trailer names the bound the CLI pruned with.
     Mutant("trailer names another bound", CLI,
            'f"# pruned: verified up to n={args.prune}"', 'f"# pruned: verified up to n={args.prune + 1}"'),
     # --show-rejected lists the candidates that gave no basis pattern.
-    Mutant("rejected listing inverted", CLI, "if lam not in kept]", "if lam in kept]"),
+    Mutant("rejected listing inverted", CLI,
+           "if plain is None] if args.show_rejected", "if plain is not None] if args.show_rejected"),
     # Decoration: a pattern nests at most _MAX_NESTING levels.
     Mutant("nesting bound off by one", PATTERNS,
            "if _nesting(self.avoid) >= _MAX_NESTING:", "if _nesting(self.avoid) > _MAX_NESTING:"),
@@ -278,6 +290,8 @@ MUTANTS = [
 EQUIVALENT: dict[str, str] = {
     "root carries no bits": "it only adds a skip test before each loop at the top, which passes "
     "unless every pattern below that loop is found already, when the loop would set no new bit",
+    "plain sort key without bool(shade)": "an empty shade sorts as [] before every nonempty "
+    "one, so the term orders classical before mesh patterns exactly as sorted(shade) does",
 }
 
 
