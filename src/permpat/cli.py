@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # The most pattern searches (one per permutation of each length up to the
 # bound, per pattern searched) a scan runs without --force.  The documented
 # headline checks stay well below it: the largest, ``verify --builtin west2
-# --upto 9``, is 1.2 million and takes about 3 s on one core.  ``--upto 10``
+# --upto 9``, is 1.2 million and takes about 2 s on one core.  ``--upto 10``
 # there is 12.1 million and is refused; ``--upto 12`` would run for hours.
 WORK_LIMIT = 10_000_000
 

@@ -24,6 +24,23 @@ remaining passes and the image-basis search, or for ``census`` with two
 passes or more the identity test, and dropped with the block.  A verdict
 is a function of the image alone, so neither the dict nor ``--jobs`` can
 change a result.
+
+``verify_preimage`` scans the lengths in order and hands each the
+candidate basis's avoiders of the length before.  For π of length n, let
+π⁻ be π with its letter n deleted.  If π⁻ avoids the basis, π is searched
+only for occurrences whose maximum is n, at its known position (the
+``"at_max"`` search); otherwise the whole first-hit search runs.  Lemma:
+this is exact when no lowered basis pattern keeps a mark or a decoration
+avoiding a non-classical pattern.  Proof: let O be an occurrence of p in
+π that does not use n.  Deleting n removes at most one point from each of
+O's regions: a shaded box stays empty, and a decoration's contents stay a
+subsequence of what they were, so they still avoid a classical pattern.
+So O occurs in π⁻.  Hence if π⁻ avoids the basis, every occurrence in π
+uses n, which as the largest letter can only play the pattern's maximum.
+A mark has no such property, as n may be its only witness, so marks are
+lowered to their expansions first; any other basis gets no ``"at_max"``
+search and every permutation gets the whole search.  Verdicts are exact,
+so the avoider sets, like the dict, cannot change a result.
 """
 
 from __future__ import annotations
@@ -72,19 +89,27 @@ def _image_test(op_id: str, passes: int, test: Callable[[Values], bool]) -> Call
 
 def _classify(
     n: int, first: int | None, op_id: str, passes: int,
-    candidate: tuple[Pattern, ...], image: tuple[Pattern, ...],
+    candidate: tuple[Pattern, ...], image: tuple[Pattern, ...], prev: set[Values] | None = None,
 ) -> Iterator[tuple[Values, bool, bool]]:
     """The scan: each permutation of the block in lexicographic order, with
     whether it avoids the candidate basis and whether its image after
     ``passes`` passes avoids the image basis.  An empty basis is avoided
     without a look at the permutation or its image.  The image verdict is
     looked up per first-pass image (:func:`_image_test`), in one dict per
-    block, so it is the same for any ``jobs``."""
+    block, so it is the same for any ``jobs``.  ``prev``, given only for a
+    nonempty basis that has an ``"at_max"`` search, is the set of its
+    avoiders of length n - 1: a permutation whose max-deleted part is in it
+    is searched only through its maximum (see the module docstring)."""
     cand = _search(candidate, "first")
+    at_max = _search(candidate, "at_max") if prev is not None else None
     img = _search(image, "first")
     good = _image_test(op_id, passes, lambda w: not img(w))
     for vals in _perm_stream(n, first):
-        in_av = not candidate or not cand(vals)
+        if prev is None:
+            in_av = not candidate or not cand(vals)
+        else:
+            x = vals.index(n)
+            in_av = not (at_max(vals, x) if vals[:x] + vals[x + 1:] in prev else cand(vals))
         yield vals, in_av, not image or good(vals)
 
 
@@ -92,17 +117,22 @@ def _kept_block(args) -> list[Values]:
     return [vals for vals, in_av, good in _classify(*args) if in_av and good]
 
 
-def _verify_block(args) -> tuple[int, int, tuple[Values, str] | None]:
-    # The two counts, and the block's least permutation on which the two
-    # answers differ, with the side it falls on.
+def _verify_block(args) -> tuple[int, int, tuple[Values, str] | None, list[Values]]:
+    # The two counts, the block's least permutation on which the two
+    # answers differ, with the side it falls on, and, when ``keep`` is set,
+    # the block's avoiders of the candidate basis.
+    *scan, keep = args
     in_av_count = good_count = 0
     first_diff = None
-    for vals, in_av, good in _classify(*args):
+    avoiders = []
+    for vals, in_av, good in _classify(*scan):
         in_av_count += in_av
         good_count += good
+        if in_av and keep:
+            avoiders.append(vals)
         if in_av != good and first_diff is None:
             first_diff = (vals, REASON_BAD_IMAGE if in_av else REASON_CONTAINS_BASIS)
-    return in_av_count, good_count, first_diff
+    return in_av_count, good_count, first_diff, avoiders
 
 
 def _census_block(args) -> int:
@@ -115,7 +145,7 @@ def _census_block(args) -> int:
     return sum(1 for vals in _perm_stream(n, first) if _sort_power(op_id, passes, vals) == ident)
 
 
-def _scan(worker, n: int, op_id: str, passes: int, jobs: int, *bases) -> list:
+def _scan(worker, n: int, op_id: str, passes: int, jobs: int, *rest) -> list:
     """Validate the arguments every scan shares, then run ``worker`` on one
     block of S_n per first letter (one block when ``jobs`` is 1 or n < 2)
     and return the blocks' results in lexicographic order."""
@@ -127,7 +157,7 @@ def _scan(worker, n: int, op_id: str, passes: int, jobs: int, *bases) -> list:
         raise InvalidInputError(f"pass count must be nonnegative, got {passes}")
     operator_fn(op_id)
     if jobs <= 1 or n < 2:
-        return [worker((n, None, op_id, passes, *bases))]
+        return [worker((n, None, op_id, passes, *rest))]
     # Imported here, so that a process that never fans out does not load it.
     import multiprocessing
 
@@ -135,7 +165,7 @@ def _scan(worker, n: int, op_id: str, passes: int, jobs: int, *bases) -> list:
     # workers are module-level functions and their arguments pickle.
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     with multiprocessing.get_context(method).Pool(min(jobs, n)) as pool:
-        return pool.map(worker, [(n, first, op_id, passes, *bases) for first in range(1, n + 1)])
+        return pool.map(worker, [(n, first, op_id, passes, *rest) for first in range(1, n + 1)])
 
 
 def av_set(n: int, basis: Iterable[Pattern], *, jobs: int = 1) -> list[Permutation]:
@@ -281,7 +311,9 @@ def verify_preimage(
     first letter; the counts are summed and the first disagreement over the
     blocks in order is the least counterexample, so the report does not
     depend on the worker count.  The failing length is scanned to its end,
-    so its row carries full counts, and verification stops there.
+    so its row carries full counts, and verification stops there.  Before a
+    longer length, blocks also return their avoiders of a candidate basis
+    that has an ``"at_max"`` search, for the next length (module docstring).
 
     >>> from .patterns import classical
     >>> verify_preimage([classical("231")], [classical("2341")], "stack", 1, 4).status
@@ -291,14 +323,18 @@ def verify_preimage(
         raise InvalidBoundError(f"verification bound must be >= 1, got {n_max}")
     image = canonical(image_basis)
     candidate = canonical(candidate_basis)
+    closed = bool(candidate) and _search(candidate, "at_max") is not None
     rows: list[tuple[int, int, int, bool]] = []
     counterexample: tuple[Permutation, str] | None = None
+    prev = None
     for n in range(1, n_max + 1):
-        blocks = _scan(_verify_block, n, op_id, passes, jobs, candidate, image)
-        diffs = [diff for _, _, diff in blocks if diff is not None]
+        keep = closed and n < n_max
+        blocks = _scan(_verify_block, n, op_id, passes, jobs, candidate, image, prev, keep)
+        diffs = [b[2] for b in blocks if b[2] is not None]
         rows.append((n, sum(b[0] for b in blocks), sum(b[1] for b in blocks), not diffs))
         if diffs:
             vals, reason = diffs[0]
             counterexample = (Permutation(vals), reason)
             break
+        prev = set().union(*(b[3] for b in blocks)) if keep else None
     return VerificationReport(op_id, passes, tuple(rows), counterexample)

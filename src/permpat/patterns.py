@@ -536,6 +536,10 @@ def _rectangles(region: Region, letters: Values) -> list[list[Box]]:
 # slice tests it, where its four expansions cost a loop each.
 _MAX_EXPANSIONS = 3
 
+# The cap for ``"at_max"``, whose search exists only once every mark is
+# lowered: bubble1243's 1243 has four expansions; a mark of 3 points, 3!.
+_MAX_AT_MAX_EXPANSIONS = 4
+
 
 def _lower(
     pat: Pattern, action: str
@@ -550,12 +554,14 @@ def _lower(
     pattern.  With ``"first"`` and ``"mask"``, a marked pattern whose
     expansions :func:`_expansions` lists under the cap ``_MAX_EXPANSIONS``
     becomes those expansions, one path each with no marks: a host contains
-    the pattern exactly when it contains one of them.  A refused pattern
-    keeps its mark tests, and so does every pattern under ``"yield"``,
-    because an expansion's occurrences have an extra letter."""
+    the pattern exactly when it contains one of them.  With ``"at_max"``
+    the cap is ``_MAX_AT_MAX_EXPANSIONS``.  A refused pattern keeps its
+    mark tests, and so does every pattern under ``"yield"``, because an
+    expansion's occurrences have an extra letter."""
     if pat.kind == "barred":
         pat = barred_to_mesh(pat)
-    expansions = (_expansions([_plain(pat, "expand")], _MAX_EXPANSIONS)
+    cap = _MAX_AT_MAX_EXPANSIONS if action == "at_max" else _MAX_EXPANSIONS
+    expansions = (_expansions([_plain(pat, "expand")], cap)
                   if action != "yield" and pat.marks else None)
     if expansions is not None:
         return sorted((values, as_boxes(shade), (), ()) for values, shade in expansions)
@@ -582,7 +588,11 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     expression written out at compile time, ``alpha`` the placed columns
     plus 1 in position order, ``beta`` the placed values named in the
     pattern's value order, so no sort runs, and ``omega`` their pairs in
-    position order.  Callers pass canonical tuples, so one
+    position order.  With ``"at_max"`` it also takes the index ``x0`` of
+    the host's maximum and returns whether some pattern occurs with its
+    maximum there; it is None unless every lowered path is free of marks
+    and of decorations avoiding non-classical patterns (``oracle`` says
+    why).  Callers pass canonical tuples, so one
     basis is compiled once per action; the generated source is kept on the
     function as ``source``.
 
@@ -597,8 +607,9 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     position, leaving room for the letters still to come, and its value is
     compared with those of its nearest placed neighbours in value.  Across
     the paths the placements merge like a trie: one loop per distinct
-    column range, one ``if`` per distinct value test inside it.  Where a
-    path's letters are all placed, its shaded boxes and each mark's
+    column range, one ``if`` per distinct value test inside it; under
+    ``"at_max"`` a loop at the top is a test that ``x0`` is in its range.
+    Where a path's letters are all placed, its shaded boxes and each mark's
     boxes are merged into rectangles (:func:`_rectangles`), and each
     rectangle's points are listed by one comprehension over a column slice
     of the host, ``values[left:right]``, filtered to the rectangle's values:
@@ -628,9 +639,13 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
         "first": (["if {}: return True"], "return False"),
         "mask": (["mask = {}", report], "return mask"),
         "yield": (["yield from {}"], "return"),
-    }[action]
+    }["first" if action == "at_max" else action]
     root = _Node(full)
     paths = [(i, *path) for i, pat in enumerate(patterns) for path in _lower(pat, action)]
+    if action == "at_max" and any(
+        marks or any(d.avoid.kind != "classical" for d in decors) for *_, marks, decors in paths
+    ):
+        return None
     for i, letters, shade, marks, decors in paths:
         k = len(letters)
         node = root
@@ -726,7 +741,8 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
                 out.extend(ind_loop + line.format(f"{name}({args})") for line in call)
                 body, nested, ind_loop = [f"def {name}({args}):"], 0, "    "
                 helpers.append(body)
-            body.append(f"{ind_loop}for x{d} in {cols}:")
+            loop = "if" if action == "at_max" and d == 0 else "for"
+            body.append(f"{ind_loop}{loop} x{d} in {cols}:")
             body.append(f"{ind_loop}    v{d} = values[x{d}]")
             for test, child in branches.items():
                 ind_body = ind_loop + "    "
@@ -740,7 +756,7 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
             if body is not out:
                 body.append(f"    {finish}")
 
-    body = ["def search(values):", "    n = len(values)"]
+    body = [f"def search(values{', x0' if action == 'at_max' else ''}):", "    n = len(values)"]
     if action == "mask":
         body.append("    mask = 0")
     emit(root, "    ", 0, body)

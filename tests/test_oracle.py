@@ -1,8 +1,10 @@
 """Exhaustive avoidance sets, censuses, verification reports, fixtures."""
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -11,8 +13,8 @@ from multiprocessing import get_context
 from pathlib import Path
 
 import pytest
-from conftest import identity, reference_count
-from test_reference_matcher import reference_alphas
+from conftest import identity, random_pattern, reference_count
+from test_reference_matcher import reference_alphas, reference_contains
 
 from permpat import (
     REASON_BAD_IMAGE,
@@ -25,6 +27,8 @@ from permpat import (
     census,
     classical,
     contains,
+    decorated,
+    expand_basis,
     marked,
     mesh,
     preimage_av_set,
@@ -316,36 +320,47 @@ class TestImageVerdictPerFirstImage:
     @pytest.fixture
     def searches(self, monkeypatch):
         """Counts every host a scan's compiled searches are run on, by the
-        searched basis and the host's length."""
+        searched basis, the search's action and the host's length."""
         counts = Counter()
         real = oracle._search
 
         def counting(patterns, action):
             search = real(patterns, action)
+            if search is None:
+                return None
 
-            def counted(values):
-                counts[patterns, len(values)] += 1
-                return search(values)
+            def counted(values, *args):
+                counts[patterns, action, len(values)] += 1
+                return search(values, *args)
             return counted
 
         monkeypatch.setattr(oracle, "_search", counting)
         return counts
 
-    @pytest.mark.parametrize("name, at_8", [("west3", 1780), ("bubble1243", 5040)])
-    def test_one_image_search_per_distinct_first_pass_image(self, searches, name, at_8):
+    @pytest.mark.parametrize("name, at_8, full_8, max_only_8", [
+        ("west3", 1780, 12368, 27952), ("bubble1243", 5040, 14640, 25680)])
+    def test_one_image_search_per_distinct_first_pass_image(self, searches, name, at_8, full_8, max_only_8):
         op_id, passes, image, basis = FIXTURES[name]
-        assert verify_preimage(image, basis, op_id, passes, 8).passed
+        report = verify_preimage(image, basis, op_id, passes, 8)
+        assert report.passed
         image = canonical(image)
-        assert [searches[image, n] for n in range(1, 9)] == \
+        assert [searches[image, "first", n] for n in range(1, 9)] == \
                [_distinct_first_images(op_id, n) for n in range(1, 9)]
-        assert searches[image, 8] == at_8
-        # the candidate side still searches every permutation
-        assert searches[basis, 8] == 40320
+        assert searches[image, "first", 8] == at_8
+        # The candidate side searches each permutation once: only through
+        # its maximum when its max-deleted part avoids the basis, which
+        # holds for n of them per avoider of length n - 1, else whole.
+        assert searches[basis, "first", 1] == 1
+        for n in range(2, 9):
+            avoiders = report.counts[n - 2][1]
+            assert searches[basis, "at_max", n] == n * avoiders
+            assert searches[basis, "first", n] + searches[basis, "at_max", n] == math.factorial(n)
+        assert (searches[basis, "first", 8], searches[basis, "at_max", 8]) == (full_8, max_only_8)
 
     def test_no_pass_searches_every_permutation(self, searches):
         image = (classical("21"),)
         assert len(preimage_av_set(6, "stack", 0, image)) == 1
-        assert searches[image, 6] == 720
+        assert searches[image, "first", 6] == 720
 
 
 class TestAgainstTheDefinition:
@@ -403,10 +418,102 @@ class TestOneScanPerLength:
 def test_one_search_is_built_per_basis():
     # West-3 is the candidate basis and 21 the image basis; four West-3
     # patterns carry a decoration that avoids 12.  Each of these three
-    # first-hit searches is compiled once, and a repeat compiles nothing.
+    # first-hit searches and the candidate basis's search through the
+    # maximum is compiled once, and a repeat compiles nothing.
     _search.cache_clear()
     args = ([classical("21")], builtin_basis("west3"), "stack", 3, 6)
     assert verify_preimage(*args).passed
-    assert _search.cache_info().misses == 3
+    assert _search.cache_info().misses == 4
     verify_preimage(*args)
-    assert _search.cache_info().misses == 3
+    assert _search.cache_info().misses == 4
+
+
+def _avoids_by_reference(basis, n):
+    """The permutations of length ``n`` that avoid every pattern of
+    ``basis``, by the definition-level matcher."""
+    return {vals for vals in permutations(range(1, n + 1))
+            if not any(reference_contains(vals, pat) for pat in basis)}
+
+
+# Bases with no search through the maximum, which must be scanned with the
+# whole search: a decoration avoiding a decorated pattern, and a mark of 3
+# points, with 3! expansions, past the bound of that search's lowering.
+# 1234 contains the marked one through its letter 1, with 4 as a witness,
+# while 123 avoids it.
+NOT_DELETION_CLOSED = [
+    decorated("21", [({(1, 1)}, decorated("12", [({(1, 1)}, "1")]))]),
+    marked("1", marks=[({(1, 1)}, 3)]),
+]
+
+
+def _random_bases():
+    rng = random.Random(20261020)
+    kinds = ("classical", "mesh", "marked", "barred", "decorated")
+    bases = [canonical(random_pattern(rng, kinds, max_len=3) for _ in range(rng.randint(1, 3)))
+             for _ in range(24)]
+    # Each fallback pattern alone and beside random patterns of every kind.
+    for pat in NOT_DELETION_CLOSED:
+        bases.append((pat,))
+        bases.append(canonical([pat, *(random_pattern(rng, kinds, max_len=3) for _ in range(2))]))
+    return bases
+
+
+def _deletion_closed(basis):
+    """Whether the scan may search through the maximum, by the rule of the
+    oracle's docstring: no decoration avoids a non-classical pattern, and
+    every mark is lowered to at most 4 expansions."""
+    return all(
+        all(d.avoid.kind == "classical" for d in pat.decorations)
+        and (not pat.marks or len(expand_basis([pat])) <= 4)
+        for pat in basis
+    )
+
+
+class TestSearchThroughTheMaximum:
+    """The candidate side of the verify scan, which searches a permutation
+    only through its maximum when its max-deleted part avoids the basis,
+    against the definition-level matcher, permutation by permutation."""
+
+    @staticmethod
+    def assert_verdicts_match_reference(basis, n_max):
+        # Each length is handed the reference avoiders of the length before,
+        # where the basis has a search through the maximum.
+        closed = _search(basis, "at_max") is not None
+        assert closed == _deletion_closed(basis)
+        prev, counts = None, []
+        for n in range(1, n_max + 1):
+            want = _avoids_by_reference(basis, n)
+            got = {vals for vals, in_av, _ in oracle._classify(n, None, "stack", 0, basis, (), prev) if in_av}
+            assert got == want, (basis, n)
+            prev = want if closed else None
+            counts.append(len(want))
+        return counts
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture_verdicts_match_reference_through_length_7(self, name):
+        op_id, passes, image, basis = FIXTURES[name]
+        assert _search(basis, "at_max") is not None
+        counts = self.assert_verdicts_match_reference(basis, 7)
+        one = verify_preimage(image, basis, op_id, passes, 7, jobs=1)
+        assert [row[1] for row in one.counts] == counts
+        assert verify_preimage(image, basis, op_id, passes, 7, jobs=2) == one
+
+    @pytest.mark.parametrize("basis", _random_bases())
+    def test_random_basis_verdicts_match_reference_through_length_6(self, basis):
+        counts = self.assert_verdicts_match_reference(basis, 6)
+        # With no pass a permutation is its own image, so the image side
+        # runs the whole first-hit search of the same basis: every length
+        # passes, and its row counts the basis's avoiders.
+        one = verify_preimage(basis, basis, "stack", 0, 6, jobs=1)
+        assert one.passed
+        assert [row[1] for row in one.counts] == counts
+        assert verify_preimage(basis, basis, "stack", 0, 6, jobs=2) == one
+
+    def test_random_bases_cover_every_kind_and_both_paths(self):
+        bases = _random_bases()
+        assert {pat.kind for basis in bases for pat in basis} == {
+            "classical", "mesh", "marked", "barred", "decorated"}
+        # The four bases built on NOT_DELETION_CLOSED, and five random
+        # bases with a mark of more than 4 expansions, take the fallback.
+        closed = [_deletion_closed(basis) for basis in bases]
+        assert (closed.count(True), closed.count(False)) == (19, 9)

@@ -521,6 +521,36 @@ class TestCompiledSearch:
         assert loop_count(_search((pat,), "first")) == 5
         assert "([w" not in _search((pat,), "first").source
 
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_search_through_the_maximum_matches_reference(self, name):
+        # Every fixture basis has a search through the maximum.  It places
+        # each path's maximum first, so its loops at the top become tests
+        # of x0.  It answers whether some pattern occurs with its maximum at
+        # x0, a marked pattern through its expansions.
+        basis = builtin_basis(name)
+        search = _search(basis, "at_max")
+        assert search.source.startswith("def search(values, x0):")
+        assert "if x0 in range(" in search.source and "for x0 " not in search.source
+        lowered = [q for pat in basis for q in (expand_basis([pat]) if pat.marks else [pat])]
+        for pi in perms_through(6):
+            x = pi.values.index(len(pi))
+            want = any(x + 1 in cols for q in lowered for cols in reference_alphas(pi.values, q))
+            assert search(pi.values, x) == want, pi
+
+    def test_search_through_the_maximum_only_for_deletion_closed_bases(self):
+        # Marks of at most 4 expansions are lowered, bubble1243's 1243
+        # among them; a mark with more, or a decoration avoiding a
+        # decorated pattern, leaves a tuple without the search.
+        four = builtin_basis("bubble1243")[0]
+        assert str(four.perm) == "1243" and len(expand_basis([four])) == 4
+        assert _search((four,), "at_max") is not None
+        six = marked("21", shade=[(0, 0)], marks=[({(1, 1)}, 3)])
+        nested = decorated("21", [({(1, 1)}, decorated("12", [({(1, 1)}, "1")]))])
+        for pat in (six, nested):
+            assert _search((pat,), "at_max") is None
+            assert _search(canonical([classical("1"), pat]), "at_max") is None
+        assert _search((decorated("21", [({(1, 1)}, "12")]),), "at_max") is not None
+
     @pytest.mark.parametrize("name", HEADLINE_BASES)
     def test_no_break_on_the_full_mask(self, name):
         # A full mask returns where it is set, so a loop over every pattern

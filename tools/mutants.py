@@ -1,17 +1,18 @@
 """A standing mutation check for the search compiler, its lowering of
-barred patterns, decorations and marks and its occurrence records, box
+barred patterns, decorations and marks and its occurrence records, the
+search through a host's maximum and the basis it is built for, box
 normalization, the pattern kind its parts decide, the type checks of a
 pattern's permutation and a decoration's avoid-pattern, the nesting bound
-of decorations, the oracle's scan, the pass count of a sorting power,
-shading and marking, mark expansion, its cap, the order and union of
-expanded bases and point insertion (in ``patterns``), basis pruning (in
-``oracle``) and the command line's pruning trailer, rejected listing and
-expansion limit, the fixture table, the pattern parsers, the whitespace
-they take between boxes and their checks that JSON parts are arrays, that
-a JSON box is a pair of integers and that text forms use ASCII digits
-only, the choice of the form a pattern is printed in, the integer check of
-words, and the command line's work check and its exit code when the reader
-of stderr has gone.
+of decorations, the oracle's scan and its use of the search through the
+maximum, the pass count of a sorting power, shading and marking, mark
+expansion, its cap, the order and union of expanded bases and point
+insertion (in ``patterns``), basis pruning (in ``oracle``) and the command
+line's pruning trailer, rejected listing and expansion limit, the fixture
+table, the pattern parsers, the whitespace they take between boxes and
+their checks that JSON parts are arrays, that a JSON box is a pair of
+integers and that text forms use ASCII digits only, the choice of the form
+a pattern is printed in, the integer check of words, and the command
+line's work check and its exit code when the reader of stderr has gone.
 
 Each fault in ``MUTANTS`` is a one-line textual change to a file under
 ``src/``.  For each one in turn the script copies ``src/``, ``tests/`` and
@@ -187,6 +188,10 @@ MUTANTS = [
     Mutant("verdict looked up by the permutation", ORACLE,
            "verdict = verdicts.get(once)", "verdict = verdicts.get(vals)"),
     Mutant("false verdicts never kept", ORACLE, "if verdict is None:", "if not verdict:"),
+    # _classify: only a permutation whose max-deleted part avoids the
+    # basis is searched through its maximum alone.
+    Mutant("max-only search used when the max-deleted part contains the basis", ORACLE,
+           "if vals[:x] + vals[x + 1:] in prev else cand(vals)", "if True else cand(vals)"),
     # _verify_block: counts, the first difference and its side.
     Mutant("last difference kept", ORACLE,
            "if in_av != good and first_diff is None:", "if in_av != good:"),
@@ -236,6 +241,15 @@ MUTANTS = [
     # A search nested past 20 loops passes the hits of its helper on.
     Mutant("a helper's hit not passed on", PATTERNS, '["if {}: return True"]', '["{}"]'),
     Mutant("a helper's mask dropped", PATTERNS, '["mask = {}", report]', '["{}", report]'),
+    # The search through the maximum exists only for a basis closed under
+    # deleting a point outside an occurrence, lowers marks of up to 4
+    # expansions, and tests that x0 lies in each top loop's range.
+    Mutant("deletion-closed check dropped", PATTERNS, 'if action == "at_max" and any(', "if False and any("),
+    Mutant("bound of the search through the maximum below 1243's 4", PATTERNS,
+           "_MAX_AT_MAX_EXPANSIONS = 4", "_MAX_AT_MAX_EXPANSIONS = 3"),
+    Mutant("depth-0 guard's range shifted by one", PATTERNS,
+           'body.append(f"{ind_loop}{loop} x{d} in {cols}:")',
+           'body.append(f"{ind_loop}{loop} x{d}{\' + 1\' if loop == \'if\' else \'\'} in {cols}:")'),
     # The root's bits only decide whether a loop at the top is skipped once
     # its patterns are found.
     Mutant("root carries no bits", PATTERNS, "root = _Node(full)", "root = _Node()"),
