@@ -536,9 +536,13 @@ def _rectangles(region: Region, letters: Values) -> list[list[Box]]:
 # slice tests it, where its four expansions cost a loop each.
 _MAX_EXPANSIONS = 3
 
-# The cap for ``"at_max"``, whose search exists only once every mark is
-# lowered: bubble1243's 1243 has four expansions; a mark of 3 points, 3!.
+# The cap for the searches through the maximum, which exist only once every
+# mark is lowered: bubble1243's 1243 has four expansions; a mark of 3
+# points, 3!.
 _MAX_AT_MAX_EXPANSIONS = 4
+
+# The searches through the host's maximum, by the action each restricts.
+_THROUGH_MAX = {"at_max": "first", "mask_at_max": "mask"}
 
 
 def _lower(
@@ -555,12 +559,12 @@ def _lower(
     expansions :func:`_expansions` lists under the cap ``_MAX_EXPANSIONS``
     becomes those expansions, one path each with no marks: a host contains
     the pattern exactly when it contains one of them.  With ``"at_max"``
-    the cap is ``_MAX_AT_MAX_EXPANSIONS``.  A refused pattern keeps its
-    mark tests, and so does every pattern under ``"yield"``, because an
-    expansion's occurrences have an extra letter."""
+    and ``"mask_at_max"`` the cap is ``_MAX_AT_MAX_EXPANSIONS``.  A refused
+    pattern keeps its mark tests, and so does every pattern under
+    ``"yield"``, because an expansion's occurrences have an extra letter."""
     if pat.kind == "barred":
         pat = barred_to_mesh(pat)
-    cap = _MAX_AT_MAX_EXPANSIONS if action == "at_max" else _MAX_EXPANSIONS
+    cap = _MAX_AT_MAX_EXPANSIONS if action in _THROUGH_MAX else _MAX_EXPANSIONS
     expansions = (_expansions([_plain(pat, "expand")], cap)
                   if action != "yield" and pat.marks else None)
     if expansions is not None:
@@ -582,19 +586,22 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     The result takes the host's tuple of values.  With ``action``
     ``"first"`` it returns whether the host contains some pattern of the
     tuple; with ``"mask"`` it returns the bitmask whose bit i is set when
-    the host contains ``patterns[i]``; with ``"yield"`` it is a generator
-    over the ``(alpha, beta, omega)`` record of every occurrence of the
-    tuple's one pattern, in no particular order: each part is a tuple
-    expression written out at compile time, ``alpha`` the placed columns
-    plus 1 in position order, ``beta`` the placed values named in the
-    pattern's value order, so no sort runs, and ``omega`` their pairs in
-    position order.  With ``"at_max"`` it also takes the index ``x0`` of
-    the host's maximum and returns whether some pattern occurs with its
-    maximum there; it is None unless every lowered path is free of marks
-    and of decorations avoiding non-classical patterns (``oracle`` says
-    why).  Callers pass canonical tuples, so one
+    the host contains ``patterns[i]``, and takes a seed mask, 0 by default,
+    whose patterns it does not look for and whose bits it returns set;
+    with ``"yield"`` it is a generator over the ``(alpha, beta, omega)``
+    record of every occurrence of the tuple's one pattern, in no
+    particular order: each part is a tuple expression written out at
+    compile time, ``alpha`` the placed columns plus 1 in position order,
+    ``beta`` the placed values named in the pattern's value order, so no
+    sort runs, and ``omega`` their pairs in position order.  ``"at_max"`` and ``"mask_at_max"`` restrict ``"first"``
+    and ``"mask"`` to the occurrences through the host's maximum: they also
+    take its index ``x0``, after the host, and look only for occurrences
+    that place the pattern's maximum there.  They are None unless every
+    lowered path is free of marks and of decorations avoiding non-classical
+    patterns (``oracle`` says why).  Callers pass canonical tuples, so one
     basis is compiled once per action; the generated source is kept on the
-    function as ``source``.
+    function as ``source``, and as ``top`` the bits of the patterns with a
+    lowered path that has a shaded or decorated box in its top row.
 
     It is built in two steps.  Each pattern is lowered to its trie paths
     (:func:`_lower`), whose leaves return True, set the bit of the pattern
@@ -608,7 +615,8 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     compared with those of its nearest placed neighbours in value.  Across
     the paths the placements merge like a trie: one loop per distinct
     column range, one ``if`` per distinct value test inside it; under
-    ``"at_max"`` a loop at the top is a test that ``x0`` is in its range.
+    a search through the maximum a loop at the top is a test that ``x0``
+    is in its range.
     Where a path's letters are all placed, its shaded boxes and each mark's
     boxes are merged into rectangles (:func:`_rectangles`), and each
     rectangle's points are listed by one comprehension over a column slice
@@ -635,19 +643,23 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     # Per action: the lines that call a helper function and pass its hits
     # on, and the line that ends a search.
     report = f"if mask == {full}: return mask"
+    base = _THROUGH_MAX.get(action, action)
     call, finish = {
         "first": (["if {}: return True"], "return False"),
         "mask": (["mask = {}", report], "return mask"),
         "yield": (["yield from {}"], "return"),
-    }["first" if action == "at_max" else action]
+    }[base]
     root = _Node(full)
     paths = [(i, *path) for i, pat in enumerate(patterns) for path in _lower(pat, action)]
-    if action == "at_max" and any(
+    if action in _THROUGH_MAX and any(
         marks or any(d.avoid.kind != "classical" for d in decors) for *_, marks, decors in paths
     ):
         return None
+    top = 0
     for i, letters, shade, marks, decors in paths:
         k = len(letters)
+        if any(r == k for _, r in itertools.chain(shade, *(d.region for d in decors))):
+            top |= 1 << i
         node = root
         col: dict[int, str] = {}
         val: dict[int, str] = {}
@@ -704,7 +716,7 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
                 slices.append(f"[w for w in values[{bounds[0][0]}:{bounds[0][1]}] if {inside}]")
             tests.append(f"not sub{i}_{j}({' + '.join(slices)})")
         hit = ["return True"]
-        if action == "mask":
+        if base == "mask":
             tests.insert(0, f"not mask & {1 << i}")
             hit = [f"mask |= {1 << i}", report]
         elif action == "yield":
@@ -714,7 +726,7 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
             hit = [f"yield (({alpha}), ({beta}), ({omega}))"]
         node.leaves.append((" and ".join(tests), hit))
 
-    state = "values, n" + (", mask" if action == "mask" else "")
+    state = "values, n" + (", mask" if base == "mask" else "")
     helpers: list[list[str]] = []
 
     def emit(node: _Node, ind: str, loops: int, out: list[str]) -> None:
@@ -731,7 +743,7 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
             # so their bits are joined, not summed.
             bits = functools.reduce(operator.or_, (child.bits for child in branches.values()))
             ind_loop = ind
-            if action == "mask" and bits != node.bits:
+            if base == "mask" and bits != node.bits:
                 out.append(f"{ind}if mask & {bits} != {bits}:")
                 ind_loop += "    "
             body, nested = out, loops
@@ -741,7 +753,7 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
                 out.extend(ind_loop + line.format(f"{name}({args})") for line in call)
                 body, nested, ind_loop = [f"def {name}({args}):"], 0, "    "
                 helpers.append(body)
-            loop = "if" if action == "at_max" and d == 0 else "for"
+            loop = "if" if action in _THROUGH_MAX and d == 0 else "for"
             body.append(f"{ind_loop}{loop} x{d} in {cols}:")
             body.append(f"{ind_loop}    v{d} = values[x{d}]")
             for test, child in branches.items():
@@ -750,21 +762,22 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
                     body.append(f"{ind_body}if {test}:")
                     ind_body += "    "
                 emit(child, ind_body, nested + 1, body)
-                # A full mask has returned already.
-                if action == "mask" and bits != full:
+                # A full mask has returned already, and the body of an
+                # ``if`` runs once and could not hold a break.
+                if base == "mask" and bits != full and loop == "for":
                     body.append(f"{ind_body}if mask & {bits} == {bits}: break")
             if body is not out:
                 body.append(f"    {finish}")
 
-    body = [f"def search(values{', x0' if action == 'at_max' else ''}):", "    n = len(values)"]
-    if action == "mask":
-        body.append("    mask = 0")
+    params = "values" + (", x0" if action in _THROUGH_MAX else "") + (", mask=0" if base == "mask" else "")
+    body = [f"def search({params}):", "    n = len(values)"]
     emit(root, "    ", 0, body)
     body.append(f"    {finish}")
     source = "\n".join(line for lines in helpers + [body] for line in lines) + "\n"
     exec(source, namespace)
     search = namespace["search"]
     search.source = source
+    search.top = top
     return search
 
 

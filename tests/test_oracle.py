@@ -1,6 +1,7 @@
 """Exhaustive avoidance sets, censuses, verification reports, fixtures."""
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -23,6 +24,7 @@ from permpat import (
     Permutation,
     VerificationReport,
     av_set,
+    barred,
     builtin_basis,
     census,
     classical,
@@ -34,6 +36,7 @@ from permpat import (
     preimage_av_set,
     prune_basis,
     sort_power,
+    stack_preimage_basis,
     verify_preimage,
 )
 from permpat import oracle
@@ -175,22 +178,110 @@ class TestReferenceCounts:
             reference_count("west2", 0)
 
 
+def _reference_masks(patterns, n):
+    """Each permutation of length ``n``, packed as bytes, with the bitmask
+    of the patterns it contains, by the definition-level matcher."""
+    return {bytes(vals): sum(1 << i for i, pat in enumerate(patterns) if reference_alphas(vals, pat))
+            for vals in permutations(range(1, n + 1))}
+
+
+def _naive_prune(basis, n_max):
+    """``prune_basis`` from the definition: in basis order, drop a pattern
+    that some permutation up to ``n_max`` contains when every such
+    permutation contains another pattern still kept, by the reference
+    matcher and with no mask."""
+    hosts = [vals for n in range(1, n_max + 1) for vals in permutations(range(1, n + 1))]
+    holders = [{vals for vals in hosts if reference_contains(vals, pat)} for pat in basis]
+    kept = list(range(len(basis)))
+    for i in range(len(basis)):
+        others = set().union(*(holders[j] for j in kept if j != i))
+        if holders[i] and holders[i] <= others:
+            kept.remove(i)
+    return tuple(basis[i] for i in kept)
+
+
+def _random_prune_bases():
+    rng = random.Random(33)
+    kinds = ("classical", "mesh", "marked", "barred", "decorated")
+    return [canonical(random_pattern(rng, kinds, max_len=rng.choice((3, 4))) for _ in range(rng.randint(2, 5)))
+            for _ in range(24)]
+
+
 class TestMaskBlock:
-    """The pruning worker: the distinct containment masks of one block."""
+    """The pruning worker: the containment masks of one block, searched in
+    full or built from the masks of the length before."""
 
     PATS = (classical("12"), classical("21"), classical("231"), mesh("3241", [(1, 4)]),
             marked("21", marks=[({(1, 2)}, 1)]))
 
+    # One basis per way a mask is built.  The top-row decoration, barred
+    # 35241 (3241 with its top box (1, 4) shaded) and 1243's expansions
+    # can be destroyed by an inserted maximum; the low decoration cannot.
+    # The mark of 3 points has 6 expansions, past the bound of the search
+    # through the maximum, so its basis is searched in full.
+    BRANCHES = {
+        "pats": canonical(PATS),
+        "decoration-top": canonical([decorated("21", [({(1, 2)}, "12")]), classical("321")]),
+        "decoration-low": canonical([decorated("21", [({(1, 1)}, "12")]), classical("1432")]),
+        "barred": canonical([barred("35241", [2]), classical("2341"), classical("3241")]),
+        "mark-4": canonical([*builtin_basis("bubble1243"), classical("1432")]),
+        "mark-6": canonical([marked("21", shade=[(0, 0)], marks=[({(1, 1)}, 3)]), classical("321")]),
+    }
+
     @pytest.mark.parametrize("n", range(7))
     def test_masks_of_s_n_are_those_of_the_definition(self, n):
-        want = {sum(1 << i for i, pat in enumerate(self.PATS) if reference_alphas(vals, pat))
-                for vals in permutations(range(1, n + 1))}
-        assert oracle._mask_block((n, None, "stack", 0, self.PATS)) == want
+        want = set(_reference_masks(self.PATS, n).values())
+        assert oracle._mask_block((n, None, "stack", 0, self.PATS, None, False)) == want
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_union_over_first_letter_blocks_is_the_one_block_set(self, n):
-        blocks = [oracle._mask_block((n, first, "stack", 0, self.PATS)) for first in range(1, n + 1)]
-        assert set().union(*blocks) == oracle._mask_block((n, None, "stack", 0, self.PATS))
+        one = oracle._mask_block((n, None, "stack", 0, self.PATS, None, False))
+        blocks = [oracle._mask_block((n, first, "stack", 0, self.PATS, None, False)) for first in range(1, n + 1)]
+        assert set().union(*blocks) == one
+        prev = _reference_masks(self.PATS, n - 1)
+        blocks = [oracle._mask_block((n, first, "stack", 0, self.PATS, prev, True)) for first in range(1, n + 1)]
+        assert {key: mask for block in blocks for key, mask in block.items()} == _reference_masks(self.PATS, n)
+
+    @staticmethod
+    def assert_masks_match_reference(basis, n_max):
+        # Each length is handed the reference masks of the length before,
+        # where the basis has a search through the maximum.
+        through = _search(basis, "mask_at_max") is not None
+        for n in range(1, n_max + 1):
+            want = _reference_masks(basis, n)
+            prev = _reference_masks(basis, n - 1) if through and n > 1 else None
+            assert oracle._mask_block((n, None, "stack", 0, basis, prev, True)) == want, n
+            assert oracle._mask_block((n, None, "stack", 0, basis, prev, False)) == set(want.values()), n
+
+    @pytest.mark.parametrize("name", BRANCHES)
+    def test_masks_from_the_length_before_are_those_of_the_definition(self, name):
+        basis = self.BRANCHES[name]
+        through = _search(basis, "mask_at_max")
+        assert (through is None) == (_search(basis, "at_max") is None) == (name == "mark-6")
+        if through is not None:
+            assert (through.top == 0) == (name == "decoration-low")
+        self.assert_masks_match_reference(basis, 6)
+
+    @pytest.mark.parametrize("name", BRANCHES)
+    def test_prune_equals_the_naive_prune(self, name):
+        basis = self.BRANCHES[name]
+        assert prune_basis(basis, 6) == _naive_prune(basis, 6)
+
+    @pytest.mark.parametrize("basis", [pytest.param(b, id=str(i)) for i, b in enumerate(_random_prune_bases())])
+    def test_random_basis_masks_and_prune_match_the_definition(self, basis):
+        self.assert_masks_match_reference(basis, 6)
+        assert prune_basis(basis, 6) == _naive_prune(basis, 6)
+
+    def test_random_prune_bases_cover_every_kind_and_both_scans(self):
+        bases = _random_prune_bases()
+        assert {pat.kind for basis in bases for pat in basis} == {
+            "classical", "mesh", "marked", "barred", "decorated"}
+        # Six bases have a mark of more than 4 expansions and are searched
+        # in full; 18 of the 24 lose a pattern to pruning.
+        through = [_search(basis, "mask_at_max") is not None for basis in bases]
+        assert (through.count(True), through.count(False)) == (18, 6)
+        assert through == [all(len(expand_basis([pat])) <= 4 for pat in basis if pat.marks) for basis in bases]
+        assert sum(len(prune_basis(basis, 6)) < len(basis) for basis in bases) == 18
 
 
 class TestBuiltinBases:
@@ -316,27 +407,29 @@ def _distinct_first_images(op_id, n):
     return len({step(vals) for vals in permutations(range(1, n + 1))})
 
 
+@pytest.fixture
+def searches(monkeypatch):
+    """Counts every host a scan's compiled searches are run on, by the
+    searched basis, the search's action and the host's length."""
+    counts = Counter()
+    real = oracle._search
+
+    def counting(patterns, action):
+        search = real(patterns, action)
+        if search is None:
+            return None
+
+        @functools.wraps(search)
+        def counted(values, *args):
+            counts[patterns, action, len(values)] += 1
+            return search(values, *args)
+        return counted
+
+    monkeypatch.setattr(oracle, "_search", counting)
+    return counts
+
+
 class TestImageVerdictPerFirstImage:
-    @pytest.fixture
-    def searches(self, monkeypatch):
-        """Counts every host a scan's compiled searches are run on, by the
-        searched basis, the search's action and the host's length."""
-        counts = Counter()
-        real = oracle._search
-
-        def counting(patterns, action):
-            search = real(patterns, action)
-            if search is None:
-                return None
-
-            def counted(values, *args):
-                counts[patterns, action, len(values)] += 1
-                return search(values, *args)
-            return counted
-
-        monkeypatch.setattr(oracle, "_search", counting)
-        return counts
-
     @pytest.mark.parametrize("name, at_8, full_8, max_only_8", [
         ("west3", 1780, 12368, 27952), ("bubble1243", 5040, 14640, 25680)])
     def test_one_image_search_per_distinct_first_pass_image(self, searches, name, at_8, full_8, max_only_8):
@@ -361,6 +454,38 @@ class TestImageVerdictPerFirstImage:
         image = (classical("21"),)
         assert len(preimage_av_set(6, "stack", 0, image)) == 1
         assert searches[image, "first", 6] == 720
+
+
+class TestPruneThroughTheMaximum:
+    def test_full_mask_searches_per_length(self, searches):
+        # An exact work counter.  Every permutation of length n >= 2 runs
+        # the mask search through its maximum; the full mask search runs on
+        # length 1 and then only where a pattern of the max-deleted part,
+        # with a box of its top row shaded, is found through neither part.
+        basis = expand_basis(stack_preimage_basis(P.from_text("23451")))
+        pruned = prune_basis(basis, 8)
+        assert pruned == basis
+        assert [searches[basis, "mask_at_max", n] for n in range(1, 9)] == \
+               [0] + [math.factorial(n) for n in range(2, 9)]
+        assert [searches[basis, "mask", n] for n in range(1, 9)] == [1, 0, 0, 0, 0, 0, 65, 1895]
+
+    def test_a_basis_without_the_search_scans_in_full(self, searches):
+        basis = TestMaskBlock.BRANCHES["mark-6"]
+        prune_basis(basis, 6)
+        assert [searches[basis, "mask", n] for n in range(1, 7)] == [math.factorial(n) for n in range(1, 7)]
+        assert not any(action == "mask_at_max" for _, action, _ in searches)
+
+    def test_the_last_length_keeps_no_map(self, monkeypatch):
+        kept = []
+        real = oracle._mask_block
+
+        def recording(args):
+            kept.append((args[0], args[5] is not None, args[6]))
+            return real(args)
+
+        monkeypatch.setattr(oracle, "_mask_block", recording)
+        prune_basis(builtin_basis("west2"), 5)
+        assert kept == [(1, False, True), (2, True, True), (3, True, True), (4, True, True), (5, True, False)]
 
 
 class TestAgainstTheDefinition:

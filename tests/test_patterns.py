@@ -537,6 +537,53 @@ class TestCompiledSearch:
             want = any(x + 1 in cols for q in lowered for cols in reference_alphas(pi.values, q))
             assert search(pi.values, x) == want, pi
 
+    @pytest.mark.parametrize("name", HEADLINE_BASES)
+    def test_mask_search_through_the_maximum_matches_reference(self, name):
+        # The mask form sets the bit of each pattern occurring with its
+        # maximum at x0, keeps the bits of its seed and does not look for
+        # their patterns.  Its depth-0 tests hold no break.
+        basis = HEADLINE_BASES[name]
+        search = _search(basis, "mask_at_max")
+        assert search.source.startswith("def search(values, x0, mask=0):")
+        assert "if x0 in range(" in search.source and "for x0 " not in search.source
+        lowered = [[q for q in (expand_basis([pat]) if pat.marks else [pat])] for pat in basis]
+        ones = (1 << len(basis)) - 1
+        for pi in perms_through(6):
+            x = pi.values.index(len(pi))
+            want = sum(1 << i for i, qs in enumerate(lowered)
+                       if any(x + 1 in cols for q in qs for cols in reference_alphas(pi.values, q)))
+            assert search(pi.values, x) == want, pi
+            for seed in (1, ones ^ 1, ones & 0b1010101):
+                assert search(pi.values, x, seed) == want | seed, (pi, seed)
+
+    @pytest.mark.parametrize("name, top", [
+        ("west2", 0b10), ("west3", 0b1111111110), ("bubble1243", 0b1110), ("23451", 0b11111111111110),
+        ("stack_len3_123", 0b11110), ("stack_len3_321", 0),
+    ])
+    def test_top_row_bits(self, name, top):
+        # The patterns with a lowered path that has a shaded or decorated
+        # box in its top row, the only ones an inserted maximum can destroy.
+        basis = HEADLINE_BASES[name]
+        assert _search(basis, "mask_at_max").top == top
+        want = 0
+        for i, pat in enumerate(basis):
+            for q in expand_basis([pat]) if pat.marks else [barred_to_mesh(pat) if pat.barred_positions else pat]:
+                k = len(q.perm)
+                if any(r == k for _, r in q.shade) or any(r == k for d in q.decorations for _, r in d.region):
+                    want |= 1 << i
+        assert want == top
+
+    def test_seeded_mask_search_looks_for_no_seeded_pattern(self):
+        # A full seed returns at its first leaf; the seed's patterns are
+        # skipped, so a host containing only them gets the seed back.
+        basis = canonical([classical("12"), classical("21"), mesh("3241", [(1, 4)])])
+        search = _search(basis, "mask")
+        assert search((1, 2)) == 0b001
+        assert search((1, 2), 0b110) == 0b111
+        assert search((2, 1), 0b001) == 0b011
+        assert search((3, 2, 4, 1), 0b011) == 0b111
+        assert search((3, 5, 2, 4, 1), 0b011) == 0b011
+
     def test_search_through_the_maximum_only_for_deletion_closed_bases(self):
         # Marks of at most 4 expansions are lowered, bubble1243's 1243
         # among them; a mark with more, or a decoration avoiding a
@@ -547,9 +594,11 @@ class TestCompiledSearch:
         six = marked("21", shade=[(0, 0)], marks=[({(1, 1)}, 3)])
         nested = decorated("21", [({(1, 1)}, decorated("12", [({(1, 1)}, "1")]))])
         for pat in (six, nested):
-            assert _search((pat,), "at_max") is None
-            assert _search(canonical([classical("1"), pat]), "at_max") is None
+            for action in ("at_max", "mask_at_max"):
+                assert _search((pat,), action) is None
+                assert _search(canonical([classical("1"), pat]), action) is None
         assert _search((decorated("21", [({(1, 1)}, "12")]),), "at_max") is not None
+        assert _search((four,), "mask_at_max") is not None
 
     @pytest.mark.parametrize("name", HEADLINE_BASES)
     def test_no_break_on_the_full_mask(self, name):

@@ -4,8 +4,9 @@ search through a host's maximum and the basis it is built for, box
 normalization, the pattern kind its parts decide, the type checks of a
 pattern's permutation and a decoration's avoid-pattern, the nesting bound
 of decorations, the oracle's scan and its use of the search through the
-maximum, the pass count of a sorting power, shading and marking, mark
-expansion, its cap, the order and union of expanded bases and point
+maximum, the packed key of a max-deleted part, pruning's masks built from
+those of the length before, the pass count of a sorting power, shading
+and marking, mark expansion, its cap, the order and union of expanded bases and point
 insertion (in ``patterns``), basis pruning (in ``oracle``) and the command
 line's pruning trailer, rejected listing and expansion limit, the fixture
 table, the pattern parsers, the whitespace they take between boxes and
@@ -128,7 +129,7 @@ MUTANTS = [
     # The mask search breaks out of a loop once its patterns are found; a
     # full mask has returned already, so a break on it is dead code.
     Mutant("break on the full mask emitted", PATTERNS,
-           'if action == "mask" and bits != full:', 'if action == "mask":'),
+           'if base == "mask" and bits != full and loop == "for":', 'if base == "mask" and loop == "for":'),
     # as_boxes: a box is a pair.
     Mutant("box arity check dropped", PATTERNS,
            "c, r = box\n        except", "c, r = box[:2]\n        except"),
@@ -190,8 +191,10 @@ MUTANTS = [
     Mutant("false verdicts never kept", ORACLE, "if verdict is None:", "if not verdict:"),
     # _classify: only a permutation whose max-deleted part avoids the
     # basis is searched through its maximum alone.
+    Mutant("max-deleted key drops the letter 1", ORACLE,
+           "largest = bytes((n,))", "largest = bytes((1,))"),
     Mutant("max-only search used when the max-deleted part contains the basis", ORACLE,
-           "if vals[:x] + vals[x + 1:] in prev else cand(vals)", "if True else cand(vals)"),
+           "if rest in prev else cand(vals)", "if True else cand(vals)"),
     # _verify_block: counts, the first difference and its side.
     Mutant("last difference kept", ORACLE,
            "if in_av != good and first_diff is None:", "if in_av != good:"),
@@ -244,7 +247,7 @@ MUTANTS = [
     # The search through the maximum exists only for a basis closed under
     # deleting a point outside an occurrence, lowers marks of up to 4
     # expansions, and tests that x0 lies in each top loop's range.
-    Mutant("deletion-closed check dropped", PATTERNS, 'if action == "at_max" and any(', "if False and any("),
+    Mutant("deletion-closed check dropped", PATTERNS, "if action in _THROUGH_MAX and any(", "if False and any("),
     Mutant("bound of the search through the maximum below 1243's 4", PATTERNS,
            "_MAX_AT_MAX_EXPANSIONS = 4", "_MAX_AT_MAX_EXPANSIONS = 3"),
     Mutant("depth-0 guard's range shifted by one", PATTERNS,
@@ -257,7 +260,20 @@ MUTANTS = [
     # patterns still kept imply it.
     Mutant("pruning ignores the kept bits", ORACLE, "mask & kept & ~q", "mask & ~q"),
     Mutant("pruning keeps only the last length's masks", ORACLE,
-           "block for n in range(1, n_max + 1)", "block for n in (n_max,)"),
+           "masks.update(block.values() if keep else block)", "masks = set(block.values() if keep else block)"),
+    # prune_basis through the maximum: a mask is built from the mask of the
+    # max-deleted part, whose bits in top are confirmed by a full search
+    # that looks for nothing else, and the last length keeps no map.
+    Mutant("top-row bits ignored", ORACLE,
+           "top, ones = at.top, (1 << len(patterns)) - 1", "top, ones = 0, (1 << len(patterns)) - 1"),
+    Mutant("top row read one row low", PATTERNS,
+           "if any(r == k for _, r in", "if any(r == k - 1 for _, r in"),
+    Mutant("fallback search seeded with the wrong bits", ORACLE,
+           "full(vals, ones ^ lost) & lost", "full(vals, lost) & lost"),
+    Mutant("carried bits not filtered by top", ORACLE,
+           "found = at(vals, x, old & ~top)", "found = at(vals, x, old)"),
+    Mutant("the last length keeps its map", ORACLE,
+           "keep = through and n < n_max", "keep = through"),
     Mutant("pruning skips canonical", ORACLE, "patterns = canonical(basis)", "patterns = tuple(basis)"),
     Mutant("pruning drops a pattern no permutation contains", ORACLE,
            "if any(mask & q for mask in masks) and all(", "if all("),
@@ -303,7 +319,8 @@ MUTANTS = [
 # Faults that cannot change any result, by name, with the reason.
 EQUIVALENT: dict[str, str] = {
     "root carries no bits": "it only adds a skip test before each loop at the top, which passes "
-    "unless every pattern below that loop is found already, when the loop would set no new bit",
+    "unless every pattern below that loop is found or seeded already, when the loop would set no "
+    "new bit",
     "plain sort key without bool(shade)": "an empty shade sorts as [] before every nonempty "
     "one, so the term orders classical before mesh patterns exactly as sorted(shade) does",
 }
