@@ -9,14 +9,16 @@ early does not change the exit code.
 ``verify``, ``census`` and ``preimage --prune`` scan every permutation up to
 their bound, so they first estimate their work and refuse, with exit code
 2, a bound above :data:`WORK_LIMIT` unless ``--force`` is given, as
-``preimage --expand`` does past :data:`EXPAND_LIMIT` patterns.  The
-library functions themselves take any bound.
+``preimage`` does past :data:`UN_S_LIMIT` candidates and ``preimage
+--expand`` past :data:`EXPAND_LIMIT` patterns.  The library functions
+themselves take any bound.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
@@ -25,6 +27,7 @@ from pathlib import Path
 from .errors import InvalidBoundError, InvalidInputError
 from .fixtures import FIXTURE_NAMES, FIXTURES, builtin_basis
 from .formats import (
+    _line_text,
     _text_form,
     detect_format,
     format_pattern,
@@ -33,9 +36,9 @@ from .formats import (
     render_grid,
 )
 from .oracle import census, prune_basis, verify_preimage
-from .patterns import _expansions, _mesh_patterns, occurrences
+from .patterns import _expansions, _mesh_pairs, _mesh_patterns, occurrences
 from .permutation import OPERATOR_IDS, Permutation, sort_power
-from .preimage import _marked_basis, _outcomes
+from .preimage import _marked_basis, _outcomes, _un_s_count
 
 
 # Built once per process: parse_args keeps no state between calls, and
@@ -67,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expand", action="store_true", help="expand marks into mesh patterns")
     p.add_argument("--prune", type=int, metavar="N", help="drop implied patterns, checked up to length N")
     p.add_argument("--show-rejected", action="store_true", help="also list rejected candidates")
-    p.add_argument("--force", action="store_true", help="expand and prune even above their limits")
+    p.add_argument("--force", action="store_true", help="list, expand and prune even above their limits")
 
     p = sub.add_parser("verify", help="compare a candidate basis against a sorting preimage")
     src = p.add_mutually_exclusive_group(required=True)
@@ -105,6 +108,12 @@ def _build_parser() -> argparse.ArgumentParser:
 # --upto 9``, is 1.2 million and takes about 2 s on one core.  ``--upto 10``
 # there is 12.1 million and is refused; ``--upto 12`` would run for hours.
 WORK_LIMIT = 10_000_000
+
+# The most un_s candidates ``preimage`` shades and marks without --force,
+# counted before any is listed.  The identity image has the most of its
+# length, the Catalan numbers: 16,796 at length 10 take about 1.7 s on one
+# core; 58,786 at length 11 took 10.3 s and are refused.
+UN_S_LIMIT = 20_000
 
 # The most distinct patterns ``preimage --expand`` lists without --force:
 # 87654321 has 135,135; 987654321 has 2,027,025 and stops a tenth of the way.
@@ -172,17 +181,24 @@ def _cmd_preimage(args) -> tuple[list[str], int]:
     pat = _parse_inline(args.pattern)
     if pat.kind != "classical":
         raise InvalidInputError(f"preimage needs a classical pattern, got {pat.kind}")
+    count = _un_s_count(pat.perm.values)
+    if count > UN_S_LIMIT and not args.force:
+        raise InvalidBoundError(f"{pat.perm} has {count:,} un_s candidates, above the limit of "
+                                f"{UN_S_LIMIT:,}; pass --force to run it anyway")
     outcomes = _outcomes(pat.perm.values)
     lines = [f"# rejected: {Permutation(lam).to_text()}"
              for lam, plain in outcomes if plain is None] if args.show_rejected else []
     if args.expand:
-        # One name for both, so that the plain pairs are freed before printing.
-        patterns = _expansions([plain for _, plain in outcomes if plain is not None],
-                               None if args.force else EXPAND_LIMIT)
-        if patterns is None:
+        pairs = _expansions([plain for _, plain in outcomes if plain is not None],
+                            None if args.force else EXPAND_LIMIT)
+        if pairs is None:
             raise InvalidBoundError(f"--expand lists more than the limit of {EXPAND_LIMIT:,} "
                                     "patterns; pass --force to run it anyway")
-        patterns = _mesh_patterns(patterns)
+        if args.prune is None:
+            # Printed straight from the pairs, which every pattern check still reads.
+            lines.extend(itertools.starmap(_line_text, _mesh_pairs(pairs)))
+            return lines, 0
+        patterns = _mesh_patterns(pairs)
     else:
         patterns = _marked_basis(outcomes)
     if args.prune is not None:

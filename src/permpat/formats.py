@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+from typing import Iterable, Sequence
 
 from .errors import (
     InvalidInputError,
@@ -29,7 +30,7 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .patterns import _MAX_NESTING, _POINT, Box, Decoration, Mark, Pattern
-from .permutation import Permutation
+from .permutation import Permutation, Values, _values_text
 
 FORMATS = ("line", "json")
 _JSON_ONLY = ("barred", "decorated")  # kinds with no line form, so printed as JSON
@@ -262,6 +263,17 @@ def _boxes_text(boxes) -> str:
     return ",".join(map("(%d,%d)".__mod__, boxes))
 
 
+def _line_text(values: Values, shade: Sequence[tuple[int, int]], marks: Iterable = ()) -> str:
+    """The line form of the pattern of ``values``, the sorted boxes
+    ``shade`` and the ``(region, min_count)`` pairs ``marks``, in order."""
+    parts = [_values_text(values)]
+    if shade:
+        parts.append("shade: " + _boxes_text(shade))
+    for region, count in marks:
+        parts.append(f"mark: {{{_boxes_text(region)}}} >= {count}")
+    return " | ".join(parts)
+
+
 def format_pattern(pat: Pattern, fmt: str = "line") -> str:
     """Canonical text for a pattern; parsing it back yields an equal
     pattern.  Decorated and barred patterns require JSON.
@@ -274,12 +286,7 @@ def format_pattern(pat: Pattern, fmt: str = "line") -> str:
         return json.dumps(_pattern_to_obj(pat), separators=(",", ":"))
     if pat.kind in _JSON_ONLY:
         raise UnsupportedFormatError(f"{pat.kind} patterns have no line form; use the json format")
-    parts = [pat.perm.to_text()]
-    if pat.shade:
-        parts.append("shade: " + _boxes_text(pat.shade))
-    for m in pat.marks:
-        parts.append(f"mark: {{{_boxes_text(m.region)}}} >= {m.min_count}")
-    return " | ".join(parts)
+    return _line_text(pat.perm.values, pat.shade, [(m.region, m.min_count) for m in pat.marks])
 
 
 def render_grid(pat: Pattern, unicode_glyphs: bool = False) -> str:

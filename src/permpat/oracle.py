@@ -224,34 +224,47 @@ def census(op_id: str, passes: int, n: int, *, jobs: int = 1) -> int:
     return sum(_scan(_census_block, n, op_id, passes, jobs))
 
 
-def _mask_block(args) -> set[int] | dict[bytes, int]:
+def _mask_block(args) -> set[int] | tuple[dict[bytes, int], bool]:
     # The masks of the block, bit i set when a permutation contains
     # patterns[i]: when ``keep`` is set, as a map from each permutation,
-    # packed as bytes, to its mask, for the next length; otherwise as the
-    # set of distinct masks, which is what implication pruning needs of
-    # S_n.  ``prev``, the map of length n - 1, is given only for patterns
-    # with a search through the maximum, and builds each mask from the mask
-    # of the permutation's max-deleted part (see :func:`prune_basis`).
+    # packed as bytes, to its mask, for the next length, with whether some
+    # permutation has the full mask, as the map leaves full masks out;
+    # otherwise as the set of distinct masks, which is what implication
+    # pruning needs of S_n.  ``prev``, the map of length n - 1, is given
+    # only for patterns with a search through the maximum, and builds each
+    # mask from the mask of the permutation's max-deleted part, the full
+    # mask where the map has none (see :func:`prune_basis`).
     n, first, _, _, patterns, prev, keep = args
     full = _search(patterns, "mask")
+    ones = (1 << len(patterns)) - 1
     if prev is None:
         mask = full
     else:
         at = _search(patterns, "mask_at_max")
-        top, ones = at.top, (1 << len(patterns)) - 1
+        top = at.top
         split = _max_deleted(n)
 
         def mask(vals: Values) -> int:
             x, rest = split(vals)
-            old = prev[rest]
+            old = prev.get(rest, ones)
             found = at(vals, x, old & ~top)
             lost = old & top & ~found
             return found | full(vals, ones ^ lost) & lost if lost else found
 
     stream = _perm_stream(n, first)
-    if keep:
-        return {bytes(vals): mask(vals) for vals in stream}
-    return set(map(mask, stream))
+    if not keep:
+        return set(map(mask, stream))
+    # Most permutations of a long enough length contain every pattern, so
+    # the map keeps only the others.
+    kept = {}
+    full_seen = False
+    for vals in stream:
+        m = mask(vals)
+        if m == ones:
+            full_seen = True
+        else:
+            kept[bytes(vals)] = m
+    return kept, full_seen
 
 
 def prune_basis(basis: Iterable[Pattern], n_max: int) -> tuple[Pattern, ...]:
@@ -263,7 +276,8 @@ def prune_basis(basis: Iterable[Pattern], n_max: int) -> tuple[Pattern, ...]:
     One scan per length (:func:`_scan`) collects the distinct bitmasks of
     basis patterns that some permutation contains.  Where the patterns have
     a search through the maximum, each length but the last keeps every
-    permutation's mask for the next, and the mask of π of length n is
+    permutation's mask for the next, the full mask by default rather than
+    stored, and the mask of π of length n is
     built from that of π⁻, π with its letter n deleted: the patterns
     occurring through n, found by that search seeded with the bits already
     known, and the bits of π⁻ outside ``top``, carried over, since an
@@ -291,14 +305,21 @@ def prune_basis(basis: Iterable[Pattern], n_max: int) -> tuple[Pattern, ...]:
             )
 
     through = _search(patterns, "mask_at_max") is not None
+    ones = (1 << len(patterns)) - 1
     masks: set[int] = set()
     prev = None
     for n in range(1, n_max + 1):
         keep = through and n < n_max
         (block,) = _scan(_mask_block, n, "stack", 0, 1, patterns, prev, keep)
-        masks.update(block.values() if keep else block)
-        prev = block if keep else None
-    kept = (1 << len(patterns)) - 1
+        if keep:
+            prev, full_seen = block
+            masks.update(prev.values())
+            if full_seen:
+                masks.add(ones)
+        else:
+            prev = None
+            masks.update(block)
+    kept = ones
     for i in range(len(patterns)):
         q = 1 << i
         if any(mask & q for mask in masks) and all(mask & kept & ~q for mask in masks if mask & q):

@@ -45,10 +45,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import InvalidInputError, InvalidInsertionError, UnsupportedPatternError
-from .permutation import Permutation, Values, _standardize
+from .permutation import Permutation, Values, _check_permutation, _standardize
 
 
 class Box(NamedTuple):
@@ -60,19 +60,30 @@ BoxLike = Union[Box, tuple[int, int]]
 Region = tuple[Box, ...]
 
 
-def as_boxes(boxes: Iterable[BoxLike]) -> Region:
-    """Normalize a collection of (col, row) pairs to a sorted tuple of boxes."""
+def _box_pairs(boxes: Iterable[BoxLike]) -> set[tuple[int, int]]:
+    """The distinct boxes of ``boxes`` as plain ``(c, r)`` tuples, refused
+    unless each is a pair of ints."""
     region = set()
     for box in boxes:
         try:
             c, r = box
         except (TypeError, ValueError):
             raise InvalidInputError(f"a box must be a (col, row) pair, got {box!r}") from None
-        region.add(Box(c, r))
+        region.add((c, r))
     # A bool is an int to Python and would print as True or False.
     if not {type(x) for box in region for x in box} <= {int}:
         raise InvalidInputError(f"box coordinates must be integers, got {region}")
-    return tuple(sorted(region))
+    return region
+
+
+# Box(c, r) is tuple.__new__(Box, (c, r)); called on a checked pair, this
+# builds the same box in C.
+_box = functools.partial(tuple.__new__, Box)
+
+
+def as_boxes(boxes: Iterable[BoxLike]) -> Region:
+    """Normalize a collection of (col, row) pairs to a sorted tuple of boxes."""
+    return tuple(sorted(map(_box, _box_pairs(boxes))))
 
 
 def _check_boxes(boxes: Iterable[Box], k: int, what: str) -> None:
@@ -170,9 +181,10 @@ class Pattern:
         if not isinstance(self.perm, Permutation):
             raise InvalidInputError(f"a pattern's perm must be a Permutation, got {self.perm!r}")
         k = len(self.perm.values)
-        shade = as_boxes(self.shade)
-        object.__setattr__(self, "shade", shade)
-        marks = decorations = bars = ()
+        shade = marks = decorations = bars = ()
+        if self.shade != ():
+            shade = as_boxes(self.shade)
+            object.__setattr__(self, "shade", shade)
         if self.marks != ():
             marks = tuple(sorted(set(self.marks), key=Mark.sort_key))
             object.__setattr__(self, "marks", marks)
@@ -340,10 +352,11 @@ def _insert(values: Values, shade: frozenset, marks: tuple, box: tuple[int, int]
     return tuple(shifted), split(shade), tuple(grown)
 
 
-def _expansions(plains: Iterable[tuple], cap: int | None = None) -> set[tuple[Values, frozenset]] | None:
+def _expansions(plains: Iterable[tuple], cap: int | None = None) -> list[tuple[Values, list]] | None:
     """The plain ``(values, shade)`` pairs of the distinct finished
-    expansions of all the plain triples ``plains`` (:func:`_plain`), or None
-    once there are more than ``cap``.  While marks are left, branch on every
+    expansions of all the plain triples ``plains`` (:func:`_plain`), each
+    shade as a sorted list, in the plain order of :func:`pattern_sort_key`;
+    or None once there are more than ``cap``.  While marks are left, branch on every
     box of the least mark by sorted region, inserting a witness there
     (:func:`_insert`); branches that finish equal count once.  A mark of c
     points has at least c! expansions, its witnesses' orders in one box, so
@@ -362,7 +375,14 @@ def _expansions(plains: Iterable[tuple], cap: int | None = None) -> set[tuple[Va
         found.add((values, shade))
         if cap is not None and len(found) > cap:
             return None
-    return found
+    # For peak memory on long outputs: the set and its frozensets are freed
+    # before each sort key is replaced by its pair in place, so neither the
+    # set nor a second list is held beside the pairs.
+    pairs = sorted([(len(v), v, bool(s), sorted(s)) for v, s in found])
+    del found
+    for i, (_, values, _, shade) in enumerate(pairs):
+        pairs[i] = values, shade
+    return pairs
 
 
 def _pattern(values: Values, shade: Iterable[BoxLike], marks: tuple = ()) -> Pattern:
@@ -370,11 +390,20 @@ def _pattern(values: Values, shade: Iterable[BoxLike], marks: tuple = ()) -> Pat
     return Pattern(Permutation(values), shade, tuple(Mark(region, count) for region, count in marks))
 
 
-def _mesh_patterns(pairs: set[tuple[Values, frozenset]]) -> tuple[Pattern, ...]:
-    """The distinct plain ``(values, shade)`` pairs ``pairs`` as patterns,
-    each built once, sorted by the plain form of :func:`pattern_sort_key`."""
-    key = lambda pair: (len(pair[0]), pair[0], bool(pair[1]), sorted(pair[1]))
-    return tuple(_pattern(values, shade) for values, shade in sorted(pairs, key=key))
+def _mesh_patterns(pairs: Iterable[tuple[Values, list]]) -> tuple[Pattern, ...]:
+    """The plain ``(values, shade)`` pairs of :func:`_expansions` as
+    patterns, in order, each built once."""
+    return tuple(itertools.starmap(_pattern, pairs))
+
+
+def _mesh_pairs(pairs: Iterable[tuple[Values, list]]) -> Iterator[tuple[Values, list]]:
+    """The plain ``(values, shade)`` pairs of :func:`_expansions`, in
+    order, each refused as ``Pattern(Permutation(values), shade)`` would
+    refuse it, by the same checks, with no object built."""
+    for values, shade in pairs:
+        _check_permutation(values)
+        _check_boxes(_box_pairs(shade), len(values), "shaded")
+        yield values, shade
 
 
 def insert_point(pat: Pattern, box: BoxLike) -> Pattern:

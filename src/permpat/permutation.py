@@ -40,6 +40,18 @@ def as_word(letters: Iterable[int]) -> Values:
     return word
 
 
+def _check_permutation(values: Values) -> None:
+    """Refuse ``values`` unless they are ints forming 1..k."""
+    # A bool or a float equal to an int would pass the set comparison.
+    if not set(map(type, values)) <= {int} or set(values) != set(range(1, len(values) + 1)):
+        raise InvalidInputError(f"not a permutation of 1..{len(values)}: {values!r}")
+
+
+def _values_text(values: Values) -> str:
+    """One-line notation: digits for length <= 9, commas beyond."""
+    return ("" if len(values) <= 9 else ",").join(map(str, values))
+
+
 def _standardize(letters: Sequence[int]) -> Values:
     rank = {v: r for r, v in enumerate(sorted(letters), 1)}
     return tuple(rank[v] for v in letters)
@@ -111,9 +123,7 @@ class Permutation:
     def __post_init__(self) -> None:
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
-        # A bool or a float equal to an int would pass the set comparison.
-        if not set(map(type, vals)) <= {int} or set(vals) != set(range(1, len(vals) + 1)):
-            raise InvalidInputError(f"not a permutation of 1..{len(vals)}: {vals!r}")
+        _check_permutation(vals)
 
     @property
     def n(self) -> int:
@@ -149,9 +159,7 @@ class Permutation:
 
     def to_text(self) -> str:
         """Inverse of :meth:`from_text`; digits for n <= 9, commas beyond."""
-        if len(self.values) <= 9:
-            return "".join(map(str, self.values))
-        return ",".join(map(str, self.values))
+        return _values_text(self.values)
 
 
 def standardize(word: Iterable[int]) -> Permutation:

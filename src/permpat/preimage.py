@@ -18,7 +18,12 @@ The pipeline has three stages:
 The stages run on plain ``(values, shade, marks)`` triples, which mark
 expansion (:func:`patterns.expand_basis`) grows too: ``_outcomes`` shades
 and marks each candidate once, and objects are built at the end, only for
-the patterns returned or printed.
+the patterns returned.  ``preimage --expand`` without ``--prune`` builds
+none: it prints each expanded ``(values, shade)`` pair straight to its
+line, after the checks that building its pattern would run
+(:func:`patterns._mesh_pairs`).
+``_un_s_count`` counts the candidates without listing them, so that the
+command line can refuse an image with too many.
 """
 
 from __future__ import annotations
@@ -52,6 +57,25 @@ def _un_s_raw(word: Values) -> frozenset[Values]:
             for delta in _un_s_raw(alpha[j:] + beta):
                 out.add(gamma + (m,) + delta)
     return frozenset(out)
+
+
+def _un_s_count(word: Values, memo: dict | None = None) -> int:
+    """``len(_un_s_raw(word))``, by the same split and without listing the
+    candidates: the candidates of one split point are the products of the
+    two parts' candidates, and distinct split points put the maximum at
+    distinct positions.  ``memo`` lives for one count only, so counting
+    keeps no memory; the identity of length 13 fills 67 entries."""
+    if len(word) < 2:
+        return 1
+    if memo is None:
+        memo = {}
+    got = memo.get(word)
+    if got is None:
+        i = word.index(max(word))
+        alpha, beta = word[:i], word[i + 1 :]
+        got = memo[word] = sum(_un_s_count(alpha[:j], memo) * _un_s_count(alpha[j:] + beta, memo)
+                               for j in range(len(alpha) + 1))
+    return got
 
 
 def un_s(word: Iterable[int]) -> frozenset[Permutation]:

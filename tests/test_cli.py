@@ -11,7 +11,7 @@ import pytest
 
 import permpat
 from permpat import VerificationReport, classical, mesh, parse_pattern_list
-from permpat import cli, patterns, permutation
+from permpat import cli, patterns, permutation, preimage
 from permpat.cli import main
 from permpat.patterns import _MAX_NESTING
 
@@ -341,6 +341,68 @@ class TestExpandLimit:
         monkeypatch.setattr(cli, "EXPAND_LIMIT", 0)
         code, out, _ = run(capsys, "preimage", "654321")
         assert (code, len(out.splitlines())) == (0, 1)
+
+
+class TestUnSLimit:
+    """preimage counts its un_s candidates before listing any, and refuses
+    more than the limit.  Gated on counts, never on time: the identity
+    image of length n has the Catalan number C_n of candidates."""
+
+    @pytest.fixture
+    def listings(self, monkeypatch):
+        calls = []
+        raw = preimage._un_s_raw
+
+        def counting_raw(word):
+            calls.append(word)
+            return raw(word)
+
+        monkeypatch.setattr(preimage, "_un_s_raw", counting_raw)
+        return calls
+
+    def test_identity_of_length_11_is_refused_unlisted(self, capsys, listings):
+        code, out, err = run(capsys, "preimage", "1,2,3,4,5,6,7,8,9,10,11", "--expand")
+        assert code == 2 and out == "" and listings == []
+        assert err.startswith("error:") and "58,786" in err and "20,000" in err and "--force" in err
+
+    def test_limit_is_inclusive(self, capsys, monkeypatch, listings):
+        monkeypatch.setattr(cli, "UN_S_LIMIT", 14)
+        code, out, _ = run(capsys, "preimage", "1234", "--show-rejected")
+        assert (code, len(out.splitlines())) == (0, 14)
+        code, out, err = run(capsys, "preimage", "12345")
+        assert code == 2 and out == "" and "42 un_s candidates" in err and "14" in err
+        assert (1, 2, 3, 4) in listings and max(map(len, listings)) == 4
+
+    def test_force_lifts_the_refusal(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "UN_S_LIMIT", 14)
+        code, out, err = run(capsys, "preimage", "12345", "--force")
+        assert (code, len(out.splitlines()), err) == (0, 42, "")
+
+
+class TestPlainExpansionChecks:
+    """preimage --expand prints plain pairs, refused by the checks that
+    building their patterns runs, with the same messages."""
+
+    @pytest.mark.parametrize("pair", [
+        pytest.param(((1, 3), []), id="letter-outside-1..k"),
+        pytest.param(((1, True), []), id="bool-letter"),
+        pytest.param(((1, 2), [(0, 3)]), id="box-outside-grid"),
+        pytest.param(((1, 2), [(-1, 0)]), id="negative-box"),
+        pytest.param(((1, 2), [(True, 0)]), id="bool-coordinate"),
+        pytest.param(((1, 2), [(0, 1, 2)]), id="box-not-a-pair"),
+    ])
+    def test_a_corrupt_pair_exits_2_as_its_pattern_would(self, capsys, monkeypatch, pair):
+        with pytest.raises(permpat.InvalidInputError) as raised:
+            patterns._pattern(*pair)
+        monkeypatch.setattr(cli, "_expansions", lambda plains, cap: [((1, 2), []), pair])
+        code, out, err = run(capsys, "preimage", "12", "--expand")
+        assert (code, out, err) == (2, "", f"error: {raised.value}\n")
+
+    def test_the_checked_pairs_print_as_their_patterns(self, capsys, monkeypatch):
+        pairs = [((1, 2), []), ((2, 1), [(0, 2)])]
+        monkeypatch.setattr(cli, "_expansions", lambda plains, cap: pairs)
+        code, out, _ = run(capsys, "preimage", "12", "--expand")
+        assert (code, out) == (0, "12\n21 | shade: (0,2)\n")
 
 
 class TestHugePassCount:

@@ -25,6 +25,7 @@ from permpat import (
     contains,
     decorated,
     expand_basis,
+    format_pattern,
     insert_point,
     marked,
     mesh,
@@ -33,8 +34,9 @@ from permpat import (
     stack_preimage_basis,
     un_s,
 )
-from permpat import patterns, preimage
+from permpat import patterns, permutation, preimage
 from permpat.cli import main
+from permpat.formats import _line_text
 from permpat.patterns import as_boxes, canonical
 from permpat.preimage import MarkedBasis, ShadeMarkResult, candidate_outcomes
 
@@ -85,6 +87,25 @@ class TestUnS:
         p = P((2, 3, 1))
         for lam in un_s(p.values):
             assert inversions(p.values) <= inversions(lam.values)
+
+
+class TestUnSCount:
+    """The candidates are counted by the split of un_s, without listing them."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_count_is_the_number_of_candidates(self, n):
+        for word in permutations(range(1, n + 1)):
+            assert preimage._un_s_count(word) == len(preimage._un_s_raw(word)), word
+
+    def test_raw_words_count_as_their_standardization(self):
+        assert preimage._un_s_count((10, 50, 30)) == preimage._un_s_count((1, 3, 2)) == 3
+
+    def test_identity_counts_are_catalan_numbers(self):
+        catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012, 742900]
+        assert [preimage._un_s_count(tuple(range(1, n + 1))) for n in range(14)] == catalan
+
+    def test_decreasing_image_has_one_candidate(self):
+        assert preimage._un_s_count(tuple(range(20, 0, -1))) == 1
 
 
 class TestShadeAndMark:
@@ -390,18 +411,36 @@ class TestExpansionWork:
         for image in permutations("12345"):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["preimage", "".join(image), "--expand"]) == 0
-        # 2,645 printed patterns and the 120 parsed images, sorted without
-        # pattern_sort_key.
-        assert counts == {"built": 2_765, "keyed": 0}
+        # Only the 120 parsed images; the 2,645 printed lines are written
+        # from plain pairs, sorted without pattern_sort_key.
+        assert counts == {"built": 120, "keyed": 0}
 
     @pytest.mark.parametrize("word", ["132", "2341", "654321"])
-    def test_preimage_expand_builds_only_the_printed_patterns(self, counts, word):
-        # The marked basis and the candidates stay plain triples: one
-        # pattern is parsed and one built per printed line.
+    def test_preimage_expand_checks_each_printed_pair_once(self, counts, monkeypatch, word):
+        # The marked basis, the candidates and the expansions stay plain:
+        # one pattern is parsed and built, and each printed line's pair runs
+        # the permutation and box checks once.  The parsed permutation is
+        # checked too; its pattern has no shade to check.
+        checks = {"perm": 0, "boxes": 0}
+        check_perm, box_pairs = permutation._check_permutation, patterns._box_pairs
+
+        def counting_check_perm(values):
+            checks["perm"] += 1
+            check_perm(values)
+
+        def counting_box_pairs(boxes):
+            checks["boxes"] += 1
+            return box_pairs(boxes)
+
+        monkeypatch.setattr(permutation, "_check_permutation", counting_check_perm)
+        monkeypatch.setattr(patterns, "_check_permutation", counting_check_perm)
+        monkeypatch.setattr(patterns, "_box_pairs", counting_box_pairs)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(["preimage", word, "--expand"]) == 0
-        assert counts["built"] == len(out.getvalue().splitlines()) + 1
+        lines = len(out.getvalue().splitlines())
+        assert counts["built"] == 1
+        assert checks == {"perm": lines + 1, "boxes": lines}
 
 
 class TestExpansionKinds:
@@ -442,6 +481,16 @@ class TestExpandBasis:
             ("2341", frozenset()),
             ("3241", frozenset({Box(1, 3), Box(1, 4)})),
         }
+
+
+def test_plain_lines_equal_the_lines_of_the_built_patterns():
+    # Every expanded basis of every image of length 1 to 5, printed from
+    # its plain pairs and through format_pattern.
+    for k in range(1, 6):
+        for image in permutations(range(1, k + 1)):
+            pairs = patterns._expansions(plain for _, plain in preimage._outcomes(image) if plain is not None)
+            plain_lines = [_line_text(values, shade) for values, shade in patterns._mesh_pairs(pairs)]
+            assert plain_lines == [format_pattern(p) for p in patterns._mesh_patterns(pairs)], image
 
 
 def _expand_digest(images) -> tuple[int, str]:

@@ -7,8 +7,10 @@ of decorations, the oracle's scan and its use of the search through the
 maximum, the packed key of a max-deleted part, pruning's masks built from
 those of the length before, the pass count of a sorting power, shading
 and marking, mark expansion, its cap, the order and union of expanded bases and point
-insertion (in ``patterns``), basis pruning (in ``oracle``) and the command
-line's pruning trailer, rejected listing and expansion limit, the fixture
+insertion (in ``patterns``), the checks of the plain pairs ``preimage
+--expand`` prints, the count of ``un_s`` candidates, basis pruning and the
+full masks its map leaves out (in ``oracle``) and the command line's
+pruning trailer, rejected listing, candidate and expansion limits, the fixture
 table, the pattern parsers, the whitespace they take between boxes and
 their checks that JSON parts are arrays, that a JSON box is a pair of
 integers and that text forms use ASCII digits only, the choice of the form
@@ -260,12 +262,12 @@ MUTANTS = [
     # patterns still kept imply it.
     Mutant("pruning ignores the kept bits", ORACLE, "mask & kept & ~q", "mask & ~q"),
     Mutant("pruning keeps only the last length's masks", ORACLE,
-           "masks.update(block.values() if keep else block)", "masks = set(block.values() if keep else block)"),
+           "            masks.update(block)\n", "            masks = set(block)\n"),
     # prune_basis through the maximum: a mask is built from the mask of the
     # max-deleted part, whose bits in top are confirmed by a full search
     # that looks for nothing else, and the last length keeps no map.
     Mutant("top-row bits ignored", ORACLE,
-           "top, ones = at.top, (1 << len(patterns)) - 1", "top, ones = 0, (1 << len(patterns)) - 1"),
+           "top = at.top", "top = 0"),
     Mutant("top row read one row low", PATTERNS,
            "if any(r == k for _, r in", "if any(r == k - 1 for _, r in"),
     Mutant("fallback search seeded with the wrong bits", ORACLE,
@@ -277,13 +279,29 @@ MUTANTS = [
     Mutant("pruning skips canonical", ORACLE, "patterns = canonical(basis)", "patterns = tuple(basis)"),
     Mutant("pruning drops a pattern no permutation contains", ORACLE,
            "if any(mask & q for mask in masks) and all(", "if all("),
-    # _mesh_patterns sorts by the plain form of pattern_sort_key, and
+    # _expansions sorts by the plain form of pattern_sort_key, and
     # expand_basis lists an expansion that two basis patterns share once.
     Mutant("plain sort key without bool(shade)", PATTERNS,
-           "pair[0], bool(pair[1]), sorted(pair[1])", "pair[0], sorted(pair[1])"),
+           "(len(v), v, bool(s), sorted(s))", "(len(v), v, False, sorted(s))"),
     Mutant("dedup across basis patterns dropped", PATTERNS,
            '_mesh_patterns(_expansions(_plain(pat, "expand") for pat in basis))',
            '_mesh_patterns([pair for pat in basis for pair in _expansions([_plain(pat, "expand")])])'),
+    # preimage --expand prints plain pairs, each refused as its pattern
+    # would be: letters forming 1..k, boxes inside 0..k.
+    Mutant("plain grid bound off by one", PATTERNS,
+           '_check_boxes(_box_pairs(shade), len(values), "shaded")',
+           '_check_boxes(_box_pairs(shade), len(values) + 1, "shaded")'),
+    Mutant("permutation check skipped on the plain path", PATTERNS,
+           "        _check_permutation(values)\n", ""),
+    # _un_s_count: one term per split point, the maximum's position.
+    Mutant("un_s count recursion off by one split", PREIMAGE,
+           "for j in range(len(alpha) + 1))", "for j in range(len(alpha)))"),
+    # preimage refuses more than UN_S_LIMIT candidates without --force.
+    Mutant("UN_S_LIMIT off by one", CLI, "if count > UN_S_LIMIT", "if count >= UN_S_LIMIT"),
+    # prune_basis's map leaves full masks out: a missing key reads as the
+    # full mask, and a full mask seen is still reported.
+    Mutant("missing mask read as empty", ORACLE, "prev.get(rest, ones)", "prev.get(rest, 0)"),
+    Mutant("a full mask seen not reported", ORACLE, "full_seen = True", "pass"),
     # preimage --expand lists at most EXPAND_LIMIT patterns without --force.
     Mutant("EXPAND_LIMIT off by one", CLI,
            "None if args.force else EXPAND_LIMIT)", "None if args.force else EXPAND_LIMIT - 1)"),
