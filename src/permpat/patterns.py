@@ -613,8 +613,15 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     """The search for a tuple of patterns, reusable across hosts.
 
     The result takes the host's tuple of values.  With ``action``
-    ``"first"`` it returns whether the host contains some pattern of the
-    tuple; with ``"mask"`` it returns the bitmask whose bit i is set when
+    ``"first"`` it returns 0 when the host contains no pattern of the
+    tuple, and otherwise an odd int for the first occurrence it finds, of
+    a lowered path of k letters: bit x + 1 is set for each index x at which
+    a new largest letter, inserted into the host, would land in a shaded or
+    decorated box of the path's top row (row k), and so may destroy the
+    occurrence.  Top-row box (c, k) takes the indices from one past the
+    occurrence's column c to its column c + 1, with 0 and the host's length
+    at the borders.  A marked box only gains a point, so it never sets a
+    bit.  With ``"mask"`` it returns the bitmask whose bit i is set when
     the host contains ``patterns[i]``, and takes a seed mask, 0 by default,
     whose patterns it does not look for and whose bits it returns set;
     with ``"yield"`` it is a generator over the ``(alpha, beta, omega)``
@@ -633,9 +640,9 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     lowered path that has a shaded or decorated box in its top row.
 
     It is built in two steps.  Each pattern is lowered to its trie paths
-    (:func:`_lower`), whose leaves return True, set the bit of the pattern
-    they came from, or yield their record.  Then the trie is emitted as
-    source, as follows.
+    (:func:`_lower`), whose leaves return their first-hit value, set the
+    bit of the pattern they came from, or yield their record.  Then the
+    trie is emitted as source, as follows.
 
     The letters are placed by nested ``for`` loops, one per letter: the
     maximum first, then the minimum, then the rest right to left.  A
@@ -674,7 +681,7 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     report = f"if mask == {full}: return mask"
     base = _THROUGH_MAX.get(action, action)
     call, finish = {
-        "first": (["if {}: return True"], "return False"),
+        "first": (["if hit := {}: return hit"], "return 0"),
         "mask": (["mask = {}", report], "return mask"),
         "yield": (["yield from {}"], "return"),
     }[base]
@@ -687,7 +694,8 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
     top = 0
     for i, letters, shade, marks, decors in paths:
         k = len(letters)
-        if any(r == k for _, r in itertools.chain(shade, *(d.region for d in decors))):
+        gaps = sorted({c for c, r in itertools.chain(shade, *(d.region for d in decors)) if r == k})
+        if gaps:
             top |= 1 << i
         node = root
         col: dict[int, str] = {}
@@ -744,7 +752,12 @@ def _search(patterns: tuple[Pattern, ...], action: str) -> Callable:
                 )
                 slices.append(f"[w for w in values[{bounds[0][0]}:{bounds[0][1]}] if {inside}]")
             tests.append(f"not sub{i}_{j}({' + '.join(slices)})")
-        hit = ["return True"]
+        # A new maximum inserted into the host at index x lands in top-row
+        # box (c, k) for x from left to right, the bounds of the box's
+        # slice; the first-hit value sets bits left + 1 to right + 1 for
+        # each such box that is shaded or decorated.
+        hit = ["return 1" + "".join(
+            f" | (4 << {right}) - (2 << {left})" for left, right, _, _ in (corners((c, k)) for c in gaps))]
         if base == "mask":
             tests.insert(0, f"not mask & {1 << i}")
             hit = [f"mask |= {1 << i}", report]
@@ -828,7 +841,7 @@ def occurrences(pi: Permutation, pat: Pattern) -> list[Occurrence]:
 
 def contains(pi: Permutation, pat: Pattern) -> bool:
     """Whether ``pi`` contains at least one occurrence of ``pat``."""
-    return _search((pat,), "first")(pi.values)
+    return bool(_search((pat,), "first")(pi.values))
 
 
 def barred_to_mesh(pat: Pattern) -> Pattern:

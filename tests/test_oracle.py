@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from collections import Counter
 from itertools import permutations
 from multiprocessing import get_context
@@ -178,11 +179,24 @@ class TestReferenceCounts:
             reference_count("west2", 0)
 
 
+def _tree_key(vals):
+    """Where each letter m stands among the letters up to m: the indices at
+    which the maximum was inserted, length by length, to build ``vals``."""
+    return tuple([v for v in vals if v <= m].index(m) for m in range(1, len(vals) + 1))
+
+
+def _tree_order(n):
+    """S_n in the tree order of inserting the maximum, from its definition:
+    by the parent's place in the order of length n - 1, then by the index
+    of n."""
+    return sorted(permutations(range(1, n + 1)), key=_tree_key)
+
+
 def _reference_masks(patterns, n):
-    """Each permutation of length ``n``, packed as bytes, with the bitmask
-    of the patterns it contains, by the definition-level matcher."""
-    return {bytes(vals): sum(1 << i for i, pat in enumerate(patterns) if reference_alphas(vals, pat))
-            for vals in permutations(range(1, n + 1))}
+    """The bitmask of the patterns each permutation of length ``n``
+    contains, by the definition-level matcher, in tree order."""
+    return [sum(1 << i for i, pat in enumerate(patterns) if reference_alphas(vals, pat))
+            for vals in _tree_order(n)]
 
 
 def _naive_prune(basis, n_max):
@@ -205,6 +219,39 @@ def _random_prune_bases():
     kinds = ("classical", "mesh", "marked", "barred", "decorated")
     return [canonical(random_pattern(rng, kinds, max_len=rng.choice((3, 4))) for _ in range(rng.randint(2, 5)))
             for _ in range(24)]
+
+
+class TestTreeOrder:
+    """The enumeration of the verify and prune scans, and its blocks."""
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_tree_follows_the_definition(self, n):
+        order = _tree_order(n)
+        assert list(oracle._tree((), n)) == order
+        # The subtree under a node of a lower level is a contiguous slice.
+        for level in range(n + 1):
+            size = math.factorial(n) // math.factorial(level)
+            for j, root in enumerate(_tree_order(level)):
+                assert list(oracle._tree(root, n)) == order[j * size:(j + 1) * size]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_each_block_gets_only_its_slice(self, n, jobs):
+        prev = list(range(math.factorial(n - 1)))
+        blocks = oracle._tree_blocks(n, jobs, prev, "rest")
+        if jobs == 1 or n < 3:
+            assert blocks == [(n, (), prev, "rest")] and blocks[0][2] is prev
+        roots = [root for _, root, _, _ in blocks]
+        level = len(roots[0])
+        assert roots == _tree_order(level)
+        if jobs > 1 and n > 2:
+            # The least level with at least 2 * jobs nodes, or n - 1.
+            assert level == min(n - 1, next(m for m in range(9) if math.factorial(m) >= 2 * jobs))
+        below = [tuple(v for v in vals if v <= level) for vals in _tree_order(n - 1)]
+        for _, root, part, rest in blocks:
+            assert part == [v for v, top in zip(prev, below) if top == root]
+            assert rest == "rest"
+        assert all(part is None for _, _, part in oracle._tree_blocks(n, jobs, None))
 
 
 class TestMaskBlock:
@@ -230,37 +277,30 @@ class TestMaskBlock:
 
     @pytest.mark.parametrize("n", range(7))
     def test_masks_of_s_n_are_those_of_the_definition(self, n):
-        want = set(_reference_masks(self.PATS, n).values())
-        assert oracle._mask_block((n, None, "stack", 0, self.PATS, None, False)) == want
+        want = _reference_masks(self.PATS, n)
+        assert oracle._mask_block((n, (), None, self.PATS, True)) == want
+        assert oracle._mask_block((n, (), None, self.PATS, False)) == set(want)
 
+    @pytest.mark.parametrize("jobs", [2, 3])
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_union_over_first_letter_blocks_is_the_one_block_set(self, n):
-        one = oracle._mask_block((n, None, "stack", 0, self.PATS, None, False))
-        blocks = [oracle._mask_block((n, first, "stack", 0, self.PATS, None, False)) for first in range(1, n + 1)]
-        assert set().union(*blocks) == one
-        prev, _ = self.kept(_reference_masks(self.PATS, n - 1), self.PATS)
-        blocks = [oracle._mask_block((n, first, "stack", 0, self.PATS, prev, True)) for first in range(1, n + 1)]
-        got = {key: mask for block, _ in blocks for key, mask in block.items()}
-        assert (got, any(seen for _, seen in blocks)) == self.kept(_reference_masks(self.PATS, n), self.PATS)
+    def test_subtree_blocks_give_the_one_block_masks(self, n, jobs):
+        for prev in (None, _reference_masks(self.PATS, n - 1)):
+            one = oracle._mask_block((n, (), prev, self.PATS, True))
+            blocks = oracle._tree_blocks(n, jobs, prev, self.PATS, True)
+            assert [mask for block in blocks for mask in oracle._mask_block(block)] == one
+            blocks = oracle._tree_blocks(n, jobs, prev, self.PATS, False)
+            assert set().union(*map(oracle._mask_block, blocks)) == set(one)
 
     @staticmethod
-    def kept(masks, patterns):
-        """A map of masks as ``_mask_block`` keeps it: without its full
-        masks, and whether it had one."""
-        ones = (1 << len(patterns)) - 1
-        return {key: mask for key, mask in masks.items() if mask != ones}, ones in masks.values()
-
-    @classmethod
-    def assert_masks_match_reference(cls, basis, n_max):
+    def assert_masks_match_reference(basis, n_max):
         # Each length is handed the reference masks of the length before,
-        # without their full masks, where the basis has a search through
-        # the maximum.
+        # in tree order, where the basis has a search through the maximum.
         through = _search(basis, "mask_at_max") is not None
         for n in range(1, n_max + 1):
             want = _reference_masks(basis, n)
-            prev = cls.kept(_reference_masks(basis, n - 1), basis)[0] if through and n > 1 else None
-            assert oracle._mask_block((n, None, "stack", 0, basis, prev, True)) == cls.kept(want, basis), n
-            assert oracle._mask_block((n, None, "stack", 0, basis, prev, False)) == set(want.values()), n
+            prev = _reference_masks(basis, n - 1) if through else None
+            assert oracle._mask_block((n, (), prev, basis, True)) == want, n
+            assert oracle._mask_block((n, (), prev, basis, False)) == set(want), n
 
     @pytest.mark.parametrize("name", BRANCHES)
     def test_masks_from_the_length_before_are_those_of_the_definition(self, name):
@@ -439,9 +479,9 @@ def searches(monkeypatch):
 
 
 class TestImageVerdictPerFirstImage:
-    @pytest.mark.parametrize("name, at_8, full_8, max_only_8", [
-        ("west3", 1780, 12368, 27952), ("bubble1243", 5040, 14640, 25680)])
-    def test_one_image_search_per_distinct_first_pass_image(self, searches, name, at_8, full_8, max_only_8):
+    @pytest.mark.parametrize("name, at_8, work_8", [
+        ("west3", 1780, (27952, 2225, 10143)), ("bubble1243", 5040, (25680, 2111, 12529))])
+    def test_one_image_search_per_distinct_first_pass_image(self, searches, name, at_8, work_8):
         op_id, passes, image, basis = FIXTURES[name]
         report = verify_preimage(image, basis, op_id, passes, 8)
         assert report.passed
@@ -449,15 +489,19 @@ class TestImageVerdictPerFirstImage:
         assert [searches[image, "first", n] for n in range(1, 9)] == \
                [_distinct_first_images(op_id, n) for n in range(1, 9)]
         assert searches[image, "first", 8] == at_8
-        # The candidate side searches each permutation once: only through
-        # its maximum when its max-deleted part avoids the basis, which
-        # holds for n of them per avoider of length n - 1, else whole.
-        assert searches[basis, "first", 1] == 1
-        for n in range(2, 9):
-            avoiders = report.counts[n - 2][1]
-            assert searches[basis, "at_max", n] == n * avoiders
-            assert searches[basis, "first", n] + searches[basis, "at_max", n] == math.factorial(n)
-        assert (searches[basis, "first", 8], searches[basis, "at_max", 8]) == (full_8, max_only_8)
+        # The candidate side searches the empty root in full, and each
+        # permutation at most once: only through its maximum when its
+        # parent avoids the basis, which holds for n children of each
+        # avoider of length n - 1; not at all when it inherits its parent's
+        # occurrence; else whole.  At n = 8: through the maximum, whole,
+        # and inherited.
+        assert searches[basis, "first", 0] == 1
+        avoiders = [1] + [row[1] for row in report.counts]
+        for n in range(1, 9):
+            assert searches[basis, "at_max", n] == n * avoiders[n - 1]
+            assert searches[basis, "first", n] + searches[basis, "at_max", n] <= math.factorial(n)
+        max_only, full = searches[basis, "at_max", 8], searches[basis, "first", 8]
+        assert (max_only, full, math.factorial(8) - max_only - full) == work_8
 
     def test_no_pass_searches_every_permutation(self, searches):
         image = (classical("21"),)
@@ -467,16 +511,16 @@ class TestImageVerdictPerFirstImage:
 
 class TestPruneThroughTheMaximum:
     def test_full_mask_searches_per_length(self, searches):
-        # An exact work counter.  Every permutation of length n >= 2 runs
+        # An exact work counter.  Every permutation of length n >= 1 runs
         # the mask search through its maximum; the full mask search runs on
-        # length 1 and then only where a pattern of the max-deleted part,
-        # with a box of its top row shaded, is found through neither part.
+        # the empty root and then only where a pattern of the parent, with
+        # a box of its top row shaded, is found through neither part.
         basis = expand_basis(stack_preimage_basis(P.from_text("23451")))
         pruned = prune_basis(basis, 8)
         assert pruned == basis
-        assert [searches[basis, "mask_at_max", n] for n in range(1, 9)] == \
-               [0] + [math.factorial(n) for n in range(2, 9)]
-        assert [searches[basis, "mask", n] for n in range(1, 9)] == [1, 0, 0, 0, 0, 0, 65, 1895]
+        assert [searches[basis, "mask_at_max", n] for n in range(9)] == \
+               [0] + [math.factorial(n) for n in range(1, 9)]
+        assert [searches[basis, "mask", n] for n in range(9)] == [1, 0, 0, 0, 0, 0, 0, 65, 1895]
 
     def test_a_basis_without_the_search_scans_in_full(self, searches):
         basis = TestMaskBlock.BRANCHES["mark-6"]
@@ -489,12 +533,12 @@ class TestPruneThroughTheMaximum:
         real = oracle._mask_block
 
         def recording(args):
-            kept.append((args[0], args[5] is not None, args[6]))
+            kept.append((args[0], args[2] is not None, args[4]))
             return real(args)
 
         monkeypatch.setattr(oracle, "_mask_block", recording)
         prune_basis(builtin_basis("west2"), 5)
-        assert kept == [(1, False, True), (2, True, True), (3, True, True), (4, True, True), (5, True, False)]
+        assert kept == [(1, True, True), (2, True, True), (3, True, True), (4, True, True), (5, True, False)]
 
 
 class TestAgainstTheDefinition:
@@ -536,17 +580,30 @@ class TestOneScanPerLength:
         monkeypatch.setattr(oracle, "_perm_stream", counting)
         return opened
 
-    def test_verify_opens_one_stream_per_length(self, streams):
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        # The (length, root) of every block the tree scans run.
+        opened = []
+        for name in ("_verify_block", "_mask_block"):
+            def recording(args, real=getattr(oracle, name)):
+                opened.append(args[:2])
+                return real(args)
+            monkeypatch.setattr(oracle, name, recording)
+        return opened
+
+    def test_verify_opens_one_stream_per_length(self, streams, blocks):
         rep = verify_preimage((classical("21"),), (classical("231"),), "stack", 1, 5)
         assert rep.passed
-        assert streams == [(n, None) for n in range(1, 6)]
+        assert blocks == [(n, ()) for n in range(1, 6)]
+        assert streams == []
 
-    def test_prune_opens_one_stream_per_length(self, streams):
+    def test_prune_opens_one_stream_per_length(self, streams, blocks):
         basis = canonical(
             [classical("2341"), classical("23451"), mesh("3241", [(1, 4)])])
         pruned = prune_basis(basis, 6)
         assert list(pruned) == [classical("2341"), mesh("3241", [(1, 4)])]
-        assert streams == [(n, None) for n in range(1, 7)]
+        assert blocks == [(n, ()) for n in range(1, 7)]
+        assert streams == []
 
 
 def test_one_search_is_built_per_basis():
@@ -605,21 +662,24 @@ def _deletion_closed(basis):
 
 class TestSearchThroughTheMaximum:
     """The candidate side of the verify scan, which searches a permutation
-    only through its maximum when its max-deleted part avoids the basis,
-    against the definition-level matcher, permutation by permutation."""
+    only through its maximum when its parent avoids the basis, lets it
+    inherit its parent's occurrence where the inserted maximum keeps it,
+    and else searches it whole, against the definition-level matcher,
+    permutation by permutation."""
 
     @staticmethod
     def assert_verdicts_match_reference(basis, n_max):
-        # Each length is handed the reference avoiders of the length before,
-        # where the basis has a search through the maximum.
+        # Each length is handed the values of the length before as the scan
+        # computed them, from the empty root on.
         closed = _search(basis, "at_max") is not None
         assert closed == _deletion_closed(basis)
-        prev, counts = None, []
+        prev, counts = array("Q", [_search(basis, "first")(())]), []
         for n in range(1, n_max + 1):
+            scanned = list(oracle._classify(n, (), prev, "stack", 0, basis, ()))
+            assert [vals for vals, _, _ in scanned] == _tree_order(n)
             want = _avoids_by_reference(basis, n)
-            got = {vals for vals, in_av, _ in oracle._classify(n, None, "stack", 0, basis, (), prev) if in_av}
-            assert got == want, (basis, n)
-            prev = want if closed else None
+            assert {vals for vals, value, _ in scanned if not value} == want, (basis, n)
+            prev = array("Q", [value for _, value, _ in scanned])
             counts.append(len(want))
         return counts
 
@@ -631,6 +691,25 @@ class TestSearchThroughTheMaximum:
         one = verify_preimage(image, basis, op_id, passes, 7, jobs=1)
         assert [row[1] for row in one.counts] == counts
         assert verify_preimage(image, basis, op_id, passes, 7, jobs=2) == one
+        assert verify_preimage(image, basis, op_id, passes, 7, jobs=3) == one
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture_minus_one_pattern_names_the_least_counterexample(self, name):
+        # Each length's counterexample is the lexicographically least
+        # permutation on which the two sides differ, by a filter of
+        # ``sort_power`` and ``contains`` over S_n, for any ``jobs``.
+        op_id, passes, image, basis = FIXTURES[name]
+        for i in range(len(basis)):
+            fewer = basis[:i] + basis[i + 1:]
+            one = verify_preimage(image, fewer, op_id, passes, 6, jobs=1)
+            if one.passed:
+                continue
+            n = one.checked_n[-1]
+            diff = [pi for pi in map(P, permutations(range(1, n + 1)))
+                    if any(contains(pi, q) for q in fewer)
+                    != any(contains(sort_power(op_id, passes, pi), q) for q in image)]
+            assert one.counterexample[0] == diff[0], (name, i)
+            assert verify_preimage(image, fewer, op_id, passes, 6, jobs=2) == one
 
     @pytest.mark.parametrize("basis", _random_bases())
     def test_random_basis_verdicts_match_reference_through_length_6(self, basis):

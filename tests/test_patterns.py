@@ -524,7 +524,7 @@ class TestCompiledSearch:
         # Every fixture basis has a search through the maximum.  It places
         # each path's maximum first, so its loops at the top become tests
         # of x0.  It answers whether some pattern occurs with its maximum at
-        # x0, a marked pattern through its expansions.
+        # x0, a marked pattern through its expansions, by a nonzero value.
         basis = builtin_basis(name)
         search = _search(basis, "at_max")
         assert search.source.startswith("def search(values, x0):")
@@ -533,7 +533,7 @@ class TestCompiledSearch:
         for pi in perms_through(6):
             x = pi.values.index(len(pi))
             want = any(x + 1 in cols for q in lowered for cols in reference_alphas(pi.values, q))
-            assert search(pi.values, x) == want, pi
+            assert bool(search(pi.values, x)) == want, pi
 
     @pytest.mark.parametrize("name", HEADLINE_BASES)
     def test_mask_search_through_the_maximum_matches_reference(self, name):
@@ -570,6 +570,18 @@ class TestCompiledSearch:
                 if any(r == k for _, r in q.shade) or any(r == k for d in q.decorations for _, r in d.region):
                     want |= 1 << i
         assert want == top
+
+    def test_first_hit_value_sets_the_bits_of_top_row_gaps(self):
+        # 3241 occurs in itself.  A new maximum at index 1, between its 3
+        # and 2, lands in top box (1, 4), and at index 4, past its end, in
+        # (4, 4): bits 2 and 5.  Two adjacent boxes set two bits; a marked
+        # box, tested as a mark of 3 points, sets none.
+        assert _search((mesh("3241", [(1, 4)]),), "first")((3, 2, 4, 1)) == 0b101
+        assert _search((mesh("3241", [(4, 4)]),), "first")((3, 2, 4, 1)) == 0b100001
+        assert _search((mesh("3241", [(0, 4), (1, 4)]),), "first")((3, 2, 4, 1)) == 0b111
+        assert _search((decorated("21", [({(0, 2), (1, 2)}, "12")]),), "first")((2, 1)) == 0b111
+        assert _search((marked("1", marks=[({(1, 1)}, 3)]),), "first")((1, 2, 3, 4)) == 1
+        assert _search((classical("21"),), "first")((1, 2)) == 0
 
     def test_seeded_mask_search_looks_for_no_seeded_pattern(self):
         # A full seed returns at its first leaf; the seed's patterns are

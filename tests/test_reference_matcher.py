@@ -7,6 +7,7 @@ lowering of one pattern kind to another.
 from __future__ import annotations
 
 import functools
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -18,6 +19,7 @@ from permpat import (
     barred,
     builtin_basis,
     classical,
+    contains,
     decorated,
     expand_basis,
     marked,
@@ -28,7 +30,7 @@ from permpat import (
 from permpat.fixtures import FIXTURE_NAMES
 from permpat.patterns import _search, canonical
 
-from conftest import all_perms, perms_through
+from conftest import all_perms, perms_through, random_pattern
 
 
 def standardize(word):
@@ -193,7 +195,7 @@ def hosts_through(n):
 def assert_basis_search_matches_reference(basis, hosts):
     """The compiled basis search against per-pattern reference containment:
     the mask has bit i exactly when the host contains ``basis[i]``, and the
-    first-hit search answers whether the mask is nonzero."""
+    first-hit search's value is nonzero exactly when the mask is."""
     assert_bases_search_match_reference([basis], hosts)
 
 
@@ -210,7 +212,7 @@ def assert_bases_search_match_reference(bases, hosts):
         for slots, basis, mask_search, first_search in searches:
             want = sum(1 << i for i, j in enumerate(slots) if contained[j])
             assert mask_search(pi.values) == want, (pi, basis)
-            assert first_search(pi.values) == bool(want), (pi, basis)
+            assert bool(first_search(pi.values)) == bool(want), (pi, basis)
 
 
 def test_every_pattern_as_one_basis_matches_reference_through_length_6():
@@ -258,3 +260,59 @@ COUNTED_MARKS = [
 def test_counted_marks_match_reference_through_length_7():
     bases = [(pat,) for pat in COUNTED_MARKS] + [canonical(COUNTED_MARKS)]
     assert_bases_search_match_reference(bases, hosts_through(7))
+
+
+def _hit_value_bases():
+    """Bases for the first-hit value: a top-row decoration avoiding 12, a
+    top-row mark of 2 points, a basis with no search through the maximum,
+    and seeded random bases of every kind."""
+    rng = random.Random(35)
+    kinds = ("classical", "mesh", "marked", "barred", "decorated")
+    bases = {
+        "decoration-top": (decorated("21", [({(1, 2)}, "12")]),),
+        "mark-2-top": (marked("12", marks=[({(1, 2), (2, 2)}, 2)]),),
+        "no-at-max": canonical([marked("1", marks=[({(0, 1), (1, 1)}, 3)]), mesh("21", [(1, 2)])]),
+    }
+    for i in range(12):
+        bases[f"random-{i}"] = canonical(
+            random_pattern(rng, kinds, max_len=3) for _ in range(rng.randint(1, 3)))
+    return bases
+
+
+HIT_VALUE_BASES = {**{name: builtin_basis(name) for name in FIXTURE_NAMES}, **_hit_value_bases()}
+
+
+def test_hit_value_bases_cover_every_kind_and_both_scans():
+    bases = HIT_VALUE_BASES.values()
+    assert {pat.kind for basis in bases for pat in basis} == {
+        "classical", "mesh", "marked", "barred", "decorated"}
+    assert _search(HIT_VALUE_BASES["no-at-max"], "at_max") is None
+    assert all(_search(HIT_VALUE_BASES[name], "at_max") is not None for name in FIXTURE_NAMES)
+
+
+@pytest.mark.parametrize("name", HIT_VALUE_BASES)
+def test_hit_value_matches_reference_through_length_6(name):
+    # The first-hit search's value, and that of the search through the
+    # maximum where the basis has one, is 0 when the host avoids what it
+    # looks for and odd otherwise; where bit x + 1 is clear, the host with
+    # a new maximum inserted at index x contains the basis.
+    basis = HIT_VALUE_BASES[name]
+    first, at_max = _search(basis, "first"), _search(basis, "at_max")
+    holds = functools.lru_cache(maxsize=None)(lambda vals: any(reference_contains(vals, pat) for pat in basis))
+    for n in range(7):
+        for vals in permutations(range(1, n + 1)):
+            found = [first(vals)]
+            assert bool(found[0]) == holds(vals), vals
+            if at_max is not None and n:
+                found.append(at_max(vals, vals.index(n)))
+            for value in found:
+                assert value == 0 or value & 1, (vals, value)
+                for x in range(n + 1):
+                    if value and not value >> x + 1 & 1:
+                        assert holds(vals[:x] + (n + 1,) + vals[x:]), (vals, x)
+
+
+@pytest.mark.parametrize("pat", PATTERNS, ids=str)
+def test_contains_answers_a_bool(pat):
+    for pi in hosts_through(4):
+        assert contains(pi, pat) is bool(reference_alphas(pi.values, pat)), pi

@@ -3,13 +3,14 @@ barred patterns, decorations and marks and its occurrence records, the
 search through a host's maximum and the basis it is built for, box
 normalization, the pattern kind its parts decide, the type checks of a
 pattern's permutation and a decoration's avoid-pattern, the nesting bound
-of decorations, the oracle's scan and its use of the search through the
-maximum, the packed key of a max-deleted part, pruning's masks built from
-those of the length before, the pass count of a sorting power, shading
+of decorations, the first-hit value's top-row gaps, the oracle's scan in
+tree order, its use of the search through the maximum and of the value a
+permutation inherits from its parent, the least counterexample, pruning's
+masks built from those of the parent, the pass count of a sorting power, shading
 and marking, mark expansion, its cap, the order and union of expanded bases and point
 insertion (in ``patterns``), the checks of the plain pairs ``preimage
---expand`` prints, the count of ``un_s`` candidates, basis pruning and the
-full masks its map leaves out (in ``oracle``) and the command line's
+--expand`` prints, the count of ``un_s`` candidates, basis pruning (in
+``oracle``) and the command line's
 pruning trailer, rejected listing, candidate and expansion limits, the fixture
 table, the pattern parsers, the whitespace they take between boxes and
 their checks that JSON parts are arrays, that a JSON box is a pair of
@@ -191,15 +192,19 @@ MUTANTS = [
     Mutant("verdict looked up by the permutation", ORACLE,
            "verdict = verdicts.get(once)", "verdict = verdicts.get(vals)"),
     Mutant("false verdicts never kept", ORACLE, "if verdict is None:", "if not verdict:"),
-    # _classify: only a permutation whose max-deleted part avoids the
-    # basis is searched through its maximum alone.
-    Mutant("max-deleted key drops the letter 1", ORACLE,
-           "largest = bytes((n,))", "largest = bytes((1,))"),
-    Mutant("max-only search used when the max-deleted part contains the basis", ORACLE,
-           "if rest in prev else cand(vals)", "if True else cand(vals)"),
-    # _verify_block: counts, the first difference and its side.
+    # _classify: only a child of an avoider is searched through its maximum
+    # alone, and a child at a clear bit of its parent's value inherits it
+    # with a clear bit inserted at x.
+    Mutant("max-only search used when the parent contains the basis", ORACLE,
+           "if not h:", "if True:"),
+    Mutant("the inherited value not shifted at x", ORACLE,
+           "value = 1 | (d & ((1 << x) - 1) | (d >> x) << (x + 1)) << 1",
+           "value = 1 | (d & ((1 << x) - 1) | (d >> x) << x) << 1"),
+    # _verify_block: counts, the least difference and its side.
     Mutant("last difference kept", ORACLE,
-           "if in_av != good and first_diff is None:", "if in_av != good:"),
+           "if in_av != good and (least is None or vals < least[0]):", "if in_av != good:"),
+    Mutant("the first difference found kept in place of the least", ORACLE,
+           "(least is None or vals < least[0])", "least is None"),
     Mutant("sides of a difference swapped", ORACLE,
            "REASON_BAD_IMAGE if in_av else REASON_CONTAINS_BASIS",
            "REASON_CONTAINS_BASIS if in_av else REASON_BAD_IMAGE"),
@@ -244,7 +249,7 @@ MUTANTS = [
            "functools.reduce(operator.or_, (child.bits for child in branches.values()))",
            "sum(child.bits for child in branches.values())"),
     # A search nested past 20 loops passes the hits of its helper on.
-    Mutant("a helper's hit not passed on", PATTERNS, '["if {}: return True"]', '["{}"]'),
+    Mutant("a helper's hit not passed on", PATTERNS, '["if hit := {}: return hit"]', '["{}"]'),
     Mutant("a helper's mask dropped", PATTERNS, '["mask = {}", report]', '["{}", report]'),
     # The search through the maximum exists only for a basis closed under
     # deleting a point outside an occurrence, lowers marks of up to 4
@@ -262,14 +267,22 @@ MUTANTS = [
     # patterns still kept imply it.
     Mutant("pruning ignores the kept bits", ORACLE, "mask & kept & ~q", "mask & ~q"),
     Mutant("pruning keeps only the last length's masks", ORACLE,
-           "            masks.update(block)\n", "            masks = set(block)\n"),
+           "        masks.update(block)\n", "        masks = set(block)\n"),
     # prune_basis through the maximum: a mask is built from the mask of the
-    # max-deleted part, whose bits in top are confirmed by a full search
-    # that looks for nothing else, and the last length keeps no map.
+    # parent, whose bits in top are confirmed by a full search that looks
+    # for nothing else, and the last length keeps no list.
     Mutant("top-row bits ignored", ORACLE,
            "top = at.top", "top = 0"),
     Mutant("top row read one row low", PATTERNS,
-           "if any(r == k for _, r in", "if any(r == k - 1 for _, r in"),
+           "for d in decors)) if r == k})", "for d in decors)) if r == k - 1})"),
+    # The first-hit value: a top-row box of column c takes insertion
+    # indices col[c - 1] + 1 to col[c], and a decoration there counts as
+    # destroying the occurrence.
+    Mutant("a gap's left bound without its + 1", PATTERNS,
+           "- (2 << {left})", "- (1 << {left})"),
+    Mutant("a top-row decoration not counted as destroying", PATTERNS,
+           "itertools.chain(shade, *(d.region for d in decors)) if r == k}",
+           "itertools.chain(shade) if r == k}"),
     Mutant("fallback search seeded with the wrong bits", ORACLE,
            "full(vals, ones ^ lost) & lost", "full(vals, lost) & lost"),
     Mutant("carried bits not filtered by top", ORACLE,
@@ -298,10 +311,6 @@ MUTANTS = [
            "for j in range(len(alpha) + 1))", "for j in range(len(alpha)))"),
     # preimage refuses more than UN_S_LIMIT candidates without --force.
     Mutant("UN_S_LIMIT off by one", CLI, "if count > UN_S_LIMIT", "if count >= UN_S_LIMIT"),
-    # prune_basis's map leaves full masks out: a missing key reads as the
-    # full mask, and a full mask seen is still reported.
-    Mutant("missing mask read as empty", ORACLE, "prev.get(rest, ones)", "prev.get(rest, 0)"),
-    Mutant("a full mask seen not reported", ORACLE, "full_seen = True", "pass"),
     # preimage --expand lists at most EXPAND_LIMIT patterns without --force.
     Mutant("EXPAND_LIMIT off by one", CLI,
            "None if args.force else EXPAND_LIMIT)", "None if args.force else EXPAND_LIMIT - 1)"),
